@@ -32,7 +32,7 @@
 //!   a `Winner` determination when it already knows an adjacent Winner.
 //!   With lossless delivery this rule never fires.
 //!
-//! # The incremental dirty-ball decide phase
+//! # The dirty-ball decide phase
 //!
 //! Leader election is the dominant cost of a mini-round when done naively:
 //! every undetermined Candidate rescans its whole `(2r+1)`-ball. The
@@ -66,7 +66,7 @@
 //! matters, which lossless `(3r+1)`-hop determination floods guarantee
 //! (a determination of `u` by leader `L` reaches all of
 //! `ball(u, 2r+1) ⊆ ball(L, 3r+1)`): under lossless delivery every local
-//! view agrees with the global status array, so the incremental path
+//! view agrees with the global status array, so the dirty-ball path
 //! reads global state directly and charges flood costs through the
 //! engine's counters-only delivery — bit-identical outcomes and counters
 //! at a fraction of the work. Under message loss views can diverge from
@@ -81,25 +81,26 @@
 //! views are built from), so it needs no flood-engine ball table and is
 //! unaffected by the engine's large-N table entry cap.
 //!
-//! # The partition-parallel decide phase
+//! ## Tiles
 //!
-//! At `n = 10⁴–5×10⁴` the incremental path is still one serial loop over
-//! memory-bound sweeps. Setting [`DistributedPtasConfig::partitions`]` > 1`
-//! splits the lossless decide into core+halo tiles
-//! ([`mhca_graph::Partition`]) and runs the per-vertex phases tile-local —
-//! the election probe, the per-leader MWIS, the blocked-count seeding and
-//! the dirty decrement expansion — merging per-tile results at phase
-//! boundaries. Tiling is an **execution strategy, not a semantics knob**:
-//! every phase is engineered so the merged result is *byte-identical* to
-//! the serial incremental path (and hence to the rescan oracle), pinned by
-//! `tests/partition_parity.rs`. The key devices are (a) reading a
-//! snapshot of the packed election state while writing only the tile's own
-//! stripe (legal because ranks are immutable intra-sweep and blocked
-//! counts can never reach the `DETERMINED` sentinel, so verdicts are
-//! insensitive to write timing), and (b) precomputing the ranks of changed
-//! vertices serially so the decrement sweep touches only its own stripe.
-//! Status application, flood accounting, and the Fig. 6 summation stay
-//! serial — they are `O(determinations)` per round, not `O(n · ball)`.
+//! The per-vertex phases — the election probe, the per-leader MWIS, the
+//! blocked-count seeding and the dirty decrement expansion — run
+//! tile-local over the core+halo stripes of a [`mhca_graph::Partition`],
+//! merging per-tile results at phase boundaries.
+//! [`DistributedPtasConfig::partitions`] sets the tile count; the default
+//! single tile *is* the serial sweep, and at `n = 10⁴–5×10⁴` more tiles
+//! split the memory-bound sweeps over threads. Tiling is an **execution
+//! strategy, not a semantics knob**: every phase is engineered so the
+//! merged result is *byte-identical* for every tile count (and hence to
+//! the rescan oracle), pinned by `tests/partition_parity.rs`. The key
+//! devices are (a) reading a snapshot of the packed election state while
+//! writing only the tile's own stripe (legal because ranks are immutable
+//! intra-sweep and blocked counts can never reach the `DETERMINED`
+//! sentinel, so verdicts are insensitive to write timing), and (b)
+//! precomputing the ranks of changed vertices serially so the decrement
+//! sweep touches only its own stripe. Status application, flood
+//! accounting, and the Fig. 6 summation stay serial — they are
+//! `O(determinations)` per round, not `O(n · ball)`.
 
 use mhca_graph::{ExtendedConflictGraph, Partition};
 use mhca_mwis::{exact, greedy};
@@ -165,20 +166,20 @@ pub struct DistributedPtasConfig {
     /// RNG seed for the loss process.
     pub loss_seed: u64,
     /// Forces the full-rescan reference decide path even when delivery is
-    /// lossless (diagnostics / differential testing; the incremental
-    /// dirty-ball path is bit-identical, just faster).
+    /// lossless (diagnostics / differential testing; the dirty-ball path
+    /// is bit-identical, just faster).
     pub force_rescan: bool,
     /// Number of core+halo tiles the lossless decide phase is split into
-    /// (`<= 1` = the serial incremental path; the lossy / forced-rescan
+    /// (`<= 1` = one tile, the serial sweep; the lossy / forced-rescan
     /// reference path ignores this knob). Tiling is an execution strategy,
     /// not a semantic knob: the [`DecisionOutcome`] is byte-identical for
     /// every value — pinned by `tests/partition_parity.rs`.
     pub partitions: usize,
-    /// Worker threading of the tiled phases: `1` runs the tile loop inline
+    /// Worker threading of the tile phases: `1` runs the tile loop inline
     /// on the calling thread (deterministic single-thread execution — the
     /// allocation-free configuration pinned by `tests/alloc_free.rs`); any
     /// other value (`0` is the conventional spelling) spawns one scoped OS
-    /// thread per tile. Ignored when `partitions <= 1`.
+    /// thread per tile. A single tile always runs inline.
     pub threads: usize,
 }
 
@@ -247,14 +248,14 @@ impl DistributedPtasConfig {
         self
     }
 
-    /// Builder-style tile-count override for the partition-parallel
-    /// decide (`<= 1` = serial).
+    /// Builder-style tile-count override for the lossless decide
+    /// (`<= 1` = one tile, serial).
     pub fn with_partitions(mut self, partitions: usize) -> Self {
         self.partitions = partitions;
         self
     }
 
-    /// Builder-style threading override for the tiled phases (`1` =
+    /// Builder-style threading override for the tile phases (`1` =
     /// inline serial tile loop, anything else = one worker per tile).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
@@ -310,12 +311,12 @@ impl DecisionOutcome {
 /// Instrumentation counters of the last strategy decision's leader
 /// election — how much candidate-scanning work the decide phase actually
 /// performed ([`DistributedPtas::scan_stats`]). Streamed per round to the
-/// observer pipeline as `decide_scanned`; the incremental path's whole
+/// observer pipeline as `decide_scanned`; the dirty-ball path's whole
 /// point is that `candidates_scanned` stays near one full sweep per
 /// decision instead of one per mini-round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct DecideScanStats {
-    /// `(2r+1)`-ball candidate evaluations performed. The incremental
+    /// `(2r+1)`-ball candidate evaluations performed. The dirty-ball
     /// path charges one per vertex for the mini-round 0 election probe
     /// (early-exiting, so usually a partial scan) plus one per round-0
     /// survivor for the count-seeding sweep — at most two per vertex per
@@ -334,8 +335,8 @@ pub struct DecideScanStats {
 /// only when [`DistributedPtas::set_profile_phases`] is on (the stamps
 /// cost two `Instant` reads per phase per mini-round, which is noise at
 /// large `n` but measurable in small-`n` hot loops, so they are gated).
-/// The incremental and tiled paths fill it; the rescan reference leaves
-/// it zeroed. This is what `decide_profile --pr6` reports per grid point.
+/// The dirty-ball path fills it; the rescan reference leaves it zeroed.
+/// This is what `decide_profile --pr6` reports per grid point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct DecidePhaseNs {
     /// Leader election: the mini-round 0 ball probe plus the pending-list
@@ -419,14 +420,14 @@ pub struct DistributedPtas<'h> {
     /// `(loss_seed, decision sequence)`, not per individual decision.
     engine: FloodEngine<'h>,
     /// Per-vertex `(2r+1)`-ball views for the rescan reference path —
-    /// built lazily on first rescan use (the incremental and tiled paths
-    /// read the flat ball CSR instead, and at large `n` the `usize`
+    /// built lazily on first rescan use (the dirty-ball path reads the
+    /// flat ball CSR instead, and at large `n` the `usize`
     /// views would double the decider's footprint for nothing).
     views: Vec<LocalView>,
     balls_r: Vec<Vec<usize>>,
     /// Flat `u32` CSR copy of the `(2r+1)`-balls (`ball_offsets[v] ..
     /// ball_offsets[v + 1]` into `ball_entries`), self included — the
-    /// incremental election's seed and decrement sweeps stream these
+    /// dirty-ball election's seed and decrement sweeps stream these
     /// instead of the views' `usize` lists: the sweeps are memory-bound,
     /// so the 4-byte entries halve their traffic.
     ball_offsets: Vec<usize>,
@@ -446,10 +447,10 @@ pub struct DistributedPtas<'h> {
     solver: SolverScratch,
     cache: LocalMaxCache,
     scan_stats: DecideScanStats,
-    // ---- partition-parallel state ----
-    /// Core+halo tiling of the vertex range, present iff
-    /// `config.partitions > 1`.
-    partition: Option<Partition>,
+    // ---- tile state ----
+    /// Core+halo tiling of the vertex range (one tile when
+    /// `config.partitions <= 1`).
+    partition: Partition,
     /// One scratch set per tile worker (leaders, pending, solver, …).
     tile_scratch: Vec<TileScratch>,
     /// Read-only copy of the packed election state for the seeding
@@ -462,7 +463,7 @@ pub struct DistributedPtas<'h> {
     phase_ns: DecidePhaseNs,
 }
 
-/// Per-tile worker scratch of the partition-parallel decide: everything a
+/// Per-tile worker scratch of the dirty-ball decide: everything a
 /// tile-local phase writes besides its own stripe of the packed election
 /// state, merged serially at phase boundaries.
 #[derive(Debug, Default)]
@@ -517,7 +518,7 @@ fn split_by_cuts<'a, T>(
     })
 }
 
-/// Reusable state of the incremental dirty-ball leader election (see the
+/// Reusable state of the dirty-ball leader election (see the
 /// module docs): per-vertex blocked counts plus the pending zero-count
 /// list. Only ever consulted on the lossless fast path; the lossy /
 /// forced-rescan path ignores it entirely.
@@ -609,8 +610,7 @@ impl<'h> DistributedPtas<'h> {
         };
         engine.prewarm(2 * config.r + 1);
         engine.prewarm(3 * config.r + 1);
-        let partition = (config.partitions > 1)
-            .then(|| Partition::stripes(g, config.partitions, 2 * config.r + 1));
+        let partition = Partition::stripes(g, config.partitions.max(1), 2 * config.r + 1);
         DistributedPtas {
             h,
             config,
@@ -695,17 +695,18 @@ impl<'h> DistributedPtas<'h> {
 
     /// Leader-election work counters of the most recent decision —
     /// streamed into the observer pipeline as `decide_scanned` and the
-    /// headline evidence that the incremental dirty-ball path does less
-    /// work than the full rescan it replaces.
+    /// headline evidence that the dirty-ball path does less work than the
+    /// full rescan it replaces.
     pub fn scan_stats(&self) -> DecideScanStats {
         self.scan_stats
     }
 
-    /// The core+halo tiling the tiled decide runs over (`None` when
-    /// `config.partitions <= 1`) — exposed so callers can report the
-    /// boundary-handoff honesty metrics ([`Partition::halo_entries`]).
+    /// The core+halo tiling the decide runs over (`None` when it is a
+    /// single tile, i.e. `config.partitions <= 1`) — exposed so callers
+    /// can report the boundary-handoff honesty metrics
+    /// ([`Partition::halo_entries`]).
     pub fn partition(&self) -> Option<&Partition> {
-        self.partition.as_ref()
+        (self.partition.tile_count() > 1).then_some(&self.partition)
     }
 
     /// Overrides the flood engine's ball-table entry cap
@@ -716,8 +717,8 @@ impl<'h> DistributedPtas<'h> {
         self.engine.set_table_entry_cap(cap);
     }
 
-    /// Enables per-phase wall-clock stamps on the incremental and tiled
-    /// decide paths, readable via [`DistributedPtas::phase_ns`]. Off by
+    /// Enables per-phase wall-clock stamps on the dirty-ball decide path
+    /// (any tile count), readable via [`DistributedPtas::phase_ns`]. Off by
     /// default — the stamps are noise at large `n` but measurable in
     /// small-`n` hot loops.
     pub fn set_profile_phases(&mut self, on: bool) {
@@ -725,7 +726,7 @@ impl<'h> DistributedPtas<'h> {
     }
 
     /// Per-phase wall-clock split of the last decision (zeroed unless
-    /// profiling is on and the decision took an incremental path).
+    /// profiling is on and the decision took the dirty-ball path).
     pub fn phase_ns(&self) -> DecidePhaseNs {
         self.phase_ns
     }
@@ -735,12 +736,12 @@ impl<'h> DistributedPtas<'h> {
     /// internal scratch pools this makes steady-state decisions
     /// allocation-free.
     ///
-    /// Dispatches to the incremental dirty-ball election (module docs) on
-    /// the lossless path — partition-parallel when
-    /// [`DistributedPtasConfig::partitions`]` > 1`, byte-identically;
-    /// under message loss — where local views can diverge from global
-    /// state — or when [`DistributedPtasConfig::force_rescan`] is set, it
-    /// runs the bit-exact full-rescan reference path
+    /// Dispatches to the dirty-ball election (module docs) on the lossless
+    /// path — tiled over [`DistributedPtasConfig::partitions`] stripes,
+    /// byte-identically for every tile count; under message loss — where
+    /// local views can diverge from global state — or when
+    /// [`DistributedPtasConfig::force_rescan`] is set, it runs the
+    /// bit-exact full-rescan reference path
     /// ([`DistributedPtas::decide_into_rescan`]).
     ///
     /// # Panics
@@ -750,10 +751,8 @@ impl<'h> DistributedPtas<'h> {
         self.check_weights(weights);
         if self.config.loss_prob > 0.0 || self.config.force_rescan {
             self.rescan_impl(weights, out);
-        } else if self.partition.is_some() {
-            self.tiled_impl(weights, out);
         } else {
-            self.incremental_impl(weights, out);
+            self.tiled_impl(weights, out);
         }
     }
 
@@ -763,7 +762,7 @@ impl<'h> DistributedPtas<'h> {
     /// determination floods materialize real inboxes. This is the
     /// pre-incremental algorithm, kept verbatim as (a) the mandatory path
     /// under message loss and (b) the oracle of the differential test
-    /// battery (`tests/decide_parity.rs`), which pins the incremental path
+    /// battery (`tests/decide_parity.rs`), which pins the dirty-ball path
     /// to produce identical [`DecisionOutcome`]s.
     #[doc(hidden)]
     pub fn decide_into_rescan(&mut self, weights: &[f64], out: &mut DecisionOutcome) {
@@ -779,267 +778,14 @@ impl<'h> DistributedPtas<'h> {
         );
     }
 
-    /// The incremental dirty-ball decide phase (lossless only; see the
-    /// module docs for the two invariants it rests on). Reads and writes
-    /// global status directly — under lossless delivery every local view
-    /// agrees with it — and charges flood costs through the engine's
+    /// The dirty-ball decide phase (lossless only; the module docs give
+    /// its invariants and the tiling's byte-identity argument). Reads and
+    /// writes global status directly — under lossless delivery every local
+    /// view agrees with it — and charges flood costs through the engine's
     /// counters-only delivery, so no inbox is ever materialized.
-    fn incremental_impl(&mut self, weights: &[f64], out: &mut DecisionOutcome) {
-        debug_assert_eq!(self.config.loss_prob, 0.0);
-        let profiling = self.profile_phases;
-        let Self {
-            h,
-            config,
-            engine,
-            balls_r,
-            ball_offsets,
-            ball_entries,
-            node_groups,
-            own,
-            leaders,
-            declare_floods,
-            det_floods,
-            det_lists,
-            cand,
-            selectable,
-            solver,
-            cache,
-            scan_stats,
-            phase_ns,
-            ..
-        } = self;
-        let ball = |v: usize| &ball_entries[ball_offsets[v]..ball_offsets[v + 1]];
-        let n = h.n_vertices();
-        let graph = h.graph();
-        let r = config.r;
-        engine.reset_counters();
-        *scan_stats = DecideScanStats::default();
-        let mut phases = DecidePhaseNs::default();
-        let mut stamp = profiling.then(Instant::now);
-        let mut lap = |slot: &mut u64| {
-            if let Some(s) = stamp.as_mut() {
-                let now = Instant::now();
-                *slot += now.duration_since(*s).as_nanos() as u64;
-                *s = now;
-            }
-        };
-
-        own.clear();
-        own.resize(n, Status::Candidate);
-        cache.begin(n, weights);
-        let mut remaining = n;
-        out.winners.clear();
-        out.per_miniround_weight.clear();
-        out.leaders_per_miniround.clear();
-        out.leaders_flat.clear();
-        out.all_marked = false;
-        let cap = config.max_minirounds.unwrap_or(n.max(1));
-
-        for tau in 0..cap {
-            // ---- 1. LocalLeader selection, incrementally: mini-round 0
-            // seeds every vertex's blocked count with one full ball sweep;
-            // afterwards the leaders are read off the pending zero-count
-            // list maintained by the dirty expansion — no ball is ever
-            // scanned again.
-            leaders.clear();
-            if tau == 0 {
-                // Mini-round 0 only needs the local-maximum verdict, not
-                // the counts yet: probe each ball with early exit at the
-                // first higher-priority member (typically a handful of
-                // entries). Counts are seeded after this round's
-                // determinations land, over the survivors only.
-                for v in 0..n {
-                    scan_stats.candidates_scanned += 1;
-                    let rv = cache.state[v] as u32;
-                    let leads = ball(v)
-                        .iter()
-                        .all(|&u| (cache.state[u as usize] as u32) >= rv);
-                    if leads {
-                        leaders.push(v);
-                    }
-                }
-            } else {
-                for idx in 0..cache.pending.len() {
-                    let v = cache.pending[idx];
-                    // A zero-count vertex leads unless it was itself
-                    // determined in the round that unblocked it.
-                    if own[v] == Status::Candidate {
-                        scan_stats.fast_skips += 1;
-                        leaders.push(v);
-                    }
-                }
-                cache.pending.clear();
-                // The reference path discovers leaders in ascending vertex
-                // order; match it so `leaders_flat` is bit-identical.
-                leaders.sort_unstable();
-            }
-            lap(&mut phases.election_ns);
-            if leaders.is_empty() {
-                out.all_marked = remaining == 0;
-                break;
-            }
-            out.leaders_per_miniround.push(leaders.len());
-            out.leaders_flat.extend_from_slice(leaders);
-
-            // ---- 2. Leader declaration floods ((2r+1) hops, accounting
-            // only — same as the reference path).
-            declare_floods.clear();
-            declare_floods.extend(leaders.iter().map(|&v| Flood {
-                origin: v,
-                ttl: 2 * r + 1,
-                payload: Msg::LeaderDeclare,
-            }));
-            engine.broadcast_only(declare_floods);
-            lap(&mut phases.broadcast_ns);
-
-            // ---- 3. Local MWIS per leader, reading global status (equal
-            // to the leader's view under lossless delivery).
-            if det_lists.len() < leaders.len() {
-                det_lists.resize_with(leaders.len(), Vec::new);
-            }
-            det_floods.clear();
-            for slot in 0..leaders.len() {
-                let leader = leaders[slot];
-                cand.clear();
-                cand.extend(
-                    balls_r[leader]
-                        .iter()
-                        .copied()
-                        .filter(|&u| own[u] == Status::Candidate),
-                );
-                selectable.clear();
-                selectable.extend(
-                    cand.iter()
-                        .copied()
-                        .filter(|&u| graph.neighbors(u).iter().all(|&x| own[x] != Status::Winner)),
-                );
-                Self::solve_local(graph, config, node_groups, solver, weights, selectable);
-                let list = &mut det_lists[slot];
-                list.clear();
-                list.extend(
-                    cand.iter()
-                        .map(|&u| (u, solver.local_mwis.binary_search(&u).is_ok())),
-                );
-                det_floods.push(Flood {
-                    origin: leader,
-                    ttl: 3 * r + 1,
-                    payload: Msg::Determination(slot as u32),
-                });
-            }
-            lap(&mut phases.mwis_ns);
-
-            // ---- 4. Determination floods, accounting only: lossless
-            // delivery is total within the TTL, so applying each leader's
-            // list once to the global status array is exactly what every
-            // receiver's view update would have computed. Same-mini-round
-            // lists are disjoint (leaders are ≥ 2r+2 apart, lists span
-            // r-balls), so application order is immaterial.
-            engine.broadcast_only(det_floods);
-            cache.changed.clear();
-            for list in det_lists.iter().take(leaders.len()) {
-                for &(u, is_winner) in list {
-                    debug_assert_eq!(own[u], Status::Candidate);
-                    own[u] = if is_winner {
-                        Status::Winner
-                    } else {
-                        Status::Loser
-                    };
-                    cache.state[u] |= DETERMINED;
-                    remaining -= 1;
-                    cache.changed.push(u);
-                }
-            }
-            lap(&mut phases.broadcast_ns);
-
-            // ---- 5. Bookkeeping (same summation order as the reference
-            // path, so the Fig. 6 series is bit-identical).
-            let cum: f64 = (0..n)
-                .filter(|&v| own[v] == Status::Winner)
-                .map(|v| weights[v])
-                .sum();
-            out.per_miniround_weight.push(cum);
-            if remaining == 0 {
-                out.all_marked = true;
-                lap(&mut phases.sweep_ns);
-                break;
-            }
-
-            // ---- 6. Dirty expansion, feeding the *next* mini-round's
-            // election (skipped on the budget's last round — nothing
-            // would read it).
-            if tau + 1 == cap {
-                lap(&mut phases.sweep_ns);
-                continue;
-            }
-            if tau == 0 {
-                // Seed the blocked counts over the survivors: count the
-                // still-undetermined higher-priority ball members. This
-                // folds mini-round 0's (largest) determination wave into
-                // the seeding sweep instead of replaying it as
-                // decrements, and skips the determined majority outright.
-                for (v, &status) in own.iter().enumerate() {
-                    if status != Status::Candidate {
-                        continue;
-                    }
-                    scan_stats.candidates_scanned += 1;
-                    let rv = cache.state[v] as u32;
-                    let mut blocked = 0u64;
-                    for &u in ball(v) {
-                        let s = cache.state[u as usize];
-                        blocked += u64::from((s as u32) < rv) & u64::from(s < DETERMINED);
-                    }
-                    cache.state[v] |= blocked << 32;
-                    if blocked == 0 {
-                        cache.pending.push(v);
-                    }
-                }
-            } else {
-                // Each determination of `u` can only change verdicts
-                // within `u`'s (2r+1)-ball — walk exactly that ball and
-                // retire `u` from the blocked counts of its
-                // lower-priority Candidates. Whoever drops to zero is a
-                // leader next mini-round; everyone else's verdict
-                // carries forward.
-                let mut decrements = 0u64;
-                for i in 0..cache.changed.len() {
-                    let u = cache.changed[i];
-                    let ru = cache.state[u] as u32;
-                    for &x in ball(u) {
-                        let x = x as usize;
-                        // One packed load: rank in the low half, blocked
-                        // count (or the DETERMINED sentinel) in the
-                        // high. The outcome of the rank test is
-                        // data-dependent and unpredictable, so the
-                        // decrement is applied branchlessly; only the
-                        // rare hit-zero push branches.
-                        let s = cache.state[x];
-                        let dec = u64::from((s as u32) > ru) & u64::from(s < DETERMINED);
-                        decrements += dec;
-                        let s = s - (dec << 32);
-                        cache.state[x] = s;
-                        if dec != 0 && s >> 32 == 0 {
-                            cache.pending.push(x);
-                        }
-                    }
-                }
-                scan_stats.dirty_decrements += decrements;
-            }
-            lap(&mut phases.sweep_ns);
-        }
-        *phase_ns = phases;
-
-        Self::finish_outcome(graph, own, engine, out);
-    }
-
-    /// The partition-parallel decide phase: the incremental dirty-ball
-    /// algorithm with its per-vertex phases run tile-local over
-    /// [`Partition`] stripes (see the module docs for the byte-identity
-    /// argument). Serial glue — status application, flood accounting, the
-    /// Fig. 6 summation — is `O(determinations)` per mini-round.
     fn tiled_impl(&mut self, weights: &[f64], out: &mut DecisionOutcome) {
         debug_assert_eq!(self.config.loss_prob, 0.0);
         let profiling = self.profile_phases;
-        let parallel = self.config.threads != 1;
         let Self {
             h,
             config,
@@ -1062,11 +808,11 @@ impl<'h> DistributedPtas<'h> {
             phase_ns,
             ..
         } = self;
-        let part = partition
-            .as_ref()
-            .expect("tiled decide without a partition");
-        let cuts: &[usize] = part.cuts();
-        let tiles = part.tile_count();
+        let cuts: &[usize] = partition.cuts();
+        let tiles = partition.tile_count();
+        // The tile count is derived from the input, so one tile never
+        // spawns a thread.
+        let parallel = config.threads != 1 && tiles > 1;
         if tile_scratch.len() < tiles {
             tile_scratch.resize_with(tiles, TileScratch::default);
         }
@@ -1105,12 +851,12 @@ impl<'h> DistributedPtas<'h> {
 
         for tau in 0..cap {
             // ---- 1. LocalLeader selection. Mini-round 0 probes each
-            // tile's core against the (read-only) rank table; per-tile
-            // leader lists concatenate in tile order, which *is* the
-            // serial ascending scan order. Later rounds drain the pending
-            // list serially (it holds a mini-round's leaders, not a
-            // vertex sweep) and sort — the serial path sorts too, which
-            // is what normalizes the tiles' differing push order.
+            // ball with early exit at the first higher-priority member;
+            // per-tile leader lists concatenate in tile order, which *is*
+            // the reference path's ascending scan order. Later rounds read
+            // the leaders off the pending zero-count list — no ball is
+            // scanned again — and sort it, normalizing the tiles' push
+            // order.
             leaders.clear();
             if tau == 0 {
                 let state: &[u64] = &cache.state;
@@ -1139,6 +885,8 @@ impl<'h> DistributedPtas<'h> {
             } else {
                 for idx in 0..cache.pending.len() {
                     let v = cache.pending[idx];
+                    // A zero-count vertex leads unless it was itself
+                    // determined in the round that unblocked it.
                     if own[v] == Status::Candidate {
                         scan_stats.fast_skips += 1;
                         leaders.push(v);
@@ -1155,7 +903,8 @@ impl<'h> DistributedPtas<'h> {
             out.leaders_per_miniround.push(leaders.len());
             out.leaders_flat.extend_from_slice(leaders);
 
-            // ---- 2. Leader declaration floods (accounting only).
+            // ---- 2. Leader declaration floods ((2r+1) hops, accounting
+            // only — same as the reference path).
             declare_floods.clear();
             declare_floods.extend(leaders.iter().map(|&v| Flood {
                 origin: v,
@@ -1165,11 +914,10 @@ impl<'h> DistributedPtas<'h> {
             engine.broadcast_only(declare_floods);
             lap(&mut phases.broadcast_ns);
 
-            // ---- 3. Local MWIS, leader slots chunked over the workers.
-            // Each slot's solve is a pure function of the (read-only)
-            // global statuses and weights, identical to the serial
-            // computation; `det_lists` is split so each worker owns its
-            // slots' lists outright.
+            // ---- 3. Local MWIS per leader, reading global status (equal
+            // to the leader's view under lossless delivery), leader slots
+            // chunked over the tiles; each worker owns its slots'
+            // `det_lists` outright.
             if det_lists.len() < leaders.len() {
                 det_lists.resize_with(leaders.len(), Vec::new);
             }
@@ -1228,8 +976,11 @@ impl<'h> DistributedPtas<'h> {
             }));
             lap(&mut phases.mwis_ns);
 
-            // ---- 4. Determination floods and serial status application
-            // (same-mini-round lists are disjoint; see the serial path).
+            // ---- 4. Determination floods, accounting only: lossless
+            // delivery is total within the TTL, so applying each list once
+            // to the global status array is what every receiver's view
+            // update would compute. Same-mini-round lists are disjoint
+            // (leaders are ≥ 2r+2 apart), so order is immaterial.
             engine.broadcast_only(det_floods);
             cache.changed.clear();
             for list in det_lists.iter().take(leaders.len()) {
@@ -1247,7 +998,8 @@ impl<'h> DistributedPtas<'h> {
             }
             lap(&mut phases.broadcast_ns);
 
-            // ---- 5. Bookkeeping (serial, same order as the reference).
+            // ---- 5. Bookkeeping (same summation order as the reference
+            // path, so the Fig. 6 series is bit-identical).
             let cum: f64 = (0..n)
                 .filter(|&v| own[v] == Status::Winner)
                 .map(|v| weights[v])
@@ -1258,20 +1010,21 @@ impl<'h> DistributedPtas<'h> {
                 lap(&mut phases.sweep_ns);
                 break;
             }
+
+            // ---- 6. Dirty expansion over the state stripes, feeding the
+            // *next* mini-round's election (skipped on the budget's last
+            // round — nothing would read it).
             if tau + 1 == cap {
                 lap(&mut phases.sweep_ns);
                 continue;
             }
-
-            // ---- 6. Dirty expansion, tile-parallel over state stripes.
             if tau == 0 {
-                // Seeding sweep: workers read a pre-sweep snapshot and
-                // write only their stripe. The snapshot is equivalent to
-                // the serial in-place sweep because the probe only reads
-                // immutable low-half ranks and the `< DETERMINED` test,
-                // which no in-sweep write can flip (blocked counts are
-                // `< n ≤ u32::MAX`). Per-tile pending lists concatenate
-                // in tile order = ascending = the serial push order.
+                // Seed the blocked counts over the survivors only, which
+                // folds mini-round 0's (largest) determination wave into
+                // the seeding sweep. Workers read a pre-sweep snapshot and
+                // write only their stripe: the probe reads immutable ranks
+                // and the `< DETERMINED` test, which no in-sweep write can
+                // flip. Pending lists concatenate in tile order = ascending.
                 state_snap.clone_from(&cache.state);
                 let snap: &[u64] = state_snap;
                 let own_ref: &[Status] = own;
@@ -1308,16 +1061,14 @@ impl<'h> DistributedPtas<'h> {
                     cache.pending.extend_from_slice(&ts.pending);
                 }
             } else {
-                // Decrement sweep, parallel by *target* stripe: every
-                // worker walks all changed vertices but touches only the
-                // sub-range of each ball that lands in its stripe (the
-                // balls are sorted, so the sub-range is two binary
-                // searches). Changed ranks are precomputed serially so no
-                // worker reads another stripe. The per-vertex decrement
-                // sequences — and hence the hit-zero moments — are
-                // exactly the serial ones; only the pending *order*
-                // differs across tiles, which the next election's sort
-                // normalizes.
+                // Retire each changed `u` from the blocked counts of the
+                // lower-priority Candidates in its (2r+1)-ball; whoever
+                // drops to zero leads next mini-round. The sweep splits by
+                // *target* stripe: every worker walks all changed vertices
+                // but touches only the (binary-searched) sub-range of each
+                // sorted ball in its stripe, with changed ranks precomputed
+                // serially. Hit-zero moments are the same for every tile
+                // count; the next election's sort normalizes the order.
                 changed_ranks.clear();
                 changed_ranks.extend(cache.changed.iter().map(|&u| cache.state[u] as u32));
                 let changed: &[usize] = &cache.changed;
@@ -1339,6 +1090,9 @@ impl<'h> DistributedPtas<'h> {
                             let b = ball.partition_point(|&x| x < hi);
                             for &x in &ball[a..b] {
                                 let xi = (x - lo) as usize;
+                                // The rank test is unpredictable, so the
+                                // decrement is branchless; only the rare
+                                // hit-zero push branches.
                                 let s = stripe[xi];
                                 let dec = u64::from((s as u32) > ru) & u64::from(s < DETERMINED);
                                 ts.decrements += dec;
@@ -1400,7 +1154,7 @@ impl<'h> DistributedPtas<'h> {
         self.phase_ns = DecidePhaseNs::default();
 
         // The views are lazily materialized from the flat ball CSR on the
-        // reference path's first use (the incremental paths never touch
+        // reference path's first use (the dirty-ball path never touches
         // them, and at large `n` they would double the footprint).
         if self.views.len() != n {
             self.views = (0..n)
@@ -2064,9 +1818,11 @@ mod tests {
     #[test]
     fn tiled_decide_is_byte_identical_to_serial() {
         // Smoke differential (the full grid lives in
-        // tests/partition_parity.rs): partitioned decides — serial tile
-        // loop and one-thread-per-tile alike — must equal the serial
-        // incremental outcome bit for bit, scan stats included.
+        // tests/partition_parity.rs): every tile count — `partitions <= 1`
+        // being the single-tile serial sweep — under the serial tile loop
+        // and one-thread-per-tile alike must equal the rescan oracle's
+        // outcome bit for bit, with identical scan stats across tile
+        // counts.
         use rand::{rngs::StdRng, Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(71);
         let (g, _) = mhca_graph::unit_disk::random_with_average_degree(50, 4.5, &mut rng);
@@ -2074,15 +1830,22 @@ mod tests {
         let w: Vec<f64> = (0..h.n_vertices())
             .map(|_| rng.gen_range(0.1..1.0))
             .collect();
+        let mut oracle = DistributedPtas::new(&h, run_to_completion(2));
+        let mut expect = DecisionOutcome::default();
+        oracle.decide_into_rescan(&w, &mut expect);
         let mut serial = DistributedPtas::new(&h, run_to_completion(2));
-        let expect = serial.decide(&w);
+        assert_eq!(serial.decide(&w), expect);
         for threads in [0, 1] {
-            for tiles in [2, 3, 8] {
+            for tiles in [0, 1, 2, 3, 8] {
                 let cfg = run_to_completion(2)
                     .with_partitions(tiles)
                     .with_threads(threads);
                 let mut tiled = DistributedPtas::new(&h, cfg);
-                assert!(tiled.partition().is_some());
+                assert_eq!(
+                    tiled.partition().is_some(),
+                    tiles > 1,
+                    "tiles {tiles} threads {threads}"
+                );
                 let got = tiled.decide(&w);
                 assert_eq!(got, expect, "tiles {tiles} threads {threads}");
                 assert_eq!(

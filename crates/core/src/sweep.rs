@@ -12,7 +12,6 @@ use crate::{
     stats,
 };
 use mhca_bandit::policies::IndexPolicy;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Mean ± population standard deviation of a measurement across seeds.
@@ -48,8 +47,9 @@ impl Aggregate {
     }
 }
 
-/// Runs `measure` once per seed in `seeds` — **in parallel**, one rayon
-/// task per seed — and aggregates the results.
+/// Runs `measure` once per seed in `seeds` — **in parallel**, on a
+/// [`run_bounded`] pool with one worker per available core — and
+/// aggregates the results.
 ///
 /// `measure` must be a pure function of the seed (`Fn + Sync`): every
 /// workload in this repository derives its network, channel realizations,
@@ -62,8 +62,9 @@ pub fn sweep<F: Fn(u64) -> f64 + Sync>(
     seeds: impl IntoIterator<Item = u64>,
     measure: F,
 ) -> Aggregate {
-    let seeds: Vec<u64> = seeds.into_iter().collect();
-    let xs: Vec<f64> = seeds.into_par_iter().map(measure).collect();
+    let xs = run_bounded(seeds.into_iter().collect(), workers(), |_, seed| {
+        measure(seed)
+    });
     Aggregate::from_samples(&xs)
 }
 
@@ -81,11 +82,11 @@ pub fn sweep_serial<F: FnMut(u64) -> f64>(
 /// `(index, result)` to `sink` **on the calling thread** as results
 /// complete (completion order, not index order).
 ///
-/// Unlike the even chunking of the rayon substrate, this is a shared work
-/// queue: a slow item stalls one worker, not a whole chunk — which is
-/// what a heterogeneous campaign job matrix needs. `sink` returning
-/// `false` cancels the run: items not yet started are dropped, in-flight
-/// results are drained but no longer delivered.
+/// This is a shared work queue, not an even chunking: a slow item stalls
+/// one worker, not a whole chunk — which is what a heterogeneous campaign
+/// job matrix needs. `sink` returning `false` cancels the run: items not
+/// yet started are dropped, in-flight results are drained but no longer
+/// delivered.
 ///
 /// `workers == 0` is treated as 1.
 pub fn for_each_bounded<T, R, F, S>(items: Vec<T>, workers: usize, work: F, mut sink: S)
@@ -145,6 +146,11 @@ where
     });
 }
 
+/// Worker count of the parallel sweeps: one per available core.
+fn workers() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
 /// Order-preserving variant of [`for_each_bounded`]: runs every item on
 /// at most `workers` threads and returns the results in item order.
 pub fn run_bounded<T, R, F>(items: Vec<T>, workers: usize, work: F) -> Vec<R>
@@ -182,7 +188,7 @@ pub struct PolicyComparison {
 /// Compares two policy constructors across seeded random networks: each
 /// seed builds one network (`n` users, `m` channels, degree `d`) and runs
 /// both policies on identical channel realizations (paired comparison).
-/// Seeds run in parallel (each seed's pair of runs shares a rayon task so
+/// Seeds run in parallel (each seed's pair of runs is one work item, so
 /// the pairing — and hence the win rate — is exact).
 ///
 /// The measured quantity is average expected throughput over the horizon.
@@ -202,9 +208,8 @@ where
     B: Fn(&Network) -> Box<dyn IndexPolicy> + Sync,
 {
     let total = (seeds.end.saturating_sub(seeds.start)) as usize;
-    let per_seed: Vec<(f64, f64, String, String)> = seeds
-        .into_par_iter()
-        .map(|seed| {
+    let per_seed: Vec<(f64, f64, String, String)> =
+        run_bounded(seeds.collect(), workers(), |_, seed| {
             let net = Network::random(n, m, d, 0.1, seed);
             let run_cfg = cfg.clone().with_horizon(horizon).with_seed(seed);
             let mut pa = make_a(&net);
@@ -219,8 +224,7 @@ where
                 name_a,
                 name_b,
             )
-        })
-        .collect();
+        });
     let xs_a: Vec<f64> = per_seed.iter().map(|r| r.0).collect();
     let xs_b: Vec<f64> = per_seed.iter().map(|r| r.1).collect();
     let wins = per_seed.iter().filter(|r| r.0 > r.1).count();
@@ -346,9 +350,9 @@ mod tests {
     }
 
     #[test]
-    fn bounded_pool_matches_rayon_sweep() {
-        // The campaign runner's pool and the rayon-based sweep must agree
-        // on a pure per-seed measurement.
+    fn bounded_pool_matches_parallel_sweep() {
+        // A fixed-size pool and the per-core sweep must agree on a pure
+        // per-seed measurement.
         let seeds: Vec<u64> = (0..16).collect();
         let measure = |seed: u64| (seed as f64).sqrt();
         let pooled = run_bounded(seeds.clone(), 3, |_, s| measure(s));

@@ -7,25 +7,39 @@
 //! allocate nothing.
 //!
 //! The counting allocator wraps `System`; its `unsafe` is confined to this
-//! test binary (every library crate is `#![forbid(unsafe_code)]`).
-//! Measurements take the minimum over several attempts so a stray
-//! harness-thread allocation cannot produce a false positive, and the
-//! measured tests serialize on a mutex so they never overlap.
+//! test binary (every library crate is `#![forbid(unsafe_code)]`). It
+//! counts per thread, and only the measuring thread reads its own count,
+//! so tests running concurrently on other harness threads cannot leak
+//! allocations into a measured window. Measurements still take the
+//! minimum over several attempts.
 
 use mhca::bandit::policies::{CsUcb, IndexPolicy};
 use mhca::core::{DistributedPtas, DistributedPtasConfig, Network};
 use mhca::sim::{Flood, FloodEngine, Received};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::cell::Cell;
 
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by the current thread. Const-initialized with no
+    /// destructor, so reading it from inside the allocator never
+    /// allocates or re-enters.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    // `try_with` so an allocation during thread teardown is not a panic.
+    let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+}
+
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.alloc(layout) }
     }
 
@@ -34,7 +48,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -42,18 +56,14 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
-/// Serializes the measured sections across test threads.
-static MEASURE_LOCK: Mutex<()> = Mutex::new(());
-
-/// Allocation count of `f`, minimized over `attempts` runs (the minimum
-/// filters out one-off interference from harness threads).
+/// Allocation count of `f` on the calling thread, minimized over
+/// `attempts` runs.
 fn min_allocs(attempts: usize, mut f: impl FnMut()) -> u64 {
-    let _guard = MEASURE_LOCK.lock().unwrap();
     let mut best = u64::MAX;
     for _ in 0..attempts {
-        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let before = allocations();
         f();
-        let after = ALLOCATIONS.load(Ordering::Relaxed);
+        let after = allocations();
         best = best.min(after - before);
     }
     best
