@@ -102,7 +102,7 @@
 //! accounting, and the Fig. 6 summation stay serial — they are
 //! `O(determinations)` per round, not `O(n · ball)`.
 
-use mhca_graph::{ExtendedConflictGraph, Partition};
+use mhca_graph::{BallScan, ExtendedConflictGraph, Partition};
 use mhca_mwis::{exact, greedy};
 use mhca_sim::{Counters, Flood, FloodEngine, LossSpec, Received};
 use serde::{Deserialize, Serialize};
@@ -589,6 +589,9 @@ struct SolverScratch {
 
 impl<'h> DistributedPtas<'h> {
     /// Precomputes the `r`- and `(2r+1)`-hop neighborhood tables of `H`.
+    ///
+    /// One [`BallScan`] per vertex on shared scratch builds both tables:
+    /// `O(n + Σ_v ball)` set-up, with no per-vertex `O(n)` term.
     pub fn new(h: &'h ExtendedConflictGraph, config: DistributedPtasConfig) -> Self {
         let n = h.n_vertices();
         assert!(u32::try_from(n).is_ok(), "graph too large for the decider");
@@ -596,12 +599,26 @@ impl<'h> DistributedPtas<'h> {
         let mut ball_offsets = Vec::with_capacity(n + 1);
         ball_offsets.push(0);
         let mut ball_entries = Vec::new();
+        let mut balls_r = Vec::with_capacity(n);
+        let mut scan = BallScan::default();
+        let mut members = Vec::new();
         for v in 0..n {
-            let ball = g.r_hop_neighborhood(v, 2 * config.r + 1);
-            ball_entries.extend(ball.iter().map(|&u| u as u32));
+            // BFS order is non-decreasing in distance, so the `r`-ball is
+            // a prefix of the `(2r+1)`-ball scan.
+            members.clear();
+            members.push(v);
+            let mut within_r = 1;
+            scan.for_each(g, v, 2 * config.r + 1, |u, d| {
+                members.push(u);
+                within_r += usize::from(d as usize <= config.r);
+            });
+            let mut ball_r = members[..within_r].to_vec();
+            ball_r.sort_unstable();
+            balls_r.push(ball_r);
+            members.sort_unstable();
+            ball_entries.extend(members.iter().map(|&u| u as u32));
             ball_offsets.push(ball_entries.len());
         }
-        let balls_r = (0..n).map(|v| g.r_hop_neighborhood(v, config.r)).collect();
         let node_groups = (0..n).map(|v| v / h.n_channels()).collect();
         let mut engine = if config.loss_prob > 0.0 {
             FloodEngine::with_loss(g, config.loss_prob, config.loss_seed)
@@ -699,6 +716,12 @@ impl<'h> DistributedPtas<'h> {
     /// full rescan it replaces.
     pub fn scan_stats(&self) -> DecideScanStats {
         self.scan_stats
+    }
+
+    /// Size of `v`'s closed `(2r+1)`-hop ball in `H`, read off the
+    /// precomputed table.
+    pub(crate) fn ball_len(&self, v: usize) -> usize {
+        self.ball_offsets[v + 1] - self.ball_offsets[v]
     }
 
     /// The core+halo tiling the decide runs over (`None` when it is a
@@ -1452,6 +1475,30 @@ mod tests {
         DistributedPtasConfig::default()
             .with_r(r)
             .with_max_minirounds(None)
+    }
+
+    #[test]
+    fn ball_tables_match_r_hop_neighborhoods() {
+        use rand::{rngs::StdRng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(17);
+        let (udg, _) = mhca_graph::unit_disk::random_with_average_degree(60, 4.0, &mut rng);
+        for (g, m) in [(udg, 3), (topology::grid(5, 6), 2)] {
+            let h = ExtendedConflictGraph::new(&g, m);
+            let hg = h.graph();
+            for r in 0..=3 {
+                let ptas = DistributedPtas::new(&h, DistributedPtasConfig::default().with_r(r));
+                for v in 0..hg.n() {
+                    let ball: Vec<usize> = ptas.ball_entries
+                        [ptas.ball_offsets[v]..ptas.ball_offsets[v + 1]]
+                        .iter()
+                        .map(|&u| u as usize)
+                        .collect();
+                    assert_eq!(ball, hg.r_hop_neighborhood(v, 2 * r + 1), "r={r} v={v}");
+                    assert_eq!(ptas.ball_len(v), ball.len());
+                    assert_eq!(ptas.balls_r[v], hg.r_hop_neighborhood(v, r), "r={r} v={v}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -1772,11 +1772,9 @@ impl Experiment for ComplexityExperiment {
                 let mut ptas = DistributedPtas::new(net.h(), dcfg);
                 let weights = net.channels().means();
                 let outcome = ptas.decide(&weights);
-                let hg = net.h().graph();
-                let ball_sizes: f64 = (0..hg.n())
-                    .map(|v| hg.r_hop_neighborhood(v, 2 * r + 1).len() as f64)
-                    .sum::<f64>()
-                    / hg.n() as f64;
+                let hn = net.h().n_vertices();
+                let ball_sizes: f64 =
+                    (0..hn).map(|v| ptas.ball_len(v) as f64).sum::<f64>() / hn as f64;
                 points.push(ComplexityPoint {
                     n,
                     m: cfg.m,

@@ -10,6 +10,110 @@
 //! order of a synchronous flood wave.
 
 use crate::graph::Graph;
+use std::ops::ControlFlow;
+
+/// Reusable scratch for bounded BFS from many origins — the one ball
+/// kernel behind [`BallTable`], [`CompactBallTable`],
+/// [`Graph::r_hop_neighborhood`] and the distributed decider's
+/// neighborhood tables.
+///
+/// Visit marks are epoch-stamped: a vertex counts as visited in the
+/// current scan iff its stamp equals the current epoch, so starting a scan
+/// costs `O(1)` instead of an `O(n)` reset. One scan costs `O(|ball| +
+/// edges incident to the ball's interior)`; the `O(n)` mark array is
+/// allocated once per graph size.
+///
+/// # Example
+///
+/// ```
+/// use mhca_graph::{topology, BallScan};
+///
+/// let g = topology::line(5); // 0 — 1 — 2 — 3 — 4
+/// let mut scan = BallScan::default(); // one scratch for every origin
+/// let mut ball = Vec::new();
+/// scan.for_each(&g, 2, 2, |v, d| ball.push((v, d)));
+/// assert_eq!(ball, vec![(1, 1), (3, 1), (0, 2), (4, 2)]);
+/// ball.clear();
+/// scan.for_each(&g, 4, 1, |v, d| ball.push((v, d)));
+/// assert_eq!(ball, vec![(3, 1)]);
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct BallScan {
+    stamp: Vec<u32>,
+    /// The current scan's BFS queue, never popped: the origin, then each
+    /// distance level as a contiguous run.
+    queue: Vec<usize>,
+    epoch: u32,
+}
+
+impl BallScan {
+    /// Visits the members of `origin`'s `radius`-hop ball, origin
+    /// excluded, in BFS order (non-decreasing distance, each member once,
+    /// neighbors in adjacency order), calling `visit(member, distance)`.
+    /// Stops as soon as `visit` breaks, and returns its verdict.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `origin` is out of range.
+    pub fn try_for_each<F>(
+        &mut self,
+        graph: &Graph,
+        origin: usize,
+        radius: usize,
+        mut visit: F,
+    ) -> ControlFlow<()>
+    where
+        F: FnMut(usize, u32) -> ControlFlow<()>,
+    {
+        let n = graph.n();
+        if self.stamp.len() != n {
+            self.stamp = vec![0; n];
+            self.epoch = 0;
+        }
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            // Wrapped: stale stamps could alias the new epoch.
+            self.stamp.fill(0);
+            self.epoch = 1;
+        }
+        let (stamp, queue, epoch) = (&mut self.stamp, &mut self.queue, self.epoch);
+        stamp[origin] = epoch;
+        queue.clear();
+        queue.push(origin);
+        // Expanding level `d − 1` in queue order yields level `d` in the
+        // order a FIFO BFS would.
+        let mut level = 0..1;
+        let mut d = 0u32;
+        while !level.is_empty() && (d as usize) < radius {
+            d += 1;
+            for i in level.clone() {
+                for &w in graph.neighbors(queue[i]) {
+                    if stamp[w] != epoch {
+                        stamp[w] = epoch;
+                        visit(w, d)?;
+                        queue.push(w);
+                    }
+                }
+            }
+            level = level.end..queue.len();
+        }
+        ControlFlow::Continue(())
+    }
+
+    /// As [`BallScan::try_for_each`], visiting every member.
+    pub fn for_each(
+        &mut self,
+        graph: &Graph,
+        origin: usize,
+        radius: usize,
+        mut visit: impl FnMut(usize, u32),
+    ) {
+        let _ = self.try_for_each(graph, origin, radius, |w, d| {
+            visit(w, d);
+            ControlFlow::Continue(())
+        });
+    }
+}
 
 /// One ball member: `(vertex, hop distance from the origin)`.
 ///
@@ -42,8 +146,11 @@ pub struct BallTable {
 impl BallTable {
     /// Precomputes every vertex's `radius`-hop ball of `graph`.
     ///
-    /// Cost: one BFS per vertex, sharing scratch buffers — `O(n·(n + m))`
-    /// time, `Σ_v |J_r(v)| − n` entries of storage.
+    /// Cost: one [`BallScan`] per vertex on shared, epoch-stamped scratch
+    /// — `O(n + Σ_v (|J_r(v)| + edges incident to J_{r−1}(v)))` time (no
+    /// per-origin `O(n)` reset), `Σ_v |J_r(v)| − n` entries of storage.
+    /// On bounded-degree graphs that is `O(n · ball)`, linear in `n` at a
+    /// fixed radius.
     ///
     /// # Panics
     ///
@@ -71,31 +178,17 @@ impl BallTable {
         let mut offsets = Vec::with_capacity(n + 1);
         offsets.push(0);
         let mut entries = Vec::new();
-        // Epoch-stamped visit marks shared across origins: a vertex is
-        // "visited in this BFS" iff stamp[v] == current epoch.
-        let mut stamp = vec![0u32; n];
-        let mut dist = vec![0u32; n];
-        let mut queue = std::collections::VecDeque::new();
+        let mut scan = BallScan::default();
         for origin in 0..n {
-            let epoch = origin as u32 + 1;
-            stamp[origin] = epoch;
-            dist[origin] = 0;
-            queue.push_back(origin);
-            while let Some(u) = queue.pop_front() {
-                if dist[u] as usize == radius {
-                    continue;
+            let capped = scan.try_for_each(graph, origin, radius, |w, d| {
+                if entries.len() == max_entries {
+                    return ControlFlow::Break(());
                 }
-                for &w in graph.neighbors(u) {
-                    if stamp[w] != epoch {
-                        if entries.len() == max_entries {
-                            return None;
-                        }
-                        stamp[w] = epoch;
-                        dist[w] = dist[u] + 1;
-                        entries.push((w as u32, dist[w]));
-                        queue.push_back(w);
-                    }
-                }
+                entries.push((w as u32, d));
+                ControlFlow::Continue(())
+            });
+            if capped.is_break() {
+                return None;
             }
             offsets.push(entries.len());
         }
@@ -206,29 +299,17 @@ impl CompactBallTable {
         let mut offsets = Vec::with_capacity(n + 1);
         offsets.push(0);
         let mut entries: Vec<CompactEntry> = Vec::new();
-        let mut stamp = vec![0u32; n];
-        let mut dist = vec![0u32; n];
-        let mut queue = std::collections::VecDeque::new();
+        let mut scan = BallScan::default();
         for origin in 0..n {
-            let epoch = origin as u32 + 1;
-            stamp[origin] = epoch;
-            dist[origin] = 0;
-            queue.push_back(origin);
-            while let Some(u) = queue.pop_front() {
-                if dist[u] as usize == radius {
-                    continue;
+            let capped = scan.try_for_each(graph, origin, radius, |w, d| {
+                if entries.len() == max_entries {
+                    return ControlFlow::Break(());
                 }
-                for &w in graph.neighbors(u) {
-                    if stamp[w] != epoch {
-                        if entries.len() == max_entries {
-                            return None;
-                        }
-                        stamp[w] = epoch;
-                        dist[w] = dist[u] + 1;
-                        entries.push(((w as u32) << 8) | dist[w]);
-                        queue.push_back(w);
-                    }
-                }
+                entries.push(((w as u32) << 8) | d);
+                ControlFlow::Continue(())
+            });
+            if capped.is_break() {
+                return None;
             }
             offsets.push(entries.len());
         }
@@ -298,6 +379,28 @@ mod tests {
                 expect.sort_unstable();
                 got.sort_unstable();
                 assert_eq!(got, expect, "v={v} r={r}");
+            }
+        }
+    }
+
+    #[test]
+    fn reused_scan_survives_epoch_wrap_and_graph_change() {
+        let collect = |scan: &mut BallScan, g: &Graph, v: usize, r: usize| {
+            let mut ball = Vec::new();
+            scan.for_each(g, v, r, |w, d| ball.push((w as u32, d)));
+            ball
+        };
+        let (small, large) = (topology::grid(3, 4), topology::grid(5, 6));
+        let mut scan = BallScan::default();
+        // Stamp every vertex with epoch 1, then wrap back round to it on
+        // the second scan below: the stale stamps must not alias.
+        collect(&mut scan, &small, 0, small.n());
+        scan.epoch = u32::MAX - 1;
+        for g in [&small, &large, &small] {
+            for v in 0..g.n() {
+                let fresh = collect(&mut BallScan::default(), g, v, 2);
+                assert_eq!(collect(&mut scan, g, v, 2), fresh, "v={v}");
+                assert_eq!(fresh.as_slice(), BallTable::build(g, 2).ball(v));
             }
         }
     }

@@ -12,6 +12,7 @@
 //! [`GraphBuilder::build`] — O(E log E) overall instead of the O(deg)
 //! sorted-insert per edge the old `Vec<Vec<usize>>` representation paid.
 
+use crate::balls::BallScan;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
@@ -260,23 +261,13 @@ impl Graph {
 
     /// The `r`-hop neighborhood `J_{G,r}(v) = {u : d_G(u,v) ≤ r}`,
     /// sorted ascending and always containing `v` itself.
+    ///
+    /// A one-shot convenience: every call allocates `O(n)` visit marks,
+    /// so computing many balls this way costs `O(n)` each. Loops over
+    /// vertices should reuse one [`BallScan`] instead.
     pub fn r_hop_neighborhood(&self, v: usize, r: usize) -> Vec<usize> {
-        let mut dist = vec![usize::MAX; self.n];
-        dist[v] = 0;
-        let mut queue = VecDeque::from([v]);
         let mut out = vec![v];
-        while let Some(u) = queue.pop_front() {
-            if dist[u] == r {
-                continue;
-            }
-            for &w in self.neighbors(u) {
-                if dist[w] == usize::MAX {
-                    dist[w] = dist[u] + 1;
-                    out.push(w);
-                    queue.push_back(w);
-                }
-            }
-        }
+        BallScan::default().for_each(self, v, r, |w, _| out.push(w));
         out.sort_unstable();
         out
     }

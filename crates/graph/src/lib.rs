@@ -51,7 +51,7 @@ pub mod unit_disk;
 
 mod ids;
 
-pub use balls::{BallTable, CompactBallTable};
+pub use balls::{BallScan, BallTable, CompactBallTable};
 pub use extended::ExtendedConflictGraph;
 pub use geometry::Point;
 pub use graph::{Graph, GraphBuilder};

@@ -73,12 +73,20 @@ pub fn solve_grouped(
 ///
 /// The free functions [`solve`], [`solve_subset`], and [`solve_grouped`]
 /// remain as one-shot conveniences over a throwaway workspace.
+///
+/// The two `n`-long maps (`seen`, `global_to_local`) are all-clear
+/// between calls: each call restores only the entries it wrote, listed in
+/// `touched`, so a call costs `O(|allowed| + local edges)` rather than
+/// `O(n)` — the per-leader cost stays local to the leader's ball.
 #[derive(Debug, Default)]
 pub struct Workspace {
     /// Graph size the `seen`/`global_to_local` buffers are sized for.
     n: usize,
     seen: Vec<bool>,
     global_to_local: Vec<usize>,
+    /// Vertices whose `seen` (and possibly `global_to_local`) entry the
+    /// current call set; drained by [`Workspace::restore`].
+    touched: Vec<usize>,
     local_to_global: Vec<usize>,
     /// Local weights, parallel to `local_to_global`.
     w: Vec<f64>,
@@ -135,24 +143,48 @@ impl Workspace {
         assert_eq!(weights.len(), graph.n(), "weight vector length");
         assert_eq!(group_of.len(), graph.n(), "group vector length");
         out.clear();
-
-        // Local indexing of allowed vertices with positive weight.
+        // A no-op unless the previous call panicked mid-way (duplicate or
+        // out-of-range vertex) and left its marks behind.
+        self.restore();
         if self.n != graph.n() {
             self.n = graph.n();
             self.seen.clear();
             self.seen.resize(self.n, false);
             self.global_to_local.clear();
             self.global_to_local.resize(self.n, usize::MAX);
-        } else {
-            self.seen.fill(false);
-            self.global_to_local.fill(usize::MAX);
         }
+        let weight = self.solve_marked(graph, weights, allowed, group_of, out);
+        self.restore();
+        weight
+    }
+
+    /// Clears the `seen`/`global_to_local` entries listed in `touched`,
+    /// returning both maps to all-clear in `O(touched)`.
+    fn restore(&mut self) {
+        for v in self.touched.drain(..) {
+            self.seen[v] = false;
+            self.global_to_local[v] = usize::MAX;
+        }
+    }
+
+    /// Body of [`Workspace::solve_grouped_into`] on all-clear, correctly
+    /// sized maps; every map entry it writes is listed in `touched`.
+    fn solve_marked(
+        &mut self,
+        graph: &Graph,
+        weights: &[f64],
+        allowed: &[usize],
+        group_of: &[usize],
+        out: &mut Vec<usize>,
+    ) -> f64 {
+        // Local indexing of allowed vertices with positive weight.
         self.local_to_global.clear();
         self.w.clear();
         for &v in allowed {
             assert!(v < graph.n(), "vertex out of range");
             assert!(!self.seen[v], "duplicate vertex in allowed set");
             self.seen[v] = true;
+            self.touched.push(v);
             if weights[v] > 0.0 {
                 self.local_to_global.push(v);
                 self.w.push(weights[v]);
@@ -488,6 +520,23 @@ mod tests {
             let weight = ws.solve_grouped_into(&g, &w, &allowed, &singleton, &mut out);
             assert_eq!(out, fresh.vertices, "trial {trial}");
             assert!((weight - fresh.weight).abs() < 1e-9, "trial {trial}");
+        }
+    }
+
+    #[test]
+    fn workspace_maps_are_all_clear_between_calls() {
+        let g = topology::line(6);
+        let groups: Vec<usize> = (0..6).collect();
+        let mut ws = Workspace::new();
+        let mut out = Vec::new();
+        let w = [1.0, -2.0, 3.0, 0.0, 5.0, 1.0];
+        // A solved subset, then one with no positive weight (the early
+        // return), then the empty set.
+        for allowed in [&[0, 2, 4, 5][..], &[1, 3], &[]] {
+            ws.solve_grouped_into(&g, &w, allowed, &groups, &mut out);
+            assert!(ws.seen.iter().all(|&s| !s), "{allowed:?}");
+            assert!(ws.global_to_local.iter().all(|&l| l == usize::MAX));
+            assert!(ws.touched.is_empty());
         }
     }
 

@@ -34,6 +34,9 @@ pub fn max_weight_subset(graph: &Graph, weights: &[f64], allowed: &[usize]) -> W
 /// Reusable buffers for [`max_weight_subset_into`].
 #[derive(Debug, Default)]
 pub struct Scratch {
+    /// Sized once per graph. A call reads only `allowed` entries, each
+    /// written before it is read, so there is no `O(n)` per-call reset
+    /// (and the selection loop leaves every entry it set `false` again).
     alive: Vec<bool>,
     order: Vec<usize>,
 }
@@ -54,8 +57,10 @@ pub fn max_weight_subset_into(
     out: &mut Vec<usize>,
 ) -> f64 {
     assert_eq!(weights.len(), graph.n(), "weight vector length");
-    scratch.alive.clear();
-    scratch.alive.resize(graph.n(), false);
+    if scratch.alive.len() != graph.n() {
+        scratch.alive.clear();
+        scratch.alive.resize(graph.n(), false);
+    }
     let alive = &mut scratch.alive;
     for &v in allowed {
         assert!(v < graph.n(), "vertex out of range");
