@@ -71,15 +71,35 @@
 //! engine's counters-only delivery — bit-identical outcomes and counters
 //! at a fraction of the work. Under message loss views can diverge from
 //! global state (a vertex may learn of a determination its subject never
-//! received), so the engine **falls back to the full-rescan reference
-//! path** ([`DistributedPtas::decide_into_rescan`]) whenever
-//! `loss_prob > 0` (or when `force_rescan` is set) — the lossy semantics
-//! are bit-exact with the pre-incremental implementation, and the
-//! reference path doubles as the oracle of the differential test battery
-//! (`tests/decide_parity.rs`). The dirty expansion walks the per-vertex
-//! `(2r+1)`-ball tables precomputed at construction (the same tables the
-//! views are built from), so it needs no flood-engine ball table and is
-//! unaffected by the engine's large-N table entry cap.
+//! received), so the engine runs the **full-rescan path**
+//! ([`DistributedPtas::decide_into_rescan`]) whenever `loss_prob > 0`
+//! (or when `force_rescan` is set); it doubles as the oracle of the
+//! differential test battery (`tests/decide_parity.rs`), and its lossy
+//! outcomes are pinned to recorded digests there. The dirty expansion
+//! walks the per-vertex `(2r+1)`-ball tables precomputed at construction,
+//! so it needs no flood-engine ball table and is unaffected by the
+//! engine's large-N table entry cap.
+//!
+//! ## Local views on the rescan path
+//!
+//! Each vertex's view — what it believes about the members of its
+//! `(2r+1)`-ball — is one status per entry of the same ball CSR
+//! (`view_status`, aligned with `ball_entries`), so all views together
+//! take one byte per ball entry. A determination of `u` is visible in the
+//! view of `w` iff `w` is in `u`'s ball, and balls are symmetric, so a
+//! received list entry `u` is applied by walking `u`'s own row and
+//! writing, at each member that received the flood, the slot that the
+//! **reverse index** (`ball_rev`, built lazily on the first rescan)
+//! names. A list entry outside a receiver's ball then costs nothing, and
+//! applying a flood costs `O(list · ball)` however many vertices it
+//! reaches. Every write lands in the receiver's own view, and each
+//! receiver sees its own list first (if it leads) and then the received
+//! lists in flood order, last writer winning — the order of the
+//! per-vertex-inbox formulation, so outcomes are bit-identical to it.
+//! The election keeps one witness cursor per vertex: a view entry that
+//! did not block a vertex never blocks it later in the same decision (a
+//! view status never returns to `Candidate`), so each mini-round's scan
+//! resumes at the entry that blocked it last.
 //!
 //! ## Tiles
 //!
@@ -104,7 +124,7 @@
 
 use mhca_graph::{BallScan, ExtendedConflictGraph, Partition};
 use mhca_mwis::{exact, greedy};
-use mhca_sim::{Counters, Flood, FloodEngine, LossSpec, Received};
+use mhca_sim::{Counters, Flood, FloodEngine, FloodReceivers, LossSpec};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
@@ -321,7 +341,8 @@ pub struct DecideScanStats {
     /// (early-exiting, so usually a partial scan) plus one per round-0
     /// survivor for the count-seeding sweep — at most two per vertex per
     /// decision, however many mini-rounds run. The rescan reference pays
-    /// one full evaluation per surviving Candidate *per mini-round*.
+    /// one evaluation per surviving Candidate *per mini-round* (each
+    /// resuming where the vertex's previous one stopped).
     pub candidates_scanned: u64,
     /// `O(1)` leader verdicts served from the pending zero-blocked list
     /// without any ball scan (always 0 on the full-rescan path).
@@ -364,10 +385,10 @@ impl DecidePhaseNs {
 /// Payloads are `Copy`: the determination *content* — the `(vertex,
 /// is_winner)` list a leader computed — lives in the round's pooled
 /// determination lists ([`DistributedPtas::det_lists`]), and the flood
-/// carries the leader's slot index into that pool. Receivers only ever
-/// dereference the slot of the flood they actually received, so locality
-/// is preserved exactly as if the list travelled in the payload, while the
-/// per-leader `Arc<Vec<…>>` allocation of the old representation is gone.
+/// carries the leader's slot index into that pool (which is also the
+/// flood's index in its batch). A receiver only ever reads the list of a
+/// flood the engine reports it received ([`FloodReceivers`]), so locality
+/// is preserved exactly as if the list travelled in the payload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Msg {
     /// `LocalLeader` declaration (Algorithm 3 line 4).
@@ -375,34 +396,6 @@ enum Msg {
     /// Status determinations from a leader (Algorithm 3 lines 9–10):
     /// the payload indexes the mini-round's determination-list pool.
     Determination(u32),
-}
-
-/// Local knowledge of one vertex: the ids and statuses of its
-/// `(2r+1)`-hop neighborhood (weights of the same set are readable from
-/// the round's weight vector — the WB phase of Algorithm 2 synchronizes
-/// them; the protocol never reads weights outside this ball).
-#[derive(Debug, Clone)]
-struct LocalView {
-    /// Sorted `(2r+1)`-ball, including the vertex itself.
-    ball: Vec<usize>,
-    /// Statuses parallel to `ball`.
-    status: Vec<Status>,
-}
-
-impl LocalView {
-    fn get(&self, u: usize) -> Option<Status> {
-        self.ball.binary_search(&u).ok().map(|i| self.status[i])
-    }
-
-    fn set(&mut self, u: usize, s: Status) {
-        if let Ok(i) = self.ball.binary_search(&u) {
-            self.status[i] = s;
-        }
-    }
-
-    fn reset(&mut self) {
-        self.status.fill(Status::Candidate);
-    }
 }
 
 /// The distributed strategy-decision engine (Algorithm 3), reusable across
@@ -419,26 +412,39 @@ pub struct DistributedPtas<'h> {
     /// advances across decisions — runs are reproducible per
     /// `(loss_seed, decision sequence)`, not per individual decision.
     engine: FloodEngine<'h>,
-    /// Per-vertex `(2r+1)`-ball views for the rescan reference path —
-    /// built lazily on first rescan use (the dirty-ball path reads the
-    /// flat ball CSR instead, and at large `n` the `usize`
-    /// views would double the decider's footprint for nothing).
-    views: Vec<LocalView>,
     balls_r: Vec<Vec<usize>>,
-    /// Flat `u32` CSR copy of the `(2r+1)`-balls (`ball_offsets[v] ..
-    /// ball_offsets[v + 1]` into `ball_entries`), self included — the
-    /// dirty-ball election's seed and decrement sweeps stream these
-    /// instead of the views' `usize` lists: the sweeps are memory-bound,
-    /// so the 4-byte entries halve their traffic.
+    /// Flat `u32` CSR of the sorted `(2r+1)`-balls (`ball_offsets[v] ..
+    /// ball_offsets[v + 1]` into `ball_entries` is `v`'s *row*), self
+    /// included. The dirty-ball election's seed and decrement sweeps
+    /// stream it (memory-bound, so the 4-byte entries halve their
+    /// traffic), and the rescan path's local views are aligned with it.
     ball_offsets: Vec<usize>,
     ball_entries: Vec<u32>,
+    /// The rescan path's local views, one status per ball entry:
+    /// `view_status[p]` is what the owner of the row holding `p` believes
+    /// about vertex `ball_entries[p]`. Sized on first rescan use (the
+    /// dirty-ball path reads global status instead).
+    view_status: Vec<Status>,
+    /// Reverse slots of the ball CSR ([`reverse_slots`]): if `p` is the
+    /// position of `w` in `u`'s row, `ball_rev[p]` is the position of `u`
+    /// in `w`'s row — so a determination of `u` reaches every view that
+    /// holds `u` by walking `u`'s own row. Built lazily with the views.
+    ball_rev: Vec<u32>,
     node_groups: Vec<usize>,
     // ---- pooled per-decision scratch ----
     own: Vec<Status>,
     leaders: Vec<usize>,
     declare_floods: Vec<Flood<Msg>>,
     det_floods: Vec<Flood<Msg>>,
-    inboxes: Vec<Vec<Received<Msg>>>,
+    /// Who received each determination flood of the mini-round (rescan
+    /// path only).
+    receivers: FloodReceivers,
+    /// Marks the receivers of the flood being applied (rescan path; all
+    /// `false` between floods).
+    received: Vec<bool>,
+    /// Per-vertex resume position of the rescan election: the first
+    /// entry of the vertex's row not yet known to be non-blocking.
+    witness: Vec<usize>,
     /// Determination lists per leader slot of the current mini-round; the
     /// `Msg::Determination` payload indexes into this pool.
     det_lists: Vec<Vec<(usize, bool)>>,
@@ -587,6 +593,50 @@ struct SolverScratch {
     local_mwis: Vec<usize>,
 }
 
+/// The status a determination assigns.
+fn determined(is_winner: bool) -> Status {
+    if is_winner {
+        Status::Winner
+    } else {
+        Status::Loser
+    }
+}
+
+/// What a local view (one sorted ball row and its statuses) knows about
+/// `u`; `None` when `u` is outside the ball.
+fn view_of(ball: &[u32], status: &[Status], u: usize) -> Option<Status> {
+    ball.binary_search(&(u as u32)).ok().map(|i| status[i])
+}
+
+/// Reverse slots of a symmetric sorted-row CSR (`w ∈ row(u) ⟺ u ∈
+/// row(w)`, as for hop balls): for the position `p` of `w` in `u`'s row,
+/// the result's `p`-th entry is the position of `u` in `w`'s row. One
+/// pass over the rows in owner order with a per-row cursor: the owners
+/// `u` that list `w` arrive in ascending order, which is exactly the order
+/// of `w`'s own sorted row.
+///
+/// # Panics
+///
+/// Panics if the CSR has more than `u32::MAX` entries or is not symmetric.
+fn reverse_slots(offsets: &[usize], entries: &[u32]) -> Vec<u32> {
+    assert!(
+        u32::try_from(entries.len()).is_ok(),
+        "ball table too large for u32 slots"
+    );
+    let mut cursor = offsets[..offsets.len().saturating_sub(1)].to_vec();
+    let mut rev = vec![0u32; entries.len()];
+    for (u, row) in offsets.windows(2).enumerate() {
+        for p in row[0]..row[1] {
+            let w = entries[p] as usize;
+            let q = cursor[w];
+            assert_eq!(entries[q] as usize, u, "ball rows are not symmetric");
+            rev[p] = q as u32;
+            cursor[w] += 1;
+        }
+    }
+    rev
+}
+
 impl<'h> DistributedPtas<'h> {
     /// Precomputes the `r`- and `(2r+1)`-hop neighborhood tables of `H`.
     ///
@@ -632,16 +682,19 @@ impl<'h> DistributedPtas<'h> {
             h,
             config,
             engine,
-            views: Vec::new(),
             balls_r,
             ball_offsets,
             ball_entries,
+            view_status: Vec::new(),
+            ball_rev: Vec::new(),
             node_groups,
             own: Vec::new(),
             leaders: Vec::new(),
             declare_floods: Vec::new(),
             det_floods: Vec::new(),
-            inboxes: Vec::new(),
+            receivers: FloodReceivers::default(),
+            received: Vec::new(),
+            witness: Vec::new(),
             det_lists: Vec::new(),
             cand: Vec::new(),
             selectable: Vec::new(),
@@ -764,7 +817,7 @@ impl<'h> DistributedPtas<'h> {
     /// byte-identically for every tile count; under message loss — where
     /// local views can diverge from global state — or when
     /// [`DistributedPtasConfig::force_rescan`] is set, it runs the
-    /// bit-exact full-rescan reference path
+    /// full-rescan reference path
     /// ([`DistributedPtas::decide_into_rescan`]).
     ///
     /// # Panics
@@ -779,14 +832,16 @@ impl<'h> DistributedPtas<'h> {
         }
     }
 
-    /// The full-rescan reference implementation of the decide phase: every
-    /// undetermined Candidate re-evaluates its whole `(2r+1)`-ball each
-    /// mini-round, statuses propagate through per-vertex local views, and
-    /// determination floods materialize real inboxes. This is the
-    /// pre-incremental algorithm, kept verbatim as (a) the mandatory path
-    /// under message loss and (b) the oracle of the differential test
-    /// battery (`tests/decide_parity.rs`), which pins the dirty-ball path
-    /// to produce identical [`DecisionOutcome`]s.
+    /// The full-rescan implementation of the decide phase: every
+    /// undetermined Candidate re-evaluates its `(2r+1)`-ball view each
+    /// mini-round (resuming at the first member that blocked it last
+    /// time), and statuses propagate only through the local views,
+    /// updated from the receivers the engine reports for each
+    /// determination flood (module docs, *Local views on the rescan
+    /// path*). It is (a) the mandatory path under message loss and (b) the
+    /// oracle of the differential test battery (`tests/decide_parity.rs`),
+    /// which pins the dirty-ball path to produce identical
+    /// [`DecisionOutcome`]s.
     #[doc(hidden)]
     pub fn decide_into_rescan(&mut self, weights: &[f64], out: &mut DecisionOutcome) {
         self.check_weights(weights);
@@ -1176,115 +1231,134 @@ impl<'h> DistributedPtas<'h> {
         self.scan_stats = DecideScanStats::default();
         self.phase_ns = DecidePhaseNs::default();
 
-        // The views are lazily materialized from the flat ball CSR on the
-        // reference path's first use (the dirty-ball path never touches
-        // them, and at large `n` they would double the footprint).
-        if self.views.len() != n {
-            self.views = (0..n)
-                .map(|v| {
-                    let ball: Vec<usize> = self.ball_entries
-                        [self.ball_offsets[v]..self.ball_offsets[v + 1]]
-                        .iter()
-                        .map(|&u| u as usize)
-                        .collect();
-                    let status = vec![Status::Candidate; ball.len()];
-                    LocalView { ball, status }
-                })
-                .collect();
+        // The reverse slots are built on the rescan path's first use (the
+        // dirty-ball path never reads them, so lossless runs never pay).
+        if self.ball_rev.len() != self.ball_entries.len() {
+            self.ball_rev = reverse_slots(&self.ball_offsets, &self.ball_entries);
+            self.received = vec![false; n];
         }
-        for view in &mut self.views {
-            view.reset();
-        }
-        self.own.clear();
-        self.own.resize(n, Status::Candidate);
+        let Self {
+            config,
+            engine,
+            balls_r,
+            ball_offsets: off,
+            ball_entries: ent,
+            view_status,
+            ball_rev: rev,
+            node_groups,
+            own,
+            leaders,
+            declare_floods,
+            det_floods,
+            receivers,
+            received,
+            witness,
+            det_lists,
+            cand,
+            selectable,
+            solver,
+            scan_stats,
+            ..
+        } = self;
+        view_status.clear();
+        view_status.resize(ent.len(), Status::Candidate);
+        witness.clear();
+        witness.extend_from_slice(&off[..n]);
+        own.clear();
+        own.resize(n, Status::Candidate);
         out.winners.clear();
         out.per_miniround_weight.clear();
         out.leaders_per_miniround.clear();
         out.leaders_flat.clear();
         out.all_marked = false;
-        let cap = self.config.max_minirounds.unwrap_or(n.max(1));
+        let cap = config.max_minirounds.unwrap_or(n.max(1));
 
         for _tau in 0..cap {
             // ---- 1. LocalLeader selection (Algorithm 3 lines 2–6).
             // A Candidate leads iff no other Candidate in its (2r+1)-ball
             // has a larger (weight, id) pair — the strict total order that
             // keeps same-mini-round leaders ≥ 2r+2 hops apart.
-            self.leaders.clear();
+            // Each scan resumes at the vertex's witness cursor: the entries
+            // before it did not block when passed, and cannot block later
+            // (priorities are fixed and a view status never returns to
+            // Candidate), so a vertex whose blocker is still undetermined
+            // costs one check.
+            leaders.clear();
             for v in 0..n {
-                if self.own[v] != Status::Candidate {
+                if own[v] != Status::Candidate {
                     continue;
                 }
-                self.scan_stats.candidates_scanned += 1;
-                let view = &self.views[v];
-                let leads = view.ball.iter().zip(&view.status).all(|(&u, &st)| {
-                    u == v || st != Status::Candidate || (weights[u], u) < (weights[v], v)
-                });
-                if leads {
-                    self.leaders.push(v);
+                scan_stats.candidates_scanned += 1;
+                let end = off[v + 1];
+                let mut p = witness[v];
+                while p < end {
+                    let u = ent[p] as usize;
+                    if u != v
+                        && view_status[p] == Status::Candidate
+                        && (weights[u], u) > (weights[v], v)
+                    {
+                        break;
+                    }
+                    p += 1;
+                }
+                witness[v] = p;
+                if p == end {
+                    leaders.push(v);
                 }
             }
-            if self.leaders.is_empty() {
-                out.all_marked = (0..n).all(|v| self.own[v] != Status::Candidate);
+            if leaders.is_empty() {
+                out.all_marked = own.iter().all(|&s| s != Status::Candidate);
                 break;
             }
-            out.leaders_per_miniround.push(self.leaders.len());
-            out.leaders_flat.extend_from_slice(&self.leaders);
+            out.leaders_per_miniround.push(leaders.len());
+            out.leaders_flat.extend_from_slice(leaders);
 
             // ---- 2. Leader declaration floods (line 4; (2r+1) hops).
-            self.declare_floods.clear();
-            self.declare_floods
-                .extend(self.leaders.iter().map(|&v| Flood {
-                    origin: v,
-                    ttl: 2 * r + 1,
-                    payload: Msg::LeaderDeclare,
-                }));
             // Declarations only need to have been broadcast (leadership is
             // evaluated from the shared weight/status knowledge); charge
-            // the communication without materializing inboxes.
-            self.engine.broadcast_only(&self.declare_floods);
+            // the communication without materializing receptions.
+            declare_floods.clear();
+            declare_floods.extend(leaders.iter().map(|&v| Flood {
+                origin: v,
+                ttl: 2 * r + 1,
+                payload: Msg::LeaderDeclare,
+            }));
+            engine.broadcast_only(declare_floods);
 
-            // ---- 3. Local MWIS per leader (lines 8–9).
-            if self.det_lists.len() < self.leaders.len() {
-                self.det_lists.resize_with(self.leaders.len(), Vec::new);
+            // ---- 3. Local MWIS per leader (lines 8–9), reading only the
+            // leader's own view.
+            if det_lists.len() < leaders.len() {
+                det_lists.resize_with(leaders.len(), Vec::new);
             }
-            self.det_floods.clear();
-            for slot in 0..self.leaders.len() {
-                let leader = self.leaders[slot];
-                let view = &self.views[leader];
+            det_floods.clear();
+            for (slot, &leader) in leaders.iter().enumerate() {
+                let row = off[leader]..off[leader + 1];
+                let (ball, status) = (&ent[row.clone()], &view_status[row]);
                 // Candidates of the r-ball, per the leader's knowledge.
-                self.cand.clear();
-                self.cand.extend(
-                    self.balls_r[leader]
+                cand.clear();
+                cand.extend(
+                    balls_r[leader]
                         .iter()
                         .copied()
-                        .filter(|&u| view.get(u) == Some(Status::Candidate)),
+                        .filter(|&u| view_of(ball, status, u) == Some(Status::Candidate)),
                 );
                 // Derived exclusion: candidates adjacent to a known Winner
                 // can never join the output; they are Losers.
-                self.selectable.clear();
-                self.selectable
-                    .extend(self.cand.iter().copied().filter(|&u| {
-                        graph
-                            .neighbors(u)
-                            .iter()
-                            .all(|&x| view.get(x) != Some(Status::Winner))
-                    }));
-                Self::solve_local(
-                    graph,
-                    &self.config,
-                    &self.node_groups,
-                    &mut self.solver,
-                    weights,
-                    &self.selectable,
-                );
-                let list = &mut self.det_lists[slot];
+                selectable.clear();
+                selectable.extend(cand.iter().copied().filter(|&u| {
+                    graph
+                        .neighbors(u)
+                        .iter()
+                        .all(|&x| view_of(ball, status, x) != Some(Status::Winner))
+                }));
+                Self::solve_local(graph, config, node_groups, solver, weights, selectable);
+                let list = &mut det_lists[slot];
                 list.clear();
                 list.extend(
-                    self.cand
-                        .iter()
-                        .map(|&u| (u, self.solver.local_mwis.binary_search(&u).is_ok())),
+                    cand.iter()
+                        .map(|&u| (u, solver.local_mwis.binary_search(&u).is_ok())),
                 );
-                self.det_floods.push(Flood {
+                det_floods.push(Flood {
                     origin: leader,
                     ttl: 3 * r + 1,
                     payload: Msg::Determination(slot as u32),
@@ -1292,103 +1366,85 @@ impl<'h> DistributedPtas<'h> {
             }
 
             // ---- 4. Determination floods (line 10; (3r+1) hops) and
-            //         local processing (lines 11–15). `Msg` is `Copy`, so
-            //         the copy path skips the per-reception clone on the
-            //         lossy BFS route.
-            self.engine
-                .deliver_copy_into(&self.det_floods, &mut self.inboxes);
-            // Leaders apply their own determinations directly (they do not
-            // receive their own flood).
-            for flood in &self.det_floods {
-                if let Msg::Determination(slot) = flood.payload {
-                    Self::apply_determinations(
-                        flood.origin,
-                        &self.det_lists[slot as usize],
-                        &mut self.own,
-                        &mut self.views,
-                    );
+            // local processing (lines 11–15). Each vertex applies, in
+            // order, its own list if it leads (a leader does not receive
+            // its own flood) and then every list it received, in flood
+            // order; the last write to a view slot wins. Every write lands
+            // in the receiver's own view, so running the receivers in any
+            // interleaving gives the same views.
+            engine.deliver_receivers_into(det_floods, receivers);
+            for (list, &leader) in det_lists.iter().zip(leaders.iter()) {
+                // The list is an ascending subset of the leader's row
+                // (its r-ball), so one merge walk finds every slot.
+                let base = off[leader];
+                let mut p = base;
+                for &(u, is_winner) in list {
+                    while ent[p] < u as u32 {
+                        p += 1;
+                    }
+                    debug_assert_eq!(ent[p] as usize, u);
+                    let s = determined(is_winner);
+                    if u == leader {
+                        own[leader] = s;
+                    }
+                    view_status[p] = s;
                 }
             }
-            for (v, inbox) in self.inboxes.iter().enumerate() {
-                for received in inbox {
-                    if let Msg::Determination(slot) = received.payload {
-                        Self::apply_one_inbox(
-                            graph,
-                            v,
-                            &self.det_lists[slot as usize],
-                            &mut self.own,
-                            &mut self.views[v],
-                        );
+            for (slot, list) in det_lists.iter().take(leaders.len()).enumerate() {
+                let got = receivers.of(slot);
+                for &w in got {
+                    received[w as usize] = true;
+                }
+                // A receiver `w` holds `u` iff `w` is in `u`'s ball, so
+                // walking `u`'s row visits exactly the views the entry
+                // updates; the reverse slot is `u`'s place in `w`'s view.
+                for &(u, is_winner) in list {
+                    let s = determined(is_winner);
+                    for p in off[u]..off[u + 1] {
+                        let w = ent[p] as usize;
+                        if !received[w] {
+                            continue;
+                        }
+                        let q = rev[p] as usize;
+                        if w == u {
+                            // Loss defense: refuse Winner when a known
+                            // neighbor already won (never fires under
+                            // lossless delivery).
+                            let row = off[u]..off[u + 1];
+                            let (ball, status) = (&ent[row.clone()], &view_status[row]);
+                            if is_winner
+                                && graph
+                                    .neighbors(u)
+                                    .iter()
+                                    .any(|&x| view_of(ball, status, x) == Some(Status::Winner))
+                            {
+                                own[u] = Status::Loser;
+                                view_status[q] = Status::Loser;
+                                continue;
+                            }
+                            own[u] = s;
+                        }
+                        view_status[q] = s;
                     }
+                }
+                for &w in got {
+                    received[w as usize] = false;
                 }
             }
 
             // ---- 5. Bookkeeping for the Fig. 6 series.
             let cum: f64 = (0..n)
-                .filter(|&v| self.own[v] == Status::Winner)
+                .filter(|&v| own[v] == Status::Winner)
                 .map(|v| weights[v])
                 .sum();
             out.per_miniround_weight.push(cum);
-            if (0..n).all(|v| self.own[v] != Status::Candidate) {
+            if own.iter().all(|&s| s != Status::Candidate) {
                 out.all_marked = true;
                 break;
             }
         }
 
-        Self::finish_outcome(graph, &self.own, &self.engine, out);
-    }
-
-    /// Applies a leader's own determination list at the leader itself.
-    fn apply_determinations(
-        leader: usize,
-        list: &[(usize, bool)],
-        own: &mut [Status],
-        views: &mut [LocalView],
-    ) {
-        for &(u, is_winner) in list {
-            let status = if is_winner {
-                Status::Winner
-            } else {
-                Status::Loser
-            };
-            if u == leader {
-                own[leader] = status;
-            }
-            views[leader].set(u, status);
-        }
-    }
-
-    /// Processes one received determination list at vertex `v`.
-    fn apply_one_inbox(
-        graph: &mhca_graph::Graph,
-        v: usize,
-        list: &[(usize, bool)],
-        own: &mut [Status],
-        view: &mut LocalView,
-    ) {
-        for &(u, is_winner) in list {
-            let status = if is_winner {
-                Status::Winner
-            } else {
-                Status::Loser
-            };
-            if u == v {
-                // Loss defense: refuse Winner when a known neighbor
-                // already won (never fires under lossless delivery).
-                if is_winner
-                    && graph
-                        .neighbors(v)
-                        .iter()
-                        .any(|&x| view.get(x) == Some(Status::Winner))
-                {
-                    own[v] = Status::Loser;
-                    view.set(v, Status::Loser);
-                    continue;
-                }
-                own[v] = status;
-            }
-            view.set(u, status);
-        }
+        Self::finish_outcome(graph, own, engine, out);
     }
 
     /// Local MWIS over the selectable candidates (grouped by master node),
@@ -1499,6 +1555,58 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn reverse_slots_point_back_to_row_owners() {
+        use rand::{rngs::StdRng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(23);
+        let (udg, _) = mhca_graph::unit_disk::random_with_average_degree(50, 4.0, &mut rng);
+        // Vertices 5..9 are isolated: their rows hold only themselves.
+        let mut b = mhca_graph::Graph::builder(9);
+        for (u, v) in [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)] {
+            b.add_edge(u, v);
+        }
+        let isolated = b.build();
+        for (name, g, m) in [
+            ("unit-disk", udg, 3),
+            ("grid", topology::grid(4, 6), 2),
+            ("line", topology::line(12), 1),
+            ("isolated", isolated, 2),
+            ("empty", mhca_graph::Graph::builder(0).build(), 2),
+        ] {
+            let h = ExtendedConflictGraph::new(&g, m);
+            for r in [0, 1, 2] {
+                let cfg = DistributedPtasConfig::default().with_r(r);
+                let mut ptas = DistributedPtas::new(&h, cfg);
+                let (off, ent) = (ptas.ball_offsets.clone(), ptas.ball_entries.clone());
+                let rev = reverse_slots(&off, &ent);
+                assert_eq!(rev.len(), ent.len());
+                for u in 0..h.n_vertices() {
+                    for p in off[u]..off[u + 1] {
+                        let (w, q) = (ent[p] as usize, rev[p] as usize);
+                        assert!((off[w]..off[w + 1]).contains(&q), "{name} r={r}: slot {p}");
+                        assert_eq!(ent[q] as usize, u, "{name} r={r}: slot {p}");
+                        assert_eq!(rev[q] as usize, p, "{name} r={r}: slot {p}");
+                    }
+                }
+                // Lossless decides never build the index; the first rescan
+                // decide builds exactly this one.
+                let w = vec![0.5; h.n_vertices()];
+                ptas.decide(&w);
+                assert!(ptas.ball_rev.is_empty());
+                ptas.decide_into_rescan(&w, &mut DecisionOutcome::default());
+                assert_eq!(ptas.ball_rev, rev, "{name} r={r}");
+                assert_eq!(ptas.view_status.len(), ent.len());
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "not symmetric")]
+    fn reverse_slots_reject_asymmetric_rows() {
+        // Row 0 lists 1, but row 1 does not list 0.
+        reverse_slots(&[0, 2, 3], &[0, 1, 1]);
     }
 
     #[test]

@@ -5,8 +5,10 @@
 //! path, and precomputes packed [`CompactBallTable`] r-hop neighborhood
 //! tables for the lossless path (the conflict graph is static across a whole horizon, so
 //! a TTL-bounded lossless flood is a table scan, not a BFS). Callers on
-//! the hot path use [`FloodEngine::deliver_into`] with reusable inboxes;
-//! [`FloodEngine::deliver`] remains as an allocating convenience.
+//! the hot path use [`FloodEngine::deliver_into`] with reusable inboxes,
+//! or [`FloodEngine::deliver_receivers_into`] when only *who* heard each
+//! flood matters; [`FloodEngine::deliver`] remains as an allocating
+//! convenience.
 
 use crate::counters::Counters;
 use crate::loss::SkipSampler;
@@ -90,6 +92,34 @@ pub struct Received<P> {
     pub distance: usize,
     /// Message content.
     pub payload: P,
+}
+
+/// Who received each flood of one delivered batch, filled by
+/// [`FloodEngine::deliver_receivers_into`]: a CSR in batch order, so flood
+/// `i`'s receivers are [`FloodReceivers::of`]`(i)`, in reception order.
+/// The same vertices, one copy each, that [`FloodEngine::deliver_into`]
+/// would push an inbox entry to — without the per-vertex inboxes.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct FloodReceivers {
+    /// `offsets[i] .. offsets[i + 1]` delimits flood `i` in `vertices`.
+    offsets: Vec<usize>,
+    vertices: Vec<u32>,
+}
+
+impl FloodReceivers {
+    /// Number of floods in the batch.
+    pub fn floods(&self) -> usize {
+        self.offsets.len().saturating_sub(1)
+    }
+
+    /// The receivers of flood `flood` (batch index), in reception order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `flood >= self.floods()`.
+    pub fn of(&self, flood: usize) -> &[u32] {
+        &self.vertices[self.offsets[flood]..self.offsets[flood + 1]]
+    }
 }
 
 /// Synchronous flood-delivery engine over a fixed graph.
@@ -319,35 +349,6 @@ impl<'g> FloodEngine<'g> {
         floods: &[Flood<P>],
         inboxes: &mut Vec<Vec<Received<P>>>,
     ) {
-        self.deliver_with(floods, inboxes, &|p: &P| p.clone());
-    }
-
-    /// As [`FloodEngine::deliver_into`] for `Copy` payloads: receptions
-    /// copy the payload by value instead of going through `Clone::clone`.
-    /// This is the hot path for protocol messages (which are word-sized)
-    /// on the lossy BFS route, where the generic path used to pay one
-    /// clone call per reception.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a flood origin is out of range.
-    pub fn deliver_copy_into<P: Copy>(
-        &mut self,
-        floods: &[Flood<P>],
-        inboxes: &mut Vec<Vec<Received<P>>>,
-    ) {
-        self.deliver_with(floods, inboxes, &|p: &P| *p);
-    }
-
-    /// Shared delivery loop; `dup` materializes one payload per reception
-    /// (`Clone::clone` for the generic path, a plain copy for `Copy`
-    /// payloads).
-    fn deliver_with<P>(
-        &mut self,
-        floods: &[Flood<P>],
-        inboxes: &mut Vec<Vec<Received<P>>>,
-        dup: &impl Fn(&P) -> P,
-    ) {
         let n = self.graph.n();
         if inboxes.len() != n {
             inboxes.resize_with(n, Vec::new);
@@ -359,13 +360,60 @@ impl<'g> FloodEngine<'g> {
         for flood in floods {
             assert!(flood.origin < n, "flood origin out of range");
             max_ttl = max_ttl.max(flood.ttl);
-            if self.loss_prob > 0.0 {
-                self.flood_bfs(flood, inboxes, dup);
-            } else {
-                self.flood_table(flood, inboxes, dup);
-            }
+            self.flood_one(flood.origin, flood.ttl, &mut |v, distance| {
+                inboxes[v].push(Received {
+                    origin: flood.origin,
+                    distance,
+                    payload: flood.payload.clone(),
+                });
+            });
         }
         self.counters.timeslots += max_ttl as u64;
+    }
+
+    /// Delivers a batch of concurrent floods, recording only which
+    /// vertices received each flood ([`FloodReceivers`], batch order).
+    ///
+    /// Counters, `timeslots` and the loss stream advance exactly as in
+    /// [`FloodEngine::deliver_into`], and each flood's receivers are the
+    /// vertices that call would have pushed its copy to. For protocols
+    /// that look up the content by flood index, this replaces `n`
+    /// per-vertex inboxes with one flat list per batch; after warm-up it
+    /// performs no heap allocation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a flood origin is out of range, or if the graph has more
+    /// than `u32::MAX` vertices.
+    pub fn deliver_receivers_into<P>(&mut self, floods: &[Flood<P>], out: &mut FloodReceivers) {
+        let n = self.graph.n();
+        assert!(
+            u32::try_from(n).is_ok(),
+            "graph too large for u32 receivers"
+        );
+        out.offsets.clear();
+        out.offsets.push(0);
+        out.vertices.clear();
+        let mut max_ttl = 0;
+        for flood in floods {
+            assert!(flood.origin < n, "flood origin out of range");
+            max_ttl = max_ttl.max(flood.ttl);
+            let vertices = &mut out.vertices;
+            self.flood_one(flood.origin, flood.ttl, &mut |v, _| vertices.push(v as u32));
+            out.offsets.push(out.vertices.len());
+        }
+        self.counters.timeslots += max_ttl as u64;
+    }
+
+    /// One flood of a delivering batch: the lossy BFS wave, or the
+    /// lossless table scan. `receive(v, distance)` is called once per
+    /// copy received.
+    fn flood_one(&mut self, origin: usize, ttl: usize, receive: &mut impl FnMut(usize, usize)) {
+        if self.loss_prob > 0.0 {
+            self.flood_bfs(origin, ttl, receive);
+        } else {
+            self.flood_table(origin, ttl, receive);
+        }
     }
 
     /// Delivers a batch of concurrent floods **for accounting only**: the
@@ -385,7 +433,7 @@ impl<'g> FloodEngine<'g> {
             assert!(flood.origin < n, "flood origin out of range");
             max_ttl = max_ttl.max(flood.ttl);
             if self.loss_prob > 0.0 {
-                self.flood_bfs_counts(flood.origin, flood.ttl);
+                self.flood_bfs(flood.origin, flood.ttl, &mut |_, _| {});
             } else {
                 self.flood_table_counts(flood.origin, flood.ttl);
             }
@@ -403,7 +451,7 @@ impl<'g> FloodEngine<'g> {
         let Some(table) = Self::table_for(&mut self.tables, self.table_entry_cap, self.graph, eff)
         else {
             self.fallback_floods += 1;
-            self.flood_bfs_counts(origin, ttl);
+            self.flood_bfs(origin, ttl, &mut |_, _| {});
             return;
         };
         let ball = table.ball_packed(origin);
@@ -416,44 +464,6 @@ impl<'g> FloodEngine<'g> {
         self.counters.transmissions += relays as u64;
         for &e in &ball[..relays] {
             self.counters.per_vertex_tx[CompactBallTable::entry_vertex(e)] += 1;
-        }
-    }
-
-    /// Counters-only lossy delivery: the BFS wave of `flood_bfs` minus
-    /// the reception pushes (the per-flood drop stream is a pure function
-    /// of the flood index, so the counting and delivering paths agree).
-    fn flood_bfs_counts(&mut self, origin: usize, ttl: usize) {
-        let graph = self.graph;
-        if self.loss_prob > 0.0 {
-            self.loss.begin_flood();
-        }
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            self.stamp.fill(0);
-            self.epoch = 1;
-        }
-        let epoch = self.epoch;
-        self.stamp[origin] = epoch;
-        self.dist[origin] = 0;
-        self.queue.clear();
-        self.queue.push_back(origin);
-        while let Some(u) = self.queue.pop_front() {
-            if self.dist[u] as usize == ttl {
-                continue;
-            }
-            self.counters.transmissions += 1;
-            self.counters.per_vertex_tx[u] += 1;
-            if self.loss_prob > 0.0 && self.loss.should_drop() {
-                continue;
-            }
-            for &w in graph.neighbors(u) {
-                if self.stamp[w] != epoch {
-                    self.stamp[w] = epoch;
-                    self.dist[w] = self.dist[u] + 1;
-                    self.counters.delivered += 1;
-                    self.queue.push_back(w);
-                }
-            }
         }
     }
 
@@ -530,38 +540,29 @@ impl<'g> FloodEngine<'g> {
     /// every ball member receives exactly one copy at its BFS distance, so
     /// the table scan reproduces the BFS wave — receptions in distance
     /// order — without traversing edges.
-    fn flood_table<P>(
-        &mut self,
-        flood: &Flood<P>,
-        inboxes: &mut [Vec<Received<P>>],
-        dup: &impl Fn(&P) -> P,
-    ) {
-        if flood.ttl == 0 {
+    fn flood_table(&mut self, origin: usize, ttl: usize, receive: &mut impl FnMut(usize, usize)) {
+        if ttl == 0 {
             return; // hold without relaying: no cost, no receptions
         }
-        let eff = flood.ttl.min(self.graph.n());
+        let eff = ttl.min(self.graph.n());
         let Some(table) = Self::table_for(&mut self.tables, self.table_entry_cap, self.graph, eff)
         else {
             // Over-cap radius: the lossless BFS wave visits the same
             // vertices in the same order and never touches the loss
             // sampler.
             self.fallback_floods += 1;
-            self.flood_bfs(flood, inboxes, dup);
+            self.flood_bfs(origin, ttl, receive);
             return;
         };
         // The origin always performs the first broadcast.
         self.counters.transmissions += 1;
-        self.counters.per_vertex_tx[flood.origin] += 1;
-        for &e in table.ball_packed(flood.origin) {
+        self.counters.per_vertex_tx[origin] += 1;
+        for &e in table.ball_packed(origin) {
             let v = CompactBallTable::entry_vertex(e);
             let d = CompactBallTable::entry_distance(e);
-            inboxes[v].push(Received {
-                origin: flood.origin,
-                distance: d,
-                payload: dup(&flood.payload),
-            });
+            receive(v, d);
             self.counters.delivered += 1;
-            if d < flood.ttl {
+            if d < ttl {
                 // Holds a copy with TTL budget left: relays once.
                 self.counters.transmissions += 1;
                 self.counters.per_vertex_tx[v] += 1;
@@ -571,13 +572,11 @@ impl<'g> FloodEngine<'g> {
 
     /// BFS wave for a single flood with per-relay loss, on epoch-stamped
     /// scratch (no allocation after the first call). Also the lossless
-    /// fallback for radii whose ball table is over the entry cap.
-    fn flood_bfs<P>(
-        &mut self,
-        flood: &Flood<P>,
-        inboxes: &mut [Vec<Received<P>>],
-        dup: &impl Fn(&P) -> P,
-    ) {
+    /// fallback for radii whose ball table is over the entry cap, and —
+    /// with a no-op `receive` — the counters-only lossy delivery (the
+    /// per-flood drop stream is a pure function of the flood index, so
+    /// counting and delivering agree).
+    fn flood_bfs(&mut self, origin: usize, ttl: usize, receive: &mut impl FnMut(usize, usize)) {
         let graph = self.graph;
         if self.loss_prob > 0.0 {
             self.loss.begin_flood();
@@ -588,12 +587,12 @@ impl<'g> FloodEngine<'g> {
             self.epoch = 1;
         }
         let epoch = self.epoch;
-        self.stamp[flood.origin] = epoch;
-        self.dist[flood.origin] = 0;
+        self.stamp[origin] = epoch;
+        self.dist[origin] = 0;
         self.queue.clear();
-        self.queue.push_back(flood.origin);
+        self.queue.push_back(origin);
         while let Some(u) = self.queue.pop_front() {
-            if self.dist[u] as usize == flood.ttl {
+            if self.dist[u] as usize == ttl {
                 continue; // TTL exhausted: hold but don't relay.
             }
             // One wireless broadcast by u (possibly lost as a whole).
@@ -606,11 +605,7 @@ impl<'g> FloodEngine<'g> {
                 if self.stamp[w] != epoch {
                     self.stamp[w] = epoch;
                     self.dist[w] = self.dist[u] + 1;
-                    inboxes[w].push(Received {
-                        origin: flood.origin,
-                        distance: self.dist[w] as usize,
-                        payload: dup(&flood.payload),
-                    });
+                    receive(w, self.dist[w] as usize);
                     self.counters.delivered += 1;
                     self.queue.push_back(w);
                 }
@@ -622,7 +617,7 @@ impl<'g> FloodEngine<'g> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mhca_graph::topology;
+    use mhca_graph::{topology, Graph};
 
     #[test]
     fn flood_reaches_exactly_the_ttl_ball() {
@@ -1018,37 +1013,89 @@ mod tests {
         assert!(matches!(e.tables[4], TableSlot::Capped));
     }
 
-    #[test]
-    fn deliver_copy_into_matches_clone_path() {
-        let g = topology::grid(4, 4);
-        let floods = [
-            Flood {
-                origin: 0,
-                ttl: 3,
-                payload: 1u32,
-            },
-            Flood {
-                origin: 15,
-                ttl: 2,
-                payload: 2u32,
-            },
-        ];
-        let mut a = FloodEngine::new(&g);
-        let mut b = FloodEngine::new(&g);
-        let mut cloned = Vec::new();
-        let mut copied = Vec::new();
-        a.deliver_into(&floods, &mut cloned);
-        b.deliver_copy_into(&floods, &mut copied);
-        assert_eq!(cloned, copied);
-        assert_eq!(a.counters(), b.counters());
+    /// Per-flood receiver sets read off `deliver`'s inboxes, each sorted
+    /// (floods carry their batch index as payload).
+    fn receivers_from_inboxes(inboxes: &[Vec<Received<usize>>], floods: usize) -> Vec<Vec<u32>> {
+        let mut sets = vec![Vec::new(); floods];
+        for (v, inbox) in inboxes.iter().enumerate() {
+            for rec in inbox {
+                sets[rec.payload].push(v as u32);
+            }
+        }
+        sets
+    }
 
-        // Lossy path: identical seeds consume identical RNG streams.
-        let mut a = FloodEngine::with_loss(&g, 0.3, 17);
-        let mut b = FloodEngine::with_loss(&g, 0.3, 17);
-        a.deliver_into(&floods, &mut cloned);
-        b.deliver_copy_into(&floods, &mut copied);
-        assert_eq!(cloned, copied);
-        assert_eq!(a.counters(), b.counters());
+    #[test]
+    fn receivers_delivery_matches_inboxes_counters_and_loss_stream() {
+        // Vertex 20 is isolated: its floods reach nobody but still cost
+        // the origin's broadcast (and, under loss, one drop draw).
+        let mut b = Graph::builder(21);
+        for r in 0..4 {
+            for c in 0..5 {
+                let v = r * 5 + c;
+                if c + 1 < 5 {
+                    b.add_edge(v, v + 1);
+                }
+                if r + 1 < 4 {
+                    b.add_edge(v, v + 5);
+                }
+            }
+        }
+        let g = b.build();
+        let flood = |i: usize, origin: usize, ttl: usize| Flood {
+            origin,
+            ttl,
+            payload: i,
+        };
+        let batches: Vec<Vec<Flood<usize>>> = vec![
+            vec![],
+            vec![flood(0, 20, 3)],
+            vec![flood(0, 0, 3), flood(1, 19, 2), flood(2, 7, 0)],
+            vec![
+                flood(0, 12, 4),
+                flood(1, 12, 4),
+                flood(2, 20, 1),
+                flood(3, 3, 1),
+            ],
+        ];
+        let engines = |cap: usize, loss: f64| {
+            let make = || {
+                let mut e = if loss > 0.0 {
+                    FloodEngine::with_loss(&g, loss, 23)
+                } else {
+                    FloodEngine::new(&g)
+                };
+                e.set_table_entry_cap(cap);
+                e
+            };
+            (make(), make())
+        };
+        for (cap, loss) in [
+            (DEFAULT_TABLE_ENTRY_CAP, 0.0),
+            (0, 0.0),
+            (DEFAULT_TABLE_ENTRY_CAP, 0.3),
+        ] {
+            let (mut inboxing, mut listing) = engines(cap, loss);
+            let mut receivers = FloodReceivers::default();
+            // Twice through, so the loss stream carries across batches.
+            for batch in batches.iter().chain(&batches) {
+                let expect = receivers_from_inboxes(&inboxing.deliver(batch), batch.len());
+                listing.deliver_receivers_into(batch, &mut receivers);
+                assert_eq!(receivers.floods(), batch.len());
+                for (i, want) in expect.iter().enumerate() {
+                    let mut got = receivers.of(i).to_vec();
+                    got.sort_unstable();
+                    assert_eq!(&got, want, "cap={cap} loss={loss} flood {i}");
+                }
+                assert_eq!(
+                    listing.counters(),
+                    inboxing.counters(),
+                    "cap={cap} loss={loss}"
+                );
+                assert_eq!(listing.loss_flood_index(), inboxing.loss_flood_index());
+                assert_eq!(listing.fallback_floods(), inboxing.fallback_floods());
+            }
+        }
     }
 
     #[test]

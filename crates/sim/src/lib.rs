@@ -44,5 +44,5 @@ pub mod engine;
 pub mod loss;
 
 pub use counters::Counters;
-pub use engine::{Flood, FloodEngine, LossSpec, Received, DEFAULT_TABLE_ENTRY_CAP};
+pub use engine::{Flood, FloodEngine, FloodReceivers, LossSpec, Received, DEFAULT_TABLE_ENTRY_CAP};
 pub use loss::SkipSampler;

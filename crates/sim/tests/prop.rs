@@ -1,7 +1,7 @@
 //! Property-based tests for the flooding engine.
 
 use mhca_graph::Graph;
-use mhca_sim::{Flood, FloodEngine};
+use mhca_sim::{Flood, FloodEngine, FloodReceivers};
 use proptest::prelude::*;
 
 fn arb_graph(max_n: usize) -> impl Strategy<Value = Graph> {
@@ -70,6 +70,46 @@ proptest! {
         let some = lossy.deliver(&[Flood { origin: 0, ttl: 4, payload: () }]);
         for v in 0..g.n() {
             prop_assert!(some[v].len() <= full[v].len());
+        }
+    }
+
+    #[test]
+    fn receivers_delivery_matches_deliver_on_a_twin(
+        g in arb_graph(18),
+        shape in proptest::collection::vec((0usize..18, 0usize..6), 0..6),
+        lossy in any::<bool>(),
+        p in 0.05f64..0.6,
+        seed in any::<u64>(),
+    ) {
+        let p = if lossy { p } else { 0.0 };
+        // Arbitrary graphs have isolated vertices, so empty-ball origins
+        // and repeated origins both occur.
+        let floods: Vec<Flood<usize>> = shape
+            .iter()
+            .enumerate()
+            .map(|(i, &(o, ttl))| Flood { origin: o % g.n(), ttl, payload: i })
+            .collect();
+        let (mut inboxing, mut listing) = if p > 0.0 {
+            (FloodEngine::with_loss(&g, p, seed), FloodEngine::with_loss(&g, p, seed))
+        } else {
+            (FloodEngine::new(&g), FloodEngine::new(&g))
+        };
+        let mut receivers = FloodReceivers::default();
+        for _ in 0..2 {
+            let inboxes = inboxing.deliver(&floods);
+            listing.deliver_receivers_into(&floods, &mut receivers);
+            prop_assert_eq!(receivers.floods(), floods.len());
+            for i in 0..floods.len() {
+                let want: Vec<u32> = (0..g.n())
+                    .filter(|&v| inboxes[v].iter().any(|r| r.payload == i))
+                    .map(|v| v as u32)
+                    .collect();
+                let mut got = receivers.of(i).to_vec();
+                got.sort_unstable();
+                prop_assert_eq!(got, want, "flood {}", i);
+            }
+            prop_assert_eq!(listing.counters(), inboxing.counters());
+            prop_assert_eq!(listing.loss_flood_index(), inboxing.loss_flood_index());
         }
     }
 }

@@ -203,6 +203,43 @@ fn tiled_decide_into_is_allocation_free_with_varying_weights() {
 }
 
 #[test]
+fn rescan_decide_into_is_allocation_free_with_varying_weights() {
+    // The rescan decide is the lossy path; `force_rescan` runs the same
+    // code deterministically. The flat local views, the reverse slots,
+    // the receiver marks and the per-flood receiver lists are sized during
+    // warm-up and reused after, across the varying-weight cycle that
+    // reshapes leader sets and determination lists every decision.
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+    let net = Network::random(50, 3, 4.5, 0.1, 13);
+    let mut rng = StdRng::seed_from_u64(31);
+    let cycle: Vec<Vec<f64>> = (0..6)
+        .map(|_| {
+            (0..net.n_vertices())
+                .map(|_| rng.gen_range(0.05..1.0))
+                .collect()
+        })
+        .collect();
+    let cfg = DistributedPtasConfig::default()
+        .with_max_minirounds(None)
+        .with_force_rescan(true);
+    let mut ptas = DistributedPtas::new(net.h(), cfg);
+    let mut outcome = Default::default();
+    for w in cycle.iter().chain(cycle.iter()) {
+        ptas.decide_into(w, &mut outcome);
+    }
+
+    let allocs = min_allocs(3, || {
+        for w in &cycle {
+            ptas.decide_into(w, &mut outcome);
+        }
+    });
+    assert_eq!(
+        allocs, 0,
+        "steady-state rescan decide_into must not allocate (counted {allocs})"
+    );
+}
+
+#[test]
 fn policy_indices_into_is_allocation_free() {
     use mhca::bandit::ArmStats;
     use rand::{rngs::StdRng, SeedableRng};
