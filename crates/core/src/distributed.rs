@@ -85,8 +85,8 @@
 //! Each vertex's view — what it believes about the members of its
 //! `(2r+1)`-ball — is one status per entry of the same ball CSR
 //! (`view_status`, aligned with `ball_entries`), so all views together
-//! take one byte per ball entry. A determination of `u` is visible in the
-//! view of `w` iff `w` is in `u`'s ball, and balls are symmetric, so a
+//! take one byte per ball entry. The view of `w` holds `u` iff `u` is in
+//! `w`'s ball, iff `w` is in `u`'s ball (balls are symmetric), so a
 //! received list entry `u` is applied by walking `u`'s own row and
 //! writing, at each member that received the flood, the slot that the
 //! **reverse index** (`ball_rev`, built lazily on the first rescan)
@@ -94,8 +94,10 @@
 //! applying a flood costs `O(list · ball)` however many vertices it
 //! reaches. Every write lands in the receiver's own view, and each
 //! receiver sees its own list first (if it leads) and then the received
-//! lists in flood order, last writer winning — the order of the
-//! per-vertex-inbox formulation, so outcomes are bit-identical to it.
+//! lists in flood order, last writer winning — exactly the order of a
+//! vertex draining its own inbox, so interleaving receivers changes
+//! nothing.
+//!
 //! The election keeps one witness cursor per vertex: a view entry that
 //! did not block a vertex never blocks it later in the same decision (a
 //! view status never returns to `Candidate`), so each mini-round's scan
@@ -1064,11 +1066,7 @@ impl<'h> DistributedPtas<'h> {
             for list in det_lists.iter().take(leaders.len()) {
                 for &(u, is_winner) in list {
                     debug_assert_eq!(own[u], Status::Candidate);
-                    own[u] = if is_winner {
-                        Status::Winner
-                    } else {
-                        Status::Loser
-                    };
+                    own[u] = determined(is_winner);
                     cache.state[u] |= DETERMINED;
                     remaining -= 1;
                     cache.changed.push(u);
