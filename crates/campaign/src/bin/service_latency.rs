@@ -21,22 +21,36 @@
 //! ```
 
 use mhca_campaign::json;
-use mhca_campaign::ServiceExecutor;
+use mhca_campaign::{ExperimentKind, ScenarioSpec, SeedRange, ServiceExecutor};
+use mhca_core::experiment::ObserverKind;
+use mhca_core::experiments::PolicyRunConfig;
 use mhca_service::Supervisor;
 use mhca_telemetry::{LogHistogram, Provenance};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// The measured workload: small enough that 50 iterations finish in
-/// seconds, deep enough (100 decision periods) that "first round" is a
-/// meaningful fraction of a real session's startup path.
-const SCENARIO: &str = r#"{
-    "name": "latency-probe",
-    "spec": {"kind": "policy-run", "n": 10, "m": 3, "horizon": 2000, "update_period": 20},
-    "seeds": {"count": 1},
-    "observers": ["throughput"]
-}"#;
+/// The measured workload, as the JSON document a client submits: small
+/// enough that 50 iterations finish in seconds, deep enough (100
+/// decision periods) that "first round" is a meaningful fraction of a
+/// real session's startup path.
+fn scenario() -> json::Json {
+    let cfg = PolicyRunConfig {
+        n: 10,
+        m: 3,
+        horizon: 2000,
+        update_period: 20,
+        ..PolicyRunConfig::default()
+    };
+    ScenarioSpec::new(
+        "latency-probe",
+        "latency-probe",
+        ExperimentKind::PolicyRun(cfg),
+        SeedRange::new(0, 1),
+    )
+    .with_observers(vec![ObserverKind::Throughput])
+    .to_json()
+}
 
 fn hist_json(h: &LogHistogram) -> String {
     format!(
@@ -85,7 +99,7 @@ fn main() {
     // One warmup session absorbs lazy init (thread spawn paths, fs
     // caches) before sampling starts.
     for i in 0..=iters {
-        let scenario = json::parse(SCENARIO).unwrap();
+        let scenario = scenario();
         let out_dir = scratch.join(format!("out{i}")).display().to_string();
         let t0 = Instant::now();
         let id = supervisor

@@ -22,16 +22,8 @@
 //! re-emits byte-identical JSON.
 
 use crate::json::{self, Json};
-use crate::spec::{ExperimentKind, ScenarioSpec, SeedRange};
-use mhca_channels::ChannelModelSpec;
-use mhca_core::experiment::ObserverKind;
-use mhca_core::experiments::{
-    ComplexityConfig, Fig5Config, Fig6Config, Fig7Config, Fig8Config, PolicyRunConfig, PolicySpec,
-    Theorem3Config,
-};
-use mhca_core::{ArrivalProcess, FlowSpec, TrafficSpec};
-use mhca_graph::TopologySpec;
-use mhca_sim::LossSpec;
+use crate::schema::{self, check_fields, fail};
+use crate::spec::{ExperimentKind, ScenarioSpec};
 
 /// A spec-ingestion failure: the JSON field path plus what went wrong.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -49,13 +41,6 @@ impl std::fmt::Display for SpecError {
 }
 
 impl std::error::Error for SpecError {}
-
-fn fail<T>(path: &str, message: impl Into<String>) -> Result<T, SpecError> {
-    Err(SpecError {
-        path: path.to_string(),
-        message: message.into(),
-    })
-}
 
 /// Parses a scenario document (see the module docs for accepted shapes)
 /// into its scenarios, rejecting duplicate names. The campaign-document
@@ -81,10 +66,14 @@ pub fn campaign_from_str(text: &str) -> Result<(Option<String>, Vec<ScenarioSpec
             .collect::<Result<Vec<_>, _>>()?,
         Json::Obj(_) if doc.get("scenarios").is_some() => {
             check_fields(&doc, "<document>", &["campaign", "scenarios"])?;
-            campaign = opt_str(&doc, "<document>", "campaign")?;
-            if campaign.as_deref() == Some("") {
-                return fail("campaign", "must not be empty");
-            }
+            campaign = match doc.get("campaign") {
+                None => None,
+                Some(Json::Str(name)) if name.is_empty() => {
+                    return fail("campaign", "must not be empty");
+                }
+                Some(Json::Str(name)) => Some(name.clone()),
+                Some(_) => return fail("<document>.campaign", "must be a string"),
+            };
             let Some(items) = doc.get("scenarios").and_then(Json::as_arr) else {
                 return fail("scenarios", "must be an array of scenario objects");
             };
@@ -113,931 +102,12 @@ pub fn campaign_from_str(text: &str) -> Result<(Option<String>, Vec<ScenarioSpec
 
 /// Parses one scenario object.
 pub fn scenario_from_json(v: &Json, path: &str) -> Result<ScenarioSpec, SpecError> {
-    if !matches!(v, Json::Obj(_)) {
-        return fail(path, "expected a scenario object");
-    }
-    check_fields(v, path, &["name", "title", "spec", "seeds", "observers"])?;
-    let name = req_str(v, path, "name")?;
-    if name.is_empty() {
-        return fail(&format!("{path}.name"), "must not be empty");
-    }
-    // The name becomes the artifact directory under --out; a separator
-    // or dot-dot component would let a spec file write outside it.
-    if name == "." || name == ".." {
-        return fail(
-            &format!("{path}.name"),
-            "must not be a relative path component",
-        );
-    }
-    if name
-        .chars()
-        .any(|c| c == '/' || c == '\\' || (c as u32) < 0x20)
-    {
-        return fail(
-            &format!("{path}.name"),
-            "must not contain path separators or control characters \
-             (it names the artifact directory)",
-        );
-    }
-    let title = opt_str(v, path, "title")?.unwrap_or_else(|| name.clone());
-    let seeds = match v.get("seeds") {
-        None => SeedRange::new(0, 1),
-        Some(s) => seeds_from_json(s, &format!("{path}.seeds"))?,
-    };
-    let observers = match v.get("observers") {
-        None => Vec::new(),
-        Some(o) => observers_from_json(o, &format!("{path}.observers"))?,
-    };
-    let spec = v.get("spec").ok_or_else(|| SpecError {
-        path: path.to_string(),
-        message: "missing required field 'spec'".to_string(),
-    })?;
-    let kind = kind_from_json(spec, &format!("{path}.spec"))?;
-    Ok(ScenarioSpec {
-        name,
-        title,
-        kind,
-        seeds,
-        observers,
-    })
-}
-
-fn seeds_from_json(v: &Json, path: &str) -> Result<SeedRange, SpecError> {
-    if !matches!(v, Json::Obj(_)) {
-        return fail(path, "expected an object {start, count}");
-    }
-    check_fields(v, path, &["start", "count"])?;
-    let start = opt_u64(v, path, "start")?.unwrap_or(0);
-    let count = opt_u64(v, path, "count")?.unwrap_or(1);
-    if count == 0 {
-        return fail(&format!("{path}.count"), "must be at least 1");
-    }
-    if start
-        .checked_add(count)
-        .is_none_or(|end| end > SeedRange::MAX_SEED)
-    {
-        return fail(
-            path,
-            "start + count must stay within 2^53 (JSON-exact integers)",
-        );
-    }
-    Ok(SeedRange::new(start, count))
-}
-
-fn observers_from_json(v: &Json, path: &str) -> Result<Vec<ObserverKind>, SpecError> {
-    let Some(items) = v.as_arr() else {
-        return fail(path, "expected an array of observer labels or objects");
-    };
-    let observers: Vec<ObserverKind> = items
-        .iter()
-        .enumerate()
-        .map(|(i, item)| observer_from_json(item, &format!("{path}[{i}]")))
-        .collect::<Result<Vec<_>, _>>()?;
-    // Duplicate labels would register two observers with the same metric
-    // prefix: every row emitted twice (or, for parameterized kinds,
-    // colliding names with different meanings), and aggregate run counts
-    // silently doubled.
-    for (i, kind) in observers.iter().enumerate() {
-        if observers[..i].iter().any(|k| k.label() == kind.label()) {
-            return fail(
-                &format!("{path}[{i}]"),
-                format!("duplicate observer '{}'", kind.label()),
-            );
-        }
-    }
-    Ok(observers)
-}
-
-/// Parses one observer entry: a bare label string (parameterized kinds
-/// come back at their defaults) or a `{"kind": ..., <knobs>}` object.
-fn observer_from_json(item: &Json, path: &str) -> Result<ObserverKind, SpecError> {
-    let unknown = |label: &str| SpecError {
-        path: path.to_string(),
-        message: format!(
-            "unknown observer '{label}' (expected one of {})",
-            join_labels(ObserverKind::ALL.iter().map(|k| k.label()))
-        ),
-    };
-    if let Some(label) = item.as_str() {
-        return ObserverKind::parse(label).ok_or_else(|| unknown(label));
-    }
-    if !matches!(item, Json::Obj(_)) {
-        return fail(path, "expected an observer label string or object");
-    }
-    let kind = req_str(item, path, "kind")?;
-    match ObserverKind::parse(&kind).ok_or_else(|| unknown(&kind))? {
-        ObserverKind::SensingCost {
-            probe_cost: default_probe,
-            report_cost: default_report,
-        } => {
-            check_fields(item, path, &["kind", "probe_cost", "report_cost"])?;
-            let cost = |key: &str, default: f64| -> Result<f64, SpecError> {
-                let x = opt_f64(item, path, key)?.unwrap_or(default);
-                if !(x >= 0.0 && x.is_finite()) {
-                    return fail(&format!("{path}.{key}"), "must be finite and non-negative");
-                }
-                Ok(x)
-            };
-            Ok(ObserverKind::SensingCost {
-                probe_cost: cost("probe_cost", default_probe)?,
-                report_cost: cost("report_cost", default_report)?,
-            })
-        }
-        ObserverKind::WindowedRegret {
-            window: default_window,
-        } => {
-            check_fields(item, path, &["kind", "window"])?;
-            Ok(ObserverKind::WindowedRegret {
-                window: positive_u64(item, path, "window")?.unwrap_or(default_window),
-            })
-        }
-        ObserverKind::QueueTail {
-            bound: default_bound,
-        } => {
-            check_fields(item, path, &["kind", "bound"])?;
-            Ok(ObserverKind::QueueTail {
-                bound: positive_u64(item, path, "bound")?.unwrap_or(default_bound),
-            })
-        }
-        parameterless => {
-            check_fields(item, path, &["kind"])?;
-            Ok(parameterless)
-        }
-    }
+    schema::parse(v, path)
 }
 
 /// Parses one experiment spec object (the `"spec"` value of a scenario).
 pub fn kind_from_json(v: &Json, path: &str) -> Result<ExperimentKind, SpecError> {
-    if !matches!(v, Json::Obj(_)) {
-        return fail(path, "expected an experiment spec object");
-    }
-    const KINDS: [&str; 9] = [
-        "fig5",
-        "fig6",
-        "fig7",
-        "fig8",
-        "table2",
-        "complexity",
-        "theorem3",
-        "policy-run",
-        "policy-duel",
-    ];
-    let kind = req_str(v, path, "kind")?;
-    match kind.as_str() {
-        "fig5" => {
-            check_fields(v, path, &["kind", "ns", "r"])?;
-            let d = Fig5Config::default();
-            Ok(ExperimentKind::Fig5(Fig5Config {
-                ns: positive_usizes(v, path, "ns")?.unwrap_or(d.ns),
-                r: opt_usize(v, path, "r")?.unwrap_or(d.r),
-            }))
-        }
-        "fig6" => {
-            check_fields(
-                v,
-                path,
-                &[
-                    "kind",
-                    "sizes",
-                    "topology",
-                    "channel",
-                    "loss",
-                    "r",
-                    "minirounds",
-                ],
-            )?;
-            let d = Fig6Config::default();
-            Ok(ExperimentKind::Fig6(Fig6Config {
-                sizes: match v.get("sizes") {
-                    None => d.sizes,
-                    Some(s) => sizes_from_json(s, &format!("{path}.sizes"))?,
-                },
-                topology: opt_topology(v, path)?.unwrap_or(d.topology),
-                channel: opt_channel(v, path)?.unwrap_or(d.channel),
-                loss: opt_loss(v, path)?.unwrap_or(d.loss),
-                r: opt_usize(v, path, "r")?.unwrap_or(d.r),
-                minirounds: opt_usize(v, path, "minirounds")?.unwrap_or(d.minirounds),
-                seed: d.seed,
-            }))
-        }
-        "fig7" => {
-            check_fields(
-                v,
-                path,
-                &[
-                    "kind",
-                    "n",
-                    "m",
-                    "topology",
-                    "channel",
-                    "loss",
-                    "horizon",
-                    "r",
-                    "minirounds",
-                ],
-            )?;
-            let d = Fig7Config::default();
-            Ok(ExperimentKind::Fig7(Fig7Config {
-                n: positive_usize(v, path, "n")?.unwrap_or(d.n),
-                m: positive_usize(v, path, "m")?.unwrap_or(d.m),
-                topology: opt_topology(v, path)?.unwrap_or(d.topology),
-                channel: opt_channel(v, path)?.unwrap_or(d.channel),
-                loss: opt_loss(v, path)?.unwrap_or(d.loss),
-                horizon: positive_u64(v, path, "horizon")?.unwrap_or(d.horizon),
-                r: opt_usize(v, path, "r")?.unwrap_or(d.r),
-                minirounds: opt_usize(v, path, "minirounds")?.unwrap_or(d.minirounds),
-                seed: d.seed,
-            }))
-        }
-        "fig8" => {
-            check_fields(
-                v,
-                path,
-                &[
-                    "kind",
-                    "n",
-                    "m",
-                    "topology",
-                    "channel",
-                    "loss",
-                    "update_periods",
-                    "updates_per_run",
-                    "r",
-                    "minirounds",
-                ],
-            )?;
-            let d = Fig8Config::default();
-            let update_periods =
-                positive_usizes(v, path, "update_periods")?.unwrap_or(d.update_periods);
-            Ok(ExperimentKind::Fig8(Fig8Config {
-                n: positive_usize(v, path, "n")?.unwrap_or(d.n),
-                m: positive_usize(v, path, "m")?.unwrap_or(d.m),
-                topology: opt_topology(v, path)?.unwrap_or(d.topology),
-                channel: opt_channel(v, path)?.unwrap_or(d.channel),
-                loss: opt_loss(v, path)?.unwrap_or(d.loss),
-                update_periods,
-                updates_per_run: positive_u64(v, path, "updates_per_run")?
-                    .unwrap_or(d.updates_per_run),
-                r: opt_usize(v, path, "r")?.unwrap_or(d.r),
-                minirounds: opt_usize(v, path, "minirounds")?.unwrap_or(d.minirounds),
-                seed: d.seed,
-            }))
-        }
-        "table2" => {
-            check_fields(v, path, &["kind"])?;
-            Ok(ExperimentKind::Table2)
-        }
-        "complexity" => {
-            check_fields(
-                v,
-                path,
-                &["kind", "ns", "m", "rs", "topology", "channel", "minirounds"],
-            )?;
-            let d = ComplexityConfig::default();
-            Ok(ExperimentKind::Complexity(ComplexityConfig {
-                ns: positive_usizes(v, path, "ns")?.unwrap_or(d.ns),
-                m: positive_usize(v, path, "m")?.unwrap_or(d.m),
-                rs: positive_usizes(v, path, "rs")?.unwrap_or(d.rs),
-                topology: opt_topology(v, path)?.unwrap_or(d.topology),
-                channel: opt_channel(v, path)?.unwrap_or(d.channel),
-                minirounds: opt_usize(v, path, "minirounds")?.unwrap_or(d.minirounds),
-                seed: d.seed,
-            }))
-        }
-        "theorem3" => {
-            check_fields(
-                v,
-                path,
-                &["kind", "n", "m", "topology", "channel", "instances"],
-            )?;
-            let d = Theorem3Config::default();
-            Ok(ExperimentKind::Theorem3(Theorem3Config {
-                n: positive_usize(v, path, "n")?.unwrap_or(d.n),
-                m: positive_usize(v, path, "m")?.unwrap_or(d.m),
-                topology: opt_topology(v, path)?.unwrap_or(d.topology),
-                channel: opt_channel(v, path)?.unwrap_or(d.channel),
-                seed: d.seed,
-                instances: positive_u64(v, path, "instances")?.unwrap_or(d.instances),
-            }))
-        }
-        "policy-run" => {
-            check_fields(v, path, &POLICY_RUN_FIELDS)?;
-            Ok(ExperimentKind::PolicyRun(policy_run_from_json(v, path)?))
-        }
-        "policy-duel" => {
-            let mut allowed: Vec<&str> = POLICY_RUN_FIELDS.to_vec();
-            allowed.push("challenger");
-            check_fields(v, path, &allowed)?;
-            let challenger = match v.get("challenger") {
-                Some(c) => policy_from_json(c, &format!("{path}.challenger"))?,
-                None => return fail(path, "missing required field 'challenger'"),
-            };
-            Ok(ExperimentKind::PolicyDuel {
-                base: policy_run_from_json(v, path)?,
-                challenger,
-            })
-        }
-        other => {
-            let mut message = format!(
-                "unknown experiment kind '{other}' (expected one of {})",
-                join_labels(KINDS.iter().copied())
-            );
-            if let Some(near) = nearest(other, KINDS.iter().copied()) {
-                message.push_str(&format!("; did you mean '{near}'?"));
-            }
-            fail(&format!("{path}.kind"), message)
-        }
-    }
-}
-
-const POLICY_RUN_FIELDS: [&str; 13] = [
-    "kind",
-    "n",
-    "m",
-    "topology",
-    "channel",
-    "policy",
-    "loss",
-    "horizon",
-    "update_period",
-    "r",
-    "minirounds",
-    "partitions",
-    "traffic",
-];
-
-fn policy_run_from_json(v: &Json, path: &str) -> Result<PolicyRunConfig, SpecError> {
-    let d = PolicyRunConfig::default();
-    let update_period = positive_usize(v, path, "update_period")?.unwrap_or(d.update_period);
-    let n = positive_usize(v, path, "n")?.unwrap_or(d.n);
-    Ok(PolicyRunConfig {
-        n,
-        m: positive_usize(v, path, "m")?.unwrap_or(d.m),
-        topology: opt_topology(v, path)?.unwrap_or(d.topology),
-        channel: opt_channel(v, path)?.unwrap_or(d.channel),
-        policy: match v.get("policy") {
-            Some(p) => policy_from_json(p, &format!("{path}.policy"))?,
-            None => d.policy,
-        },
-        loss: opt_loss(v, path)?.unwrap_or(d.loss),
-        horizon: positive_u64(v, path, "horizon")?.unwrap_or(d.horizon),
-        update_period,
-        r: opt_usize(v, path, "r")?.unwrap_or(d.r),
-        minirounds: opt_usize(v, path, "minirounds")?.unwrap_or(d.minirounds),
-        partitions: opt_usize(v, path, "partitions")?.unwrap_or(d.partitions),
-        traffic: opt_traffic(v, path, n)?,
-        seed: d.seed,
-    })
-}
-
-fn opt_traffic(v: &Json, path: &str, n: usize) -> Result<Option<TrafficSpec>, SpecError> {
-    match v.get("traffic") {
-        None => Ok(None),
-        Some(t) => traffic_from_json(t, &format!("{path}.traffic"), n).map(Some),
-    }
-}
-
-/// Parses the traffic workload object the spec renderer emits:
-/// `{"arrivals": {...}, "flows": [...], "packet_kbps", "seed"}`. Flow
-/// endpoints are validated against the network size `n` here because the
-/// queue-engine constructor panics on out-of-range vertices.
-fn traffic_from_json(v: &Json, path: &str, n: usize) -> Result<TrafficSpec, SpecError> {
-    if !matches!(v, Json::Obj(_)) {
-        return fail(path, "expected a traffic object {arrivals, flows, ...}");
-    }
-    check_fields(v, path, &["arrivals", "flows", "packet_kbps", "seed"])?;
-    let arrivals = match v.get("arrivals") {
-        Some(a) => arrivals_from_json(a, &format!("{path}.arrivals"))?,
-        None => return fail(path, "missing required field 'arrivals'"),
-    };
-    let flows = flows_from_json(v, path, n)?;
-    let packet_kbps = opt_f64(v, path, "packet_kbps")?.unwrap_or(100.0);
-    if !(packet_kbps > 0.0 && packet_kbps.is_finite()) {
-        return fail(
-            &format!("{path}.packet_kbps"),
-            "must be positive and finite",
-        );
-    }
-    let seed = opt_u64(v, path, "seed")?.unwrap_or(0);
-    Ok(TrafficSpec {
-        arrivals,
-        flows,
-        packet_kbps,
-        seed,
-    })
-}
-
-fn arrivals_from_json(v: &Json, path: &str) -> Result<ArrivalProcess, SpecError> {
-    if !matches!(v, Json::Obj(_)) {
-        return fail(path, "expected an arrival-process object {process, ...}");
-    }
-    const PROCESSES: [&str; 3] = ["poisson", "deterministic", "bursty"];
-    let process = req_str(v, path, "process")?;
-    let rate = |v: &Json| -> Result<f64, SpecError> {
-        let x = opt_f64(v, path, "rate")?.unwrap_or(0.5);
-        if !(x > 0.0 && x.is_finite()) {
-            return fail(&format!("{path}.rate"), "must be positive and finite");
-        }
-        Ok(x)
-    };
-    match process.as_str() {
-        "poisson" => {
-            check_fields(v, path, &["process", "rate"])?;
-            Ok(ArrivalProcess::Poisson { rate: rate(v)? })
-        }
-        "deterministic" => {
-            check_fields(v, path, &["process", "period"])?;
-            Ok(ArrivalProcess::Deterministic {
-                period: positive_u64(v, path, "period")?.unwrap_or(4),
-            })
-        }
-        "bursty" => {
-            check_fields(v, path, &["process", "rate", "burst"])?;
-            Ok(ArrivalProcess::Bursty {
-                rate: rate(v)?,
-                burst: positive_u64(v, path, "burst")?.unwrap_or(8),
-            })
-        }
-        other => {
-            let mut message = format!(
-                "unknown arrival process '{other}' (expected one of {})",
-                join_labels(PROCESSES.iter().copied())
-            );
-            if let Some(near) = nearest(other, PROCESSES.iter().copied()) {
-                message.push_str(&format!("; did you mean '{near}'?"));
-            }
-            fail(&format!("{path}.process"), message)
-        }
-    }
-}
-
-fn flows_from_json(v: &Json, path: &str, n: usize) -> Result<Vec<FlowSpec>, SpecError> {
-    let flows_path = format!("{path}.flows");
-    let Some(items) = v.get("flows").and_then(Json::as_arr) else {
-        return fail(
-            &flows_path,
-            "traffic needs a flows array of {src, dst} objects",
-        );
-    };
-    if items.is_empty() {
-        return fail(&flows_path, "needs at least one flow");
-    }
-    items
-        .iter()
-        .enumerate()
-        .map(|(i, f)| {
-            let path = format!("{flows_path}[{i}]");
-            if !matches!(f, Json::Obj(_)) {
-                return fail(&path, "expected a flow object {src, dst[, deadline]}");
-            }
-            check_fields(f, &path, &["src", "dst", "deadline"])?;
-            let endpoint = |key: &str| -> Result<usize, SpecError> {
-                let Some(value) = f.get(key) else {
-                    return fail(&path, format!("missing required field '{key}'"));
-                };
-                let Some(x) = value.as_u64() else {
-                    return fail(
-                        &format!("{path}.{key}"),
-                        "must be a non-negative integer vertex index",
-                    );
-                };
-                if x as usize >= n {
-                    return fail(
-                        &format!("{path}.{key}"),
-                        format!("vertex {x} out of range for n = {n}"),
-                    );
-                }
-                Ok(x as usize)
-            };
-            let src = endpoint("src")?;
-            let dst = endpoint("dst")?;
-            if src == dst {
-                return fail(&path, "src and dst must differ");
-            }
-            Ok(FlowSpec {
-                src,
-                dst,
-                deadline: positive_u64(f, &path, "deadline")?,
-            })
-        })
-        .collect()
-}
-
-fn policy_from_json(v: &Json, path: &str) -> Result<PolicySpec, SpecError> {
-    if !matches!(v, Json::Obj(_)) {
-        return fail(path, "expected a policy object {name, ...}");
-    }
-    const NAMES: [&str; 7] = [
-        "cs-ucb",
-        "llr",
-        "thompson",
-        "discounted-cs-ucb",
-        "epsilon-greedy",
-        "random",
-        "oracle",
-    ];
-    let name = req_str(v, path, "name")?;
-    match name.as_str() {
-        "cs-ucb" => {
-            check_fields(v, path, &["name", "l"])?;
-            Ok(PolicySpec::CsUcb {
-                l: opt_f64(v, path, "l")?.unwrap_or(2.0),
-            })
-        }
-        "llr" => {
-            check_fields(v, path, &["name", "l"])?;
-            Ok(PolicySpec::Llr {
-                l: opt_f64(v, path, "l")?.unwrap_or(2.0),
-            })
-        }
-        "thompson" => {
-            check_fields(v, path, &["name", "sigma"])?;
-            let sigma = opt_f64(v, path, "sigma")?.unwrap_or(0.1);
-            if !(sigma > 0.0 && sigma.is_finite()) {
-                return fail(&format!("{path}.sigma"), "must be positive");
-            }
-            Ok(PolicySpec::Thompson { sigma })
-        }
-        "discounted-cs-ucb" => {
-            check_fields(v, path, &["name", "gamma"])?;
-            let gamma = opt_f64(v, path, "gamma")?.unwrap_or(0.99);
-            if !(gamma > 0.0 && gamma <= 1.0) {
-                return fail(&format!("{path}.gamma"), "must be in (0, 1]");
-            }
-            Ok(PolicySpec::DiscountedCsUcb { gamma })
-        }
-        "epsilon-greedy" => {
-            check_fields(v, path, &["name", "eps"])?;
-            let eps = opt_f64(v, path, "eps")?.unwrap_or(0.05);
-            if !(0.0..=1.0).contains(&eps) {
-                return fail(&format!("{path}.eps"), "must be in [0, 1]");
-            }
-            Ok(PolicySpec::EpsilonGreedy { eps })
-        }
-        "random" => {
-            check_fields(v, path, &["name"])?;
-            Ok(PolicySpec::Random)
-        }
-        "oracle" => {
-            check_fields(v, path, &["name"])?;
-            Ok(PolicySpec::Oracle)
-        }
-        other => fail(
-            &format!("{path}.name"),
-            format!(
-                "unknown policy '{other}' (expected one of {})",
-                join_labels(NAMES.iter().copied())
-            ),
-        ),
-    }
-}
-
-fn opt_topology(v: &Json, path: &str) -> Result<Option<TopologySpec>, SpecError> {
-    match v.get("topology") {
-        None => Ok(None),
-        Some(t) => topology_from_json(t, &format!("{path}.topology")).map(Some),
-    }
-}
-
-fn topology_from_json(v: &Json, path: &str) -> Result<TopologySpec, SpecError> {
-    if !matches!(v, Json::Obj(_)) {
-        return fail(path, "expected a topology object {family, ...}");
-    }
-    const FAMILIES: [&str; 8] = [
-        "unit-disk",
-        "unit-disk-connected",
-        "line",
-        "ring",
-        "grid",
-        "star",
-        "complete",
-        "independent",
-    ];
-    let family = req_str(v, path, "family")?;
-    let avg_degree = |v: &Json| -> Result<f64, SpecError> {
-        check_fields(v, path, &["family", "avg_degree"])?;
-        let d = opt_f64(v, path, "avg_degree")?.unwrap_or(3.5);
-        if d <= 0.0 {
-            return fail(&format!("{path}.avg_degree"), "must be positive");
-        }
-        Ok(d)
-    };
-    match family.as_str() {
-        "unit-disk" => Ok(TopologySpec::UnitDisk {
-            avg_degree: avg_degree(v)?,
-        }),
-        "unit-disk-connected" => Ok(TopologySpec::UnitDiskConnected {
-            avg_degree: avg_degree(v)?,
-        }),
-        flat @ ("line" | "ring" | "grid" | "star" | "complete" | "independent") => {
-            check_fields(v, path, &["family"])?;
-            Ok(match flat {
-                "line" => TopologySpec::Line,
-                "ring" => TopologySpec::Ring,
-                "grid" => TopologySpec::Grid,
-                "star" => TopologySpec::Star,
-                "complete" => TopologySpec::Complete,
-                _ => TopologySpec::Independent,
-            })
-        }
-        other => fail(
-            &format!("{path}.family"),
-            format!(
-                "unknown topology family '{other}' (expected one of {})",
-                join_labels(FAMILIES.iter().copied())
-            ),
-        ),
-    }
-}
-
-fn opt_channel(v: &Json, path: &str) -> Result<Option<ChannelModelSpec>, SpecError> {
-    match v.get("channel") {
-        None => Ok(None),
-        Some(c) => channel_from_json(c, &format!("{path}.channel")).map(Some),
-    }
-}
-
-fn channel_from_json(v: &Json, path: &str) -> Result<ChannelModelSpec, SpecError> {
-    if !matches!(v, Json::Obj(_)) {
-        return fail(path, "expected a channel-model object {family, ...}");
-    }
-    const FAMILIES: [&str; 8] = [
-        "gaussian",
-        "constant",
-        "bernoulli",
-        "uniform",
-        "adv-sinusoidal",
-        "adv-switching",
-        "adv-ramp",
-        "drifting",
-    ];
-    let family = req_str(v, path, "family")?;
-    let frac = |key: &str, default: f64| -> Result<f64, SpecError> {
-        let x = opt_f64(v, path, key)?.unwrap_or(default);
-        if !(0.0..=1.0).contains(&x) {
-            return fail(&format!("{path}.{key}"), "must be in [0, 1]");
-        }
-        Ok(x)
-    };
-    match family.as_str() {
-        "gaussian" => {
-            check_fields(v, path, &["family", "sigma_frac"])?;
-            Ok(ChannelModelSpec::GaussianRateClasses {
-                sigma_frac: frac("sigma_frac", 0.1)?,
-            })
-        }
-        "constant" => {
-            check_fields(v, path, &["family"])?;
-            Ok(ChannelModelSpec::ConstantRateClasses)
-        }
-        "bernoulli" => {
-            check_fields(v, path, &["family", "p"])?;
-            let p = opt_f64(v, path, "p")?.unwrap_or(0.5);
-            if !(p > 0.0 && p <= 1.0) {
-                return fail(&format!("{path}.p"), "must be in (0, 1]");
-            }
-            Ok(ChannelModelSpec::BernoulliRateClasses { p })
-        }
-        "uniform" => {
-            check_fields(v, path, &["family", "spread_frac"])?;
-            Ok(ChannelModelSpec::UniformRateClasses {
-                spread_frac: frac("spread_frac", 0.5)?,
-            })
-        }
-        "adv-sinusoidal" => {
-            check_fields(v, path, &["family", "amp_frac", "period"])?;
-            Ok(ChannelModelSpec::AdversarialSinusoidal {
-                amp_frac: frac("amp_frac", 0.3)?,
-                period: positive_u64(v, path, "period")?.unwrap_or(50),
-            })
-        }
-        "adv-switching" => {
-            check_fields(v, path, &["family", "swing_frac", "dwell"])?;
-            Ok(ChannelModelSpec::AdversarialSwitching {
-                swing_frac: frac("swing_frac", 0.5)?,
-                dwell: positive_u64(v, path, "dwell")?.unwrap_or(25),
-            })
-        }
-        "adv-ramp" => {
-            check_fields(v, path, &["family", "horizon"])?;
-            Ok(ChannelModelSpec::AdversarialRamp {
-                horizon: positive_u64(v, path, "horizon")?.unwrap_or(1000),
-            })
-        }
-        "drifting" => {
-            check_fields(v, path, &["family", "shift_frac", "breakpoints", "ramp"])?;
-            let bp_path = format!("{path}.breakpoints");
-            let Some(items) = v.get("breakpoints").and_then(Json::as_arr) else {
-                return fail(
-                    &bp_path,
-                    "drifting needs a breakpoints array of positive slots",
-                );
-            };
-            let breakpoints: Vec<u64> = items
-                .iter()
-                .enumerate()
-                .map(|(i, b)| {
-                    b.as_u64().filter(|&b| b > 0).ok_or_else(|| SpecError {
-                        path: format!("{bp_path}[{i}]"),
-                        message: "must be a positive integer slot".to_string(),
-                    })
-                })
-                .collect::<Result<Vec<_>, _>>()?;
-            if breakpoints.is_empty() {
-                return fail(&bp_path, "needs at least one breakpoint");
-            }
-            if let Some(i) = breakpoints.windows(2).position(|w| w[0] >= w[1]) {
-                return fail(
-                    &format!("{bp_path}[{}]", i + 1),
-                    "breakpoints must be strictly increasing",
-                );
-            }
-            let ramp = opt_u64(v, path, "ramp")?.unwrap_or(0);
-            // A ramp longer than a segment would jump discontinuously
-            // from mid-ramp at the next breakpoint — refuse it up front
-            // (the process constructor panics on the same condition).
-            if let Some(w) = breakpoints.windows(2).find(|w| ramp > w[1] - w[0]) {
-                return fail(
-                    &format!("{path}.ramp"),
-                    format!(
-                        "ramp ({ramp}) must not exceed the gap between consecutive \
-                         breakpoints (smallest violated gap: {} to {})",
-                        w[0], w[1]
-                    ),
-                );
-            }
-            Ok(ChannelModelSpec::Drifting {
-                shift_frac: frac("shift_frac", 0.5)?,
-                breakpoints,
-                ramp,
-            })
-        }
-        other => fail(
-            &format!("{path}.family"),
-            format!(
-                "unknown channel family '{other}' (expected one of {})",
-                join_labels(FAMILIES.iter().copied())
-            ),
-        ),
-    }
-}
-
-fn opt_loss(v: &Json, path: &str) -> Result<Option<LossSpec>, SpecError> {
-    let Some(l) = v.get("loss") else {
-        return Ok(None);
-    };
-    let path = format!("{path}.loss");
-    if !matches!(l, Json::Obj(_)) {
-        return fail(&path, "expected a loss object {prob, seed}");
-    }
-    check_fields(l, &path, &["prob", "seed"])?;
-    let prob = opt_f64(l, &path, "prob")?.unwrap_or(0.0);
-    if !(0.0..1.0).contains(&prob) {
-        return fail(&format!("{path}.prob"), "must be in [0, 1)");
-    }
-    let seed = opt_u64(l, &path, "seed")?.unwrap_or(0);
-    Ok(Some(LossSpec { prob, seed }))
-}
-
-fn sizes_from_json(v: &Json, path: &str) -> Result<Vec<(usize, usize)>, SpecError> {
-    let Some(items) = v.as_arr() else {
-        return fail(path, "expected an array of [n, m] pairs");
-    };
-    items
-        .iter()
-        .enumerate()
-        .map(|(i, pair)| {
-            let path = format!("{path}[{i}]");
-            let err = || SpecError {
-                path: path.clone(),
-                message: "expected a [n, m] pair of positive integers".to_string(),
-            };
-            let xs = pair.as_arr().ok_or_else(err)?;
-            if xs.len() != 2 {
-                return Err(err());
-            }
-            let n = xs[0].as_u64().filter(|&n| n > 0).ok_or_else(err)? as usize;
-            let m = xs[1].as_u64().filter(|&m| m > 0).ok_or_else(err)? as usize;
-            Ok((n, m))
-        })
-        .collect()
-}
-
-// ---- Scalar field helpers (all carry the field path on failure).
-
-fn check_fields(v: &Json, path: &str, allowed: &[&str]) -> Result<(), SpecError> {
-    let Json::Obj(pairs) = v else {
-        return Ok(());
-    };
-    for (i, (key, _)) in pairs.iter().enumerate() {
-        if !allowed.contains(&key.as_str()) {
-            let mut message = format!(
-                "unknown field '{key}' (expected one of {})",
-                join_labels(allowed.iter().copied())
-            );
-            if let Some(near) = nearest(key, allowed.iter().copied()) {
-                message.push_str(&format!("; did you mean '{near}'?"));
-            }
-            return fail(path, message);
-        }
-        // `Json::get` returns the first match, so a repeated key would
-        // silently shadow the later value — exactly the kind of edit
-        // mistake (add a line, forget to delete the old one) this
-        // module exists to catch.
-        if pairs[..i].iter().any(|(earlier, _)| earlier == key) {
-            return fail(path, format!("duplicate field '{key}'"));
-        }
-    }
-    Ok(())
-}
-
-fn req_str(v: &Json, path: &str, key: &str) -> Result<String, SpecError> {
-    match v.get(key) {
-        Some(Json::Str(s)) => Ok(s.clone()),
-        Some(_) => fail(&format!("{path}.{key}"), "must be a string"),
-        None => fail(path, format!("missing required field '{key}'")),
-    }
-}
-
-fn opt_str(v: &Json, path: &str, key: &str) -> Result<Option<String>, SpecError> {
-    match v.get(key) {
-        None => Ok(None),
-        Some(Json::Str(s)) => Ok(Some(s.clone())),
-        Some(_) => fail(&format!("{path}.{key}"), "must be a string"),
-    }
-}
-
-fn opt_f64(v: &Json, path: &str, key: &str) -> Result<Option<f64>, SpecError> {
-    match v.get(key) {
-        None => Ok(None),
-        Some(Json::Num(x)) => Ok(Some(*x)),
-        Some(_) => fail(&format!("{path}.{key}"), "must be a number"),
-    }
-}
-
-fn opt_u64(v: &Json, path: &str, key: &str) -> Result<Option<u64>, SpecError> {
-    match v.get(key) {
-        None => Ok(None),
-        Some(value) => match value.as_u64() {
-            Some(x) => Ok(Some(x)),
-            None => fail(
-                &format!("{path}.{key}"),
-                "must be a non-negative integer (within 2^53)",
-            ),
-        },
-    }
-}
-
-fn positive_u64(v: &Json, path: &str, key: &str) -> Result<Option<u64>, SpecError> {
-    match opt_u64(v, path, key)? {
-        Some(0) => fail(&format!("{path}.{key}"), "must be positive"),
-        other => Ok(other),
-    }
-}
-
-fn opt_usize(v: &Json, path: &str, key: &str) -> Result<Option<usize>, SpecError> {
-    Ok(opt_u64(v, path, key)?.map(|x| x as usize))
-}
-
-fn positive_usize(v: &Json, path: &str, key: &str) -> Result<Option<usize>, SpecError> {
-    Ok(positive_u64(v, path, key)?.map(|x| x as usize))
-}
-
-fn opt_usizes(v: &Json, path: &str, key: &str) -> Result<Option<Vec<usize>>, SpecError> {
-    let Some(value) = v.get(key) else {
-        return Ok(None);
-    };
-    let path = format!("{path}.{key}");
-    let Some(items) = value.as_arr() else {
-        return fail(&path, "must be an array of non-negative integers");
-    };
-    items
-        .iter()
-        .enumerate()
-        .map(|(i, item)| {
-            item.as_u64().map(|x| x as usize).ok_or_else(|| SpecError {
-                path: format!("{path}[{i}]"),
-                message: "must be a non-negative integer".to_string(),
-            })
-        })
-        .collect::<Result<Vec<_>, _>>()
-        .map(Some)
-}
-
-/// As [`opt_usizes`], additionally requiring every element positive
-/// (zero-sized networks panic in the channel-matrix constructors).
-fn positive_usizes(v: &Json, path: &str, key: &str) -> Result<Option<Vec<usize>>, SpecError> {
-    let Some(xs) = opt_usizes(v, path, key)? else {
-        return Ok(None);
-    };
-    if let Some(i) = xs.iter().position(|&x| x == 0) {
-        return fail(&format!("{path}.{key}[{i}]"), "must be positive");
-    }
-    Ok(Some(xs))
-}
-
-fn join_labels<'a>(labels: impl Iterator<Item = &'a str>) -> String {
-    labels.collect::<Vec<_>>().join(", ")
+    schema::parse(v, path)
 }
 
 /// The closest candidate by edit distance (≤ 3 edits), for "did you
@@ -1071,6 +141,10 @@ pub fn edit_distance(a: &str, b: &str) -> usize {
 mod tests {
     use super::*;
     use crate::registry;
+    use crate::spec::SeedRange;
+    use mhca_core::experiment::ObserverKind;
+    use mhca_core::experiments::PolicyRunConfig;
+    use mhca_core::{ArrivalProcess, FlowSpec};
 
     #[test]
     fn every_registry_scenario_round_trips_byte_identically() {

@@ -49,6 +49,7 @@ pub mod json;
 pub mod manifest;
 pub mod registry;
 pub mod runner;
+mod schema;
 pub mod service_exec;
 pub mod spec;
 pub mod tail;

@@ -9,8 +9,8 @@
 //! `(metric, value)` pairs for cross-seed aggregation.
 
 use crate::json::Json;
+use crate::schema;
 use mhca_bench::report;
-use mhca_channels::ChannelModelSpec;
 use mhca_core::experiment::{
     run_experiment, ComplexityExperiment, Experiment, Fig5Experiment, Fig6Experiment,
     Fig7Experiment, Fig8Experiment, ObserverKind, ObserverSet, PolicyDuelExperiment,
@@ -20,9 +20,6 @@ use mhca_core::experiments::{
     ComplexityConfig, Fig5Config, Fig6Config, Fig7Config, Fig8Config, PolicyRunConfig, PolicySpec,
     Theorem3Config,
 };
-use mhca_core::{ArrivalProcess, TrafficSpec};
-use mhca_graph::TopologySpec;
-use mhca_sim::LossSpec;
 use mhca_telemetry::Telemetry;
 use std::io::{self, Write};
 
@@ -179,243 +176,8 @@ impl ExperimentKind {
     /// Canonical JSON rendering of the kind and its full parameterization
     /// (the manifest's `spec` record; hashed for resume validation).
     pub fn to_json(&self) -> Json {
-        let mut pairs = vec![("kind", Json::str(self.tag()))];
-        match self {
-            ExperimentKind::Fig5(cfg) => {
-                pairs.push(("ns", usizes(&cfg.ns)));
-                pairs.push(("r", Json::Num(cfg.r as f64)));
-            }
-            ExperimentKind::Fig6(cfg) => {
-                pairs.push((
-                    "sizes",
-                    Json::Arr(
-                        cfg.sizes
-                            .iter()
-                            .map(|&(n, m)| {
-                                Json::Arr(vec![Json::Num(n as f64), Json::Num(m as f64)])
-                            })
-                            .collect(),
-                    ),
-                ));
-                pairs.push(("topology", topology_json(&cfg.topology)));
-                pairs.push(("channel", channel_json(&cfg.channel)));
-                pairs.push(("loss", loss_json(&cfg.loss)));
-                pairs.push(("r", Json::Num(cfg.r as f64)));
-                pairs.push(("minirounds", Json::Num(cfg.minirounds as f64)));
-            }
-            ExperimentKind::Fig7(cfg) => {
-                pairs.push(("n", Json::Num(cfg.n as f64)));
-                pairs.push(("m", Json::Num(cfg.m as f64)));
-                pairs.push(("topology", topology_json(&cfg.topology)));
-                pairs.push(("channel", channel_json(&cfg.channel)));
-                pairs.push(("loss", loss_json(&cfg.loss)));
-                pairs.push(("horizon", Json::Num(cfg.horizon as f64)));
-                pairs.push(("r", Json::Num(cfg.r as f64)));
-                pairs.push(("minirounds", Json::Num(cfg.minirounds as f64)));
-            }
-            ExperimentKind::Fig8(cfg) => {
-                pairs.push(("n", Json::Num(cfg.n as f64)));
-                pairs.push(("m", Json::Num(cfg.m as f64)));
-                pairs.push(("topology", topology_json(&cfg.topology)));
-                pairs.push(("channel", channel_json(&cfg.channel)));
-                pairs.push(("loss", loss_json(&cfg.loss)));
-                pairs.push(("update_periods", usizes(&cfg.update_periods)));
-                pairs.push(("updates_per_run", Json::Num(cfg.updates_per_run as f64)));
-                pairs.push(("r", Json::Num(cfg.r as f64)));
-                pairs.push(("minirounds", Json::Num(cfg.minirounds as f64)));
-            }
-            ExperimentKind::Table2 => {}
-            ExperimentKind::Complexity(cfg) => {
-                pairs.push(("ns", usizes(&cfg.ns)));
-                pairs.push(("m", Json::Num(cfg.m as f64)));
-                pairs.push(("rs", usizes(&cfg.rs)));
-                pairs.push(("topology", topology_json(&cfg.topology)));
-                pairs.push(("channel", channel_json(&cfg.channel)));
-                pairs.push(("minirounds", Json::Num(cfg.minirounds as f64)));
-            }
-            ExperimentKind::Theorem3(cfg) => {
-                pairs.push(("n", Json::Num(cfg.n as f64)));
-                pairs.push(("m", Json::Num(cfg.m as f64)));
-                pairs.push(("topology", topology_json(&cfg.topology)));
-                pairs.push(("channel", channel_json(&cfg.channel)));
-                pairs.push(("instances", Json::Num(cfg.instances as f64)));
-            }
-            ExperimentKind::PolicyRun(cfg) => {
-                push_policy_run_fields(&mut pairs, cfg);
-            }
-            ExperimentKind::PolicyDuel { base, challenger } => {
-                push_policy_run_fields(&mut pairs, base);
-                pairs.push(("challenger", policy_json(challenger)));
-            }
-        }
-        Json::obj(pairs)
+        schema::emit(self)
     }
-}
-
-fn usizes(xs: &[usize]) -> Json {
-    Json::Arr(xs.iter().map(|&x| Json::Num(x as f64)).collect())
-}
-
-fn push_policy_run_fields(pairs: &mut Vec<(&str, Json)>, cfg: &PolicyRunConfig) {
-    pairs.push(("n", Json::Num(cfg.n as f64)));
-    pairs.push(("m", Json::Num(cfg.m as f64)));
-    pairs.push(("topology", topology_json(&cfg.topology)));
-    pairs.push(("channel", channel_json(&cfg.channel)));
-    pairs.push(("policy", policy_json(&cfg.policy)));
-    pairs.push(("loss", loss_json(&cfg.loss)));
-    pairs.push(("horizon", Json::Num(cfg.horizon as f64)));
-    pairs.push(("update_period", Json::Num(cfg.update_period as f64)));
-    pairs.push(("r", Json::Num(cfg.r as f64)));
-    pairs.push(("minirounds", Json::Num(cfg.minirounds as f64)));
-    pairs.push(("partitions", Json::Num(cfg.partitions as f64)));
-    // Emitted only when configured, so traffic-free specs (and their
-    // hashes, which guard manifest resume) are byte-identical to pre-
-    // traffic-layer renderings.
-    if let Some(traffic) = &cfg.traffic {
-        pairs.push(("traffic", traffic_json(traffic)));
-    }
-}
-
-///// Canonical JSON of a traffic workload: the arrival process as a tagged
-/// object, flows as `{src, dst[, deadline]}` objects (the deadline key is
-/// omitted, not null, for unbounded flows), plus packet size and the
-/// dedicated arrival-stream seed.
-fn traffic_json(t: &TrafficSpec) -> Json {
-    let mut arrivals = vec![("process", Json::str(t.arrivals.label()))];
-    match t.arrivals {
-        ArrivalProcess::Poisson { rate } => arrivals.push(("rate", Json::Num(rate))),
-        ArrivalProcess::Deterministic { period } => {
-            arrivals.push(("period", Json::Num(period as f64)));
-        }
-        ArrivalProcess::Bursty { rate, burst } => {
-            arrivals.push(("rate", Json::Num(rate)));
-            arrivals.push(("burst", Json::Num(burst as f64)));
-        }
-    }
-    let flows = t
-        .flows
-        .iter()
-        .map(|f| {
-            let mut pairs = vec![
-                ("src", Json::Num(f.src as f64)),
-                ("dst", Json::Num(f.dst as f64)),
-            ];
-            if let Some(d) = f.deadline {
-                pairs.push(("deadline", Json::Num(d as f64)));
-            }
-            Json::obj(pairs)
-        })
-        .collect();
-    Json::obj(vec![
-        ("arrivals", Json::obj(arrivals)),
-        ("flows", Json::Arr(flows)),
-        ("packet_kbps", Json::Num(t.packet_kbps)),
-        ("seed", Json::Num(t.seed as f64)),
-    ])
-}
-
-/// Full policy serialization — name *and* parameters, so the spec hash
-/// catches parameter-only edits (a resume guard, like the topology and
-/// channel renderings).
-fn policy_json(p: &PolicySpec) -> Json {
-    let mut pairs = vec![("name", Json::str(p.label()))];
-    match *p {
-        PolicySpec::CsUcb { l } | PolicySpec::Llr { l } => pairs.push(("l", Json::Num(l))),
-        PolicySpec::Thompson { sigma } => pairs.push(("sigma", Json::Num(sigma))),
-        PolicySpec::DiscountedCsUcb { gamma } => pairs.push(("gamma", Json::Num(gamma))),
-        PolicySpec::EpsilonGreedy { eps } => pairs.push(("eps", Json::Num(eps))),
-        PolicySpec::Random | PolicySpec::Oracle => {}
-    }
-    Json::obj(pairs)
-}
-
-fn topology_json(t: &TopologySpec) -> Json {
-    let mut pairs = vec![("family", Json::str(t.label()))];
-    if let TopologySpec::UnitDisk { avg_degree } | TopologySpec::UnitDiskConnected { avg_degree } =
-        t
-    {
-        pairs.push(("avg_degree", Json::Num(*avg_degree)));
-    }
-    Json::obj(pairs)
-}
-
-fn channel_json(c: &ChannelModelSpec) -> Json {
-    let mut pairs = vec![("family", Json::str(c.label()))];
-    match *c {
-        ChannelModelSpec::GaussianRateClasses { sigma_frac } => {
-            pairs.push(("sigma_frac", Json::Num(sigma_frac)));
-        }
-        ChannelModelSpec::ConstantRateClasses => {}
-        ChannelModelSpec::BernoulliRateClasses { p } => pairs.push(("p", Json::Num(p))),
-        ChannelModelSpec::UniformRateClasses { spread_frac } => {
-            pairs.push(("spread_frac", Json::Num(spread_frac)));
-        }
-        ChannelModelSpec::AdversarialSinusoidal { amp_frac, period } => {
-            pairs.push(("amp_frac", Json::Num(amp_frac)));
-            pairs.push(("period", Json::Num(period as f64)));
-        }
-        ChannelModelSpec::AdversarialSwitching { swing_frac, dwell } => {
-            pairs.push(("swing_frac", Json::Num(swing_frac)));
-            pairs.push(("dwell", Json::Num(dwell as f64)));
-        }
-        ChannelModelSpec::AdversarialRamp { horizon } => {
-            pairs.push(("horizon", Json::Num(horizon as f64)));
-        }
-        ChannelModelSpec::Drifting {
-            shift_frac,
-            ref breakpoints,
-            ramp,
-        } => {
-            pairs.push(("shift_frac", Json::Num(shift_frac)));
-            pairs.push((
-                "breakpoints",
-                Json::Arr(breakpoints.iter().map(|&b| Json::Num(b as f64)).collect()),
-            ));
-            pairs.push(("ramp", Json::Num(ramp as f64)));
-        }
-    }
-    Json::obj(pairs)
-}
-
-/// Canonical JSON of one observer choice: parameterless kinds emit their
-/// bare label (`"comm-totals"`), parameterized kinds an object carrying
-/// their knobs (`{"kind": "windowed-regret", "window": 250}`) — both
-/// shapes re-ingest through `mhca_campaign::ingest`.
-fn observer_json(o: &ObserverKind) -> Json {
-    match *o {
-        ObserverKind::SensingCost {
-            probe_cost,
-            report_cost,
-        } => Json::obj(vec![
-            ("kind", Json::str(o.label())),
-            ("probe_cost", Json::Num(probe_cost)),
-            ("report_cost", Json::Num(report_cost)),
-        ]),
-        ObserverKind::WindowedRegret { window } => Json::obj(vec![
-            ("kind", Json::str(o.label())),
-            ("window", Json::Num(window as f64)),
-        ]),
-        ObserverKind::QueueTail { bound } => Json::obj(vec![
-            ("kind", Json::str(o.label())),
-            ("bound", Json::Num(bound as f64)),
-        ]),
-        // Parameterless kinds, enumerated (no wildcard): a future
-        // parameterized variant must fail to compile here rather than
-        // silently emit a bare label and lose its knobs on re-ingestion.
-        ObserverKind::DecideTiming
-        | ObserverKind::CommTotals
-        | ObserverKind::PerVertexTx
-        | ObserverKind::Throughput
-        | ObserverKind::CaptureStats
-        | ObserverKind::FlowDelay => Json::str(o.label()),
-    }
-}
-
-fn loss_json(l: &LossSpec) -> Json {
-    Json::obj(vec![
-        ("prob", Json::Num(l.prob)),
-        ("seed", Json::Num(l.seed as f64)),
-    ])
 }
 
 /// One named scenario of a campaign: an experiment kind, a seed range,
@@ -499,25 +261,7 @@ impl ScenarioSpec {
     /// Canonical JSON rendering (recorded in the manifest; hashed for
     /// resume validation; re-ingestible via `mhca_campaign::ingest`).
     pub fn to_json(&self) -> Json {
-        let mut pairs = vec![
-            ("name", Json::str(&self.name)),
-            ("title", Json::str(&self.title)),
-            ("spec", self.kind.to_json()),
-            (
-                "seeds",
-                Json::obj(vec![
-                    ("start", Json::Num(self.seeds.start as f64)),
-                    ("count", Json::Num(self.seeds.count as f64)),
-                ]),
-            ),
-        ];
-        if !self.observers.is_empty() {
-            pairs.push((
-                "observers",
-                Json::Arr(self.observers.iter().map(observer_json).collect()),
-            ));
-        }
-        Json::obj(pairs)
+        schema::emit(self)
     }
 }
 
