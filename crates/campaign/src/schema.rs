@@ -141,8 +141,6 @@ pub(crate) trait Schema: Clone {
     const LABEL: fn(&Self) -> &'static str = |_| "";
     /// Whether fieldless variants are written as their bare label.
     const BARE: bool = false;
-    /// Whether an unknown tag gets a did-you-mean hint.
-    const HINTS: bool = false;
     /// Array diagnostic, for types that appear as array elements.
     const ARRAY: &'static str = "";
     /// Whether an empty array of these is left out.
@@ -251,7 +249,7 @@ fn lookup<T: Schema>(label: &str, path: &str) -> Result<T, SpecError> {
         "unknown {noun} '{label}' (expected one of {})",
         labels().collect::<Vec<_>>().join(", ")
     );
-    if let Some(near) = nearest(label, labels()).filter(|_| T::HINTS) {
+    if let Some(near) = nearest(label, labels()) {
         message.push_str(&format!("; did you mean '{near}'?"));
     }
     fail(path, message)
@@ -571,7 +569,6 @@ impl Schema for ExperimentKind {
     const EXPECTED: &'static str = "expected an experiment spec object";
     const TAG: Option<(&'static str, &'static str)> = Some(("kind", "experiment kind"));
     const LABEL: fn(&Self) -> &'static str = ExperimentKind::tag;
-    const HINTS: bool = true;
 
     fn templates() -> Vec<Self> {
         vec![
@@ -816,7 +813,6 @@ impl Schema for ArrivalProcess {
     const EXPECTED: &'static str = "expected an arrival-process object {process, ...}";
     const TAG: Option<(&'static str, &'static str)> = Some(("process", "arrival process"));
     const LABEL: fn(&Self) -> &'static str = ArrivalProcess::label;
-    const HINTS: bool = true;
 
     variants! { ArrivalProcess:
         Poisson { rate "rate" = 0.5 => checked(positive_finite); },

@@ -167,7 +167,7 @@ const DIAGNOSTICS_GOLDEN: &[(&str, &str, &str)] = &[
     (r#"{"name":"x","spec":{"kind":"table2"},"seeds":{"start":9007199254740991,"count":2}}"#, "scenario.seeds", "start + count must stay within 2^53 (JSON-exact integers)"),
     (r#"{"name":"x","spec":{"kind":"table2"},"observers":"comm-totals"}"#, "scenario.observers", "expected an array of observer labels or objects"),
     (r#"{"name":"x","spec":{"kind":"table2"},"observers":[5]}"#, "scenario.observers[0]", "expected an observer label string or object"),
-    (r#"{"name":"x","spec":{"kind":"table2"},"observers":["comm-total"]}"#, "scenario.observers[0]", "unknown observer 'comm-total' (expected one of decide-timing, comm-totals, per-vertex-tx, throughput, sensing-cost, capture-stats, windowed-regret, flow-delay, queue-tail)"),
+    (r#"{"name":"x","spec":{"kind":"table2"},"observers":["comm-total"]}"#, "scenario.observers[0]", "unknown observer 'comm-total' (expected one of decide-timing, comm-totals, per-vertex-tx, throughput, sensing-cost, capture-stats, windowed-regret, flow-delay, queue-tail); did you mean 'comm-totals'?"),
     (r#"{"name":"x","spec":{"kind":"table2"},"observers":["comm-totals","throughput","comm-totals"]}"#, "scenario.observers[2]", "duplicate observer 'comm-totals'"),
     (r#"{"name":"x","spec":{"kind":"table2"},"observers":["windowed-regret",{"kind":"windowed-regret","window":50}]}"#, "scenario.observers[1]", "duplicate observer 'windowed-regret'"),
     (r#"{"name":"x","spec":{"kind":"table2"},"observers":[{"window":5}]}"#, "scenario.observers[0]", "missing required field 'kind'"),
@@ -218,13 +218,13 @@ const DIAGNOSTICS_GOLDEN: &[(&str, &str, &str)] = &[
     (r#"{"name":"x","spec":{"kind":"policy-duel","horizon":0,"challenger":{"name":"llr"}}}"#, "scenario.spec.horizon", "must be positive"),
     (r#"{"name":"x","spec":{"kind":"fig7","topology":"line"}}"#, "scenario.spec.topology", "expected a topology object {family, ...}"),
     (r#"{"name":"x","spec":{"kind":"fig7","topology":{}}}"#, "scenario.spec.topology", "missing required field 'family'"),
-    (r#"{"name":"x","spec":{"kind":"fig7","topology":{"family":"unit-disc"}}}"#, "scenario.spec.topology.family", "unknown topology family 'unit-disc' (expected one of unit-disk, unit-disk-connected, line, ring, grid, star, complete, independent)"),
+    (r#"{"name":"x","spec":{"kind":"fig7","topology":{"family":"unit-disc"}}}"#, "scenario.spec.topology.family", "unknown topology family 'unit-disc' (expected one of unit-disk, unit-disk-connected, line, ring, grid, star, complete, independent); did you mean 'unit-disk'?"),
     (r#"{"name":"x","spec":{"kind":"fig7","topology":{"family":"unit-disk","avg_deg":3}}}"#, "scenario.spec.topology", "unknown field 'avg_deg' (expected one of family, avg_degree); did you mean 'avg_degree'?"),
     (r#"{"name":"x","spec":{"kind":"fig7","topology":{"family":"line","avg_degree":3}}}"#, "scenario.spec.topology", "unknown field 'avg_degree' (expected one of family)"),
     (r#"{"name":"x","spec":{"kind":"fig7","topology":{"family":"unit-disk","avg_degree":0}}}"#, "scenario.spec.topology.avg_degree", "must be positive"),
     (r#"{"name":"x","spec":{"kind":"fig7","topology":{"family":"unit-disk-connected","avg_degree":0}}}"#, "scenario.spec.topology.avg_degree", "must be positive"),
     (r#"{"name":"x","spec":{"kind":"fig7","channel":[]}}"#, "scenario.spec.channel", "expected a channel-model object {family, ...}"),
-    (r#"{"name":"x","spec":{"kind":"fig7","channel":{"family":"gaussain"}}}"#, "scenario.spec.channel.family", "unknown channel family 'gaussain' (expected one of gaussian, constant, bernoulli, uniform, adv-sinusoidal, adv-switching, adv-ramp, drifting)"),
+    (r#"{"name":"x","spec":{"kind":"fig7","channel":{"family":"gaussain"}}}"#, "scenario.spec.channel.family", "unknown channel family 'gaussain' (expected one of gaussian, constant, bernoulli, uniform, adv-sinusoidal, adv-switching, adv-ramp, drifting); did you mean 'gaussian'?"),
     (r#"{"name":"x","spec":{"kind":"fig7","channel":{"family":"gaussian","sigma":0.1}}}"#, "scenario.spec.channel", "unknown field 'sigma' (expected one of family, sigma_frac)"),
     (r#"{"name":"x","spec":{"kind":"fig7","channel":{"family":"constant","p":0.5}}}"#, "scenario.spec.channel", "unknown field 'p' (expected one of family)"),
     (r#"{"name":"x","spec":{"kind":"fig7","channel":{"family":"gaussian","sigma_frac":1.01}}}"#, "scenario.spec.channel.sigma_frac", "must be in [0, 1]"),
@@ -253,7 +253,7 @@ const DIAGNOSTICS_GOLDEN: &[(&str, &str, &str)] = &[
     (r#"{"name":"x","spec":{"kind":"fig7","loss":{"seed":-1}}}"#, "scenario.spec.loss.seed", "must be a non-negative integer (within 2^53)"),
     (r#"{"name":"x","spec":{"kind":"policy-run","policy":"cs-ucb"}}"#, "scenario.spec.policy", "expected a policy object {name, ...}"),
     (r#"{"name":"x","spec":{"kind":"policy-run","policy":{"l":2}}}"#, "scenario.spec.policy", "missing required field 'name'"),
-    (r#"{"name":"x","spec":{"kind":"policy-run","policy":{"name":"cs-ucbb"}}}"#, "scenario.spec.policy.name", "unknown policy 'cs-ucbb' (expected one of cs-ucb, llr, thompson, discounted-cs-ucb, epsilon-greedy, random, oracle)"),
+    (r#"{"name":"x","spec":{"kind":"policy-run","policy":{"name":"cs-ucbb"}}}"#, "scenario.spec.policy.name", "unknown policy 'cs-ucbb' (expected one of cs-ucb, llr, thompson, discounted-cs-ucb, epsilon-greedy, random, oracle); did you mean 'cs-ucb'?"),
     (r#"{"name":"x","spec":{"kind":"policy-run","policy":{"name":"cs-ucb","gamma":0.5}}}"#, "scenario.spec.policy", "unknown field 'gamma' (expected one of name, l); did you mean 'name'?"),
     (r#"{"name":"x","spec":{"kind":"policy-run","policy":{"name":"random","l":2}}}"#, "scenario.spec.policy", "unknown field 'l' (expected one of name)"),
     (r#"{"name":"x","spec":{"kind":"policy-run","policy":{"name":"llr","l":"two"}}}"#, "scenario.spec.policy.l", "must be a number"),
