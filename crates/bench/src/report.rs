@@ -348,22 +348,37 @@ pub fn render_policy_run(
     Ok(())
 }
 
-/// Streamed observer metrics as their own CSV section: a blank line, a
-/// commentary header, then one `observer_metric,value` row per metric in
-/// emission order. The campaign's per-seed artifact writer appends this
-/// after [`render_experiment`] whenever a scenario registered observers,
-/// so series-shaped observer output — e.g. the windowed-regret
-/// `wNN_end_slot` / `wNN_regret_per_slot` pairs — lands in the artifact
-/// CSV, not just in the flat campaign aggregates.
-pub fn render_observer_metrics<'a>(
-    rows: impl Iterator<Item = &'a (String, f64)>,
+/// A campaign job's per-seed artifact: the experiment's figure CSV
+/// ([`render_experiment`]), then the streamed observer metrics as their
+/// own CSV section — a blank line, a commentary header, then one
+/// `observer_metric,value` row per metric in emission order — so
+/// series-shaped observer output (e.g. the windowed-regret
+/// `wNN_end_slot` / `wNN_regret_per_slot` pairs) lands in the artifact
+/// CSV, not just in the flat campaign aggregates. The one rendering
+/// shared by the batch runner and the service executor.
+///
+/// Observer rows are the label-prefixed tail of `rows` (`label:metric`;
+/// experiment headline metrics never carry a colon). The section is
+/// gated on those rows, not on whether observers were registered:
+/// metrics-silent observers (the telemetry observer behind `--trace`)
+/// leave artifacts byte-identical to an untraced run. Every built-in
+/// `ObserverKind` emits rows, so for declared observers the two gates
+/// agree.
+pub fn render_job_artifact(
+    data: &ExperimentData,
+    rows: &[(String, f64)],
     out: &mut dyn Write,
 ) -> io::Result<()> {
+    render_experiment(data, out)?;
+    let mut observer_rows = rows.iter().filter(|(k, _)| k.contains(':')).peekable();
+    if observer_rows.peek().is_none() {
+        return Ok(());
+    }
     let mut w = CsvWriter::new(out);
     w.blank()?;
     w.comment("streaming observer metrics (observer:metric, emission order)")?;
     w.row(&["observer_metric", "value"])?;
-    for (name, value) in rows {
+    for (name, value) in observer_rows {
         w.row(&[name.clone(), format!("{value}")])?;
     }
     Ok(())

@@ -13,25 +13,27 @@
 //!   position, the round counter, and every registered observer — via
 //!   the exact codec in `mhca_service::checkpoint`, so a resumed seed
 //!   finishes byte-identical to an uninterrupted one (metrics *and*
-//!   rendered artifact; pinned by `tests/service_resume.rs`).
+//!   rendered artifact; pinned by this module's
+//!   `*_resumes_*byte_identically` tests and the `traffic_service_resume`
+//!   contract in `mhca-specgen`).
 //! * **Opaque** (every other kind): the seed runs to completion through
 //!   the same [`run_job_traced`](ScenarioSpec::run_job_traced) path the
 //!   batch runner uses. [`JobCtrl`] is polled once at the start; a
 //!   mid-seed checkpoint records [`Json::Null`] and resume restarts the
 //!   seed (they are minutes-scale at worst, and deterministic).
 //!
-//! The steppable path replicates the engine's metric emission and
-//! artifact rendering exactly (same order, same sections), so a
-//! service-run seed and a batch-run seed produce identical bytes.
+//! The steppable path builds its workload with
+//! `PolicyRunExperiment::setup`, emits `PolicyRunExperiment::headline_metrics`
+//! and renders `mhca_bench::report::render_job_artifact` — the calls the
+//! batch path makes — so a service-run seed and a batch-run seed produce
+//! identical bytes.
 
 use crate::ingest;
 use crate::json::Json;
 use crate::spec::{ExperimentKind, ScenarioSpec};
 use mhca_bench::report;
-use mhca_core::{
-    Algorithm2Config, DistributedPtasConfig, ExperimentData, MetricTable, Network, ObserverSet,
-    PolicyRunConfig, PolicyRunner,
-};
+use mhca_core::experiment::PolicyRunExperiment;
+use mhca_core::{ExperimentData, ObserverSet, PolicyRunConfig, PolicyRunner};
 use mhca_service::checkpoint::{
     state_map_from_json, state_map_to_json, u64_from_json, u64_to_json,
 };
@@ -146,28 +148,14 @@ fn run_steppable_seed(
     telemetry: &Telemetry,
     ctrl: &mut dyn JobCtrl,
 ) -> Result<Option<JobOutput>, String> {
-    // Exactly the construction `PolicyRunExperiment::run_one` performs —
-    // the seed overrides the config's own, the network and both config
-    // layers derive from the spec — so service and batch runs share one
-    // definition of the workload.
+    // The batch run's own workload definition and, below, its metric
+    // emission and artifact rendering: a service-run seed and a
+    // batch-run seed produce identical bytes.
     let cfg = PolicyRunConfig {
         seed,
         ..base.clone()
     };
-    let net = Network::from_spec(cfg.n, cfg.m, &cfg.topology, &cfg.channel, seed);
-    let dcfg = DistributedPtasConfig::default()
-        .with_r(cfg.r)
-        .with_max_minirounds(Some(cfg.minirounds))
-        .with_loss_spec(cfg.loss)
-        .with_partitions(cfg.partitions);
-    let mut acfg = Algorithm2Config::default()
-        .with_horizon(cfg.horizon)
-        .with_update_period(cfg.update_period)
-        .with_decision(dcfg)
-        .with_seed(seed);
-    if let Some(traffic) = &cfg.traffic {
-        acfg = acfg.with_traffic(traffic.clone());
-    }
+    let (net, acfg) = PolicyRunExperiment::setup(&cfg, seed);
     let mut policy = cfg.policy.build(&net);
     let mut observers = ObserverSet::from_kinds(&spec.observers);
     observers.attach_telemetry(telemetry);
@@ -198,39 +186,12 @@ fn run_steppable_seed(
     }
     let run = runner.finish(policy.as_ref());
 
-    // Replicate the engine's metric emission (`PolicyRunExperiment::run`
-    // headline rows, then `ObserverSet::finish_into`) and the batch
-    // runner's artifact rendering, so service and batch outputs are
-    // byte-identical.
-    let mut metrics = MetricTable::new();
-    metrics.push("avg_expected_kbps", run.average_expected_kbps);
-    metrics.push("avg_effective_kbps", run.average_effective_kbps);
-    metrics.push("avg_observed_kbps", run.average_observed_kbps);
-    metrics.push("transmissions", run.comm.transmissions as f64);
-    metrics.push("decisions", run.comm.decisions as f64);
-    // Traffic headline rows, exactly as `PolicyRunExperiment::run` emits
-    // them — present only when the scenario carries a TrafficSpec.
-    if let Some(t) = &run.traffic {
-        metrics.push("arrivals", t.arrivals as f64);
-        metrics.push("delivered", t.delivered as f64);
-        metrics.push("ontime", t.ontime as f64);
-        metrics.push("backlog", t.backlog as f64);
-        metrics.push("mean_delay_slots", t.mean_delay());
-        metrics.push("delay_utility", t.delay_utility());
-    }
+    let mut metrics = PolicyRunExperiment::headline_metrics(&run);
     observers.finish_into(&mut metrics);
     let rows = metrics.into_rows();
-
-    let data = ExperimentData::PolicyRun { cfg, run };
     let mut artifact = Vec::new();
-    report::render_experiment(&data, &mut artifact).map_err(|e| e.to_string())?;
-    if rows.iter().any(|(k, _)| k.contains(':')) {
-        report::render_observer_metrics(
-            rows.iter().filter(|(k, _)| k.contains(':')),
-            &mut artifact,
-        )
-        .map_err(|e| e.to_string())?;
-    }
+    let data = ExperimentData::PolicyRun { cfg, run };
+    report::render_job_artifact(&data, &rows, &mut artifact).map_err(|e| e.to_string())?;
     Ok(Some(JobOutput {
         artifact,
         metrics: rows,

@@ -141,11 +141,11 @@ impl ExperimentKind {
     }
 
     /// Runs the experiment for one seed through the unified engine,
-    /// writes the per-seed figure CSV into `artifact` — followed by the
-    /// streamed observer metrics as their own CSV section when any
-    /// observers were registered — and returns the flat headline metrics
-    /// (experiment metrics first, then the registered observers' metrics)
-    /// used for cross-seed aggregation.
+    /// writes the per-seed artifact into `artifact` (the figure CSV, then
+    /// any observer metrics; see [`report::render_job_artifact`]) and
+    /// returns the flat headline metrics (experiment metrics first, then
+    /// the registered observers' metrics) used for cross-seed
+    /// aggregation.
     pub fn run_with_observers(
         &self,
         seed: u64,
@@ -153,23 +153,8 @@ impl ExperimentKind {
         observers: ObserverSet,
     ) -> io::Result<Vec<(String, f64)>> {
         let out = run_experiment(self.experiment().as_ref(), seed, observers);
-        report::render_experiment(&out.data, artifact)?;
         let rows = out.metrics.into_rows();
-        // Observer rows are the label-prefixed tail of the table
-        // (`label:metric` — experiment headline metrics never carry a
-        // colon). Rendering them into the per-seed artifact is what
-        // makes e.g. the windowed-regret series a standalone CSV. The
-        // section is gated on the *rows*, not on whether observers were
-        // registered: metrics-silent observers (the TelemetryObserver the
-        // `--trace` path registers) must leave artifacts byte-identical
-        // to an untraced run. Every built-in ObserverKind always emits
-        // rows, so the gate is equivalent for spec-declared observers.
-        if rows.iter().any(|(k, _)| k.contains(':')) {
-            report::render_observer_metrics(
-                rows.iter().filter(|(k, _)| k.contains(':')),
-                artifact,
-            )?;
-        }
+        report::render_job_artifact(&out.data, &rows, artifact)?;
         Ok(rows)
     }
 

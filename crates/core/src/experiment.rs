@@ -1874,9 +1874,11 @@ impl Experiment for Theorem3Experiment {
 pub struct PolicyRunExperiment(pub PolicyRunConfig);
 
 impl PolicyRunExperiment {
-    /// Runs the config at one seed with observers — shared by the plain
-    /// run and the duel.
-    fn run_one(cfg: &PolicyRunConfig, seed: u64, observers: &mut ObserverSet) -> RunResult {
+    /// The network and Algorithm 2 configuration `cfg` runs on at `seed`
+    /// (the seed overrides the config's own). The one definition of the
+    /// workload, shared by the plain run, the duel and any stepped
+    /// driver of the same run (the campaign service's executor).
+    pub fn setup(cfg: &PolicyRunConfig, seed: u64) -> (Network, Algorithm2Config) {
         let net = Network::from_spec(cfg.n, cfg.m, &cfg.topology, &cfg.channel, seed);
         let dcfg = DistributedPtasConfig::default()
             .with_r(cfg.r)
@@ -1891,6 +1893,35 @@ impl PolicyRunExperiment {
         if let Some(traffic) = &cfg.traffic {
             acfg = acfg.with_traffic(traffic.clone());
         }
+        (net, acfg)
+    }
+
+    /// The headline metrics of one finished run, in emission order (the
+    /// observers' metrics follow them).
+    pub fn headline_metrics(run: &RunResult) -> MetricTable {
+        let mut metrics = MetricTable::new();
+        metrics.push("avg_expected_kbps", run.average_expected_kbps);
+        metrics.push("avg_effective_kbps", run.average_effective_kbps);
+        metrics.push("avg_observed_kbps", run.average_observed_kbps);
+        metrics.push("transmissions", run.comm.transmissions as f64);
+        metrics.push("decisions", run.comm.decisions as f64);
+        // Traffic headline rows exist only when the scenario carries a
+        // TrafficSpec, so traffic-free artifacts stay byte-identical.
+        if let Some(t) = &run.traffic {
+            metrics.push("arrivals", t.arrivals as f64);
+            metrics.push("delivered", t.delivered as f64);
+            metrics.push("ontime", t.ontime as f64);
+            metrics.push("backlog", t.backlog as f64);
+            metrics.push("mean_delay_slots", t.mean_delay());
+            metrics.push("delay_utility", t.delay_utility());
+        }
+        metrics
+    }
+
+    /// Runs the config at one seed with observers — shared by the plain
+    /// run and the duel.
+    fn run_one(cfg: &PolicyRunConfig, seed: u64, observers: &mut ObserverSet) -> RunResult {
+        let (net, acfg) = Self::setup(cfg, seed);
         let mut policy = cfg.policy.build(&net);
         run_policy_observed(&net, &acfg, policy.as_mut(), observers)
     }
@@ -1911,25 +1942,9 @@ impl Experiment for PolicyRunExperiment {
             ..self.0.clone()
         };
         let run = Self::run_one(&cfg, ctx.seed, &mut ctx.observers);
-        let mut metrics = MetricTable::new();
-        metrics.push("avg_expected_kbps", run.average_expected_kbps);
-        metrics.push("avg_effective_kbps", run.average_effective_kbps);
-        metrics.push("avg_observed_kbps", run.average_observed_kbps);
-        metrics.push("transmissions", run.comm.transmissions as f64);
-        metrics.push("decisions", run.comm.decisions as f64);
-        // Traffic headline rows exist only when the scenario carries a
-        // TrafficSpec, so traffic-free artifacts stay byte-identical.
-        if let Some(t) = &run.traffic {
-            metrics.push("arrivals", t.arrivals as f64);
-            metrics.push("delivered", t.delivered as f64);
-            metrics.push("ontime", t.ontime as f64);
-            metrics.push("backlog", t.backlog as f64);
-            metrics.push("mean_delay_slots", t.mean_delay());
-            metrics.push("delay_utility", t.delay_utility());
-        }
         ExperimentOutput {
+            metrics: Self::headline_metrics(&run),
             data: ExperimentData::PolicyRun { cfg, run },
-            metrics,
         }
     }
 }
