@@ -2,27 +2,28 @@
 //! [`ScenarioSpec::to_json`].
 //!
 //! `mhca-campaign show <scenario>` emits canonical spec JSON; this module
-//! parses the same shape back into [`ScenarioSpec`]s, so arbitrary
-//! user-defined campaigns run through `mhca-campaign run --scenario-file`
-//! **without recompiling the registry** (the ROADMAP spec-ingestion
-//! item). Three document shapes are accepted:
+//! parses the same shape back into [`ScenarioSpec`]s, so user-defined
+//! campaigns run through `mhca-campaign run --scenario-file` without
+//! recompiling the registry. Three document shapes are accepted:
 //!
 //! * a single scenario object (what `show` prints),
 //! * an array of scenario objects,
 //! * a campaign document `{"campaign": <name>, "scenarios": [...]}`.
 //!
-//! Decoding is strict where it protects the user: unknown fields are
-//! rejected (catching typos like `horizion`), every error carries the
-//! JSON field path it arose at, and values that would panic deep in the
-//! simulator (zero horizons, out-of-range probabilities, oversized seed
-//! ranges) are refused up front with the same field-path diagnostics.
-//! Omitted optional fields fall back to the corresponding config's
-//! `Default`, so hand-authored files only need the fields they change —
-//! while a round trip of `show` output (which carries every field)
+//! Each spec type is described once, in the crate's schema module: its
+//! fields, with JSON key, default and check, drive both the emitter and
+//! this strict parser. Unknown or repeated keys are rejected (with a
+//! did-you-mean hint for typos like `horizion`, and for unknown kinds,
+//! families, policies, observers and arrival processes), every error
+//! carries its dotted JSON field path, and values that would panic deep
+//! in the simulator (zero horizons, out-of-range probabilities, oversized
+//! seed ranges, flows off the network) are refused up front. Omitted
+//! fields keep the type's defaults, so hand-authored files only need the
+//! fields they change — while `show` output, which carries every field,
 //! re-emits byte-identical JSON.
 
 use crate::json::{self, Json};
-use crate::schema::{self, check_fields, fail};
+use crate::schema::{self, check_fields, err, fail};
 use crate::spec::{ExperimentKind, ScenarioSpec};
 
 /// A spec-ingestion failure: the JSON field path plus what went wrong.
@@ -53,17 +54,18 @@ pub fn scenarios_from_str(text: &str) -> Result<Vec<ScenarioSpec>, SpecError> {
 /// name when the document is the campaign shape and carries one (the CLI
 /// uses it as the default campaign name for `run --scenario-file`).
 pub fn campaign_from_str(text: &str) -> Result<(Option<String>, Vec<ScenarioSpec>), SpecError> {
-    let doc = json::parse(text).map_err(|e| SpecError {
-        path: "<document>".to_string(),
-        message: e.to_string(),
-    })?;
-    let mut campaign = None;
-    let scenarios = match &doc {
-        Json::Arr(items) => items
+    let doc = json::parse(text).map_err(|e| err("<document>", e.to_string()))?;
+    let list = |items: &[Json], prefix: &str| {
+        let item = |(i, v)| scenario_from_json(v, &format!("{prefix}[{i}]"));
+        items
             .iter()
             .enumerate()
-            .map(|(i, v)| scenario_from_json(v, &format!("[{i}]")))
-            .collect::<Result<Vec<_>, _>>()?,
+            .map(item)
+            .collect::<Result<Vec<_>, _>>()
+    };
+    let mut campaign = None;
+    let scenarios = match &doc {
+        Json::Arr(items) => list(items, "")?,
         Json::Obj(_) if doc.get("scenarios").is_some() => {
             check_fields(&doc, "<document>", &["campaign", "scenarios"])?;
             campaign = match doc.get("campaign") {
@@ -77,11 +79,7 @@ pub fn campaign_from_str(text: &str) -> Result<(Option<String>, Vec<ScenarioSpec
             let Some(items) = doc.get("scenarios").and_then(Json::as_arr) else {
                 return fail("scenarios", "must be an array of scenario objects");
             };
-            items
-                .iter()
-                .enumerate()
-                .map(|(i, v)| scenario_from_json(v, &format!("scenarios[{i}]")))
-                .collect::<Result<Vec<_>, _>>()?
+            list(items, "scenarios")?
         }
         Json::Obj(_) => vec![scenario_from_json(&doc, "scenario")?],
         _ => return fail("<document>", "expected a scenario object or array"),
@@ -91,10 +89,8 @@ pub fn campaign_from_str(text: &str) -> Result<(Option<String>, Vec<ScenarioSpec
     }
     for (i, s) in scenarios.iter().enumerate() {
         if scenarios[..i].iter().any(|other| other.name == s.name) {
-            return fail(
-                &format!("scenarios[{i}].name"),
-                format!("duplicate scenario name '{}'", s.name),
-            );
+            let message = format!("duplicate scenario name '{}'", s.name);
+            return fail(&format!("scenarios[{i}].name"), message);
         }
     }
     Ok((campaign, scenarios))

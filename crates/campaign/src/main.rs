@@ -172,13 +172,7 @@ fn list_json() {
                         ("name", Json::str(&s.name)),
                         ("title", Json::str(&s.title)),
                         ("kind", Json::str(s.kind.tag())),
-                        (
-                            "seeds",
-                            Json::obj(vec![
-                                ("start", Json::Num(s.seeds.start as f64)),
-                                ("count", Json::Num(s.seeds.count as f64)),
-                            ]),
-                        ),
+                        ("seeds", s.seeds.to_json()),
                         (
                             "observers",
                             Json::Arr(s.observers.iter().map(|o| Json::str(o.label())).collect()),

@@ -42,6 +42,9 @@ pub(crate) fn fail<T>(path: &str, message: impl Into<String>) -> Result<T, SpecE
 /// itself.
 pub(crate) type Checked = Result<(), (String, String)>;
 
+/// A field check: a plain function of the parsed value.
+pub(crate) type Check<T> = fn(&T) -> Checked;
+
 fn ensure(ok: bool, suffix: &str, message: impl Into<String>) -> Checked {
     if ok {
         Ok(())
@@ -107,13 +110,7 @@ macro_rules! variants {
 pub(crate) trait Visitor {
     /// One field: its JSON key, the Rust field, whether the parser
     /// requires it, and the check a parsed value must pass.
-    fn visit<T: Value>(
-        &mut self,
-        key: &'static str,
-        value: &mut T,
-        required: bool,
-        check: fn(&T) -> Checked,
-    );
+    fn visit<T: Value>(&mut self, key: &'static str, slot: &mut T, req: bool, check: Check<T>);
 
     /// An optional, unchecked field.
     fn field<T: Value>(&mut self, key: &'static str, value: &mut T) {
@@ -121,7 +118,7 @@ pub(crate) trait Visitor {
     }
 
     /// An optional field with a check.
-    fn checked<T: Value>(&mut self, key: &'static str, value: &mut T, check: fn(&T) -> Checked) {
+    fn checked<T: Value>(&mut self, key: &'static str, value: &mut T, check: Check<T>) {
         self.visit(key, value, false, check);
     }
 
@@ -240,19 +237,25 @@ pub(crate) fn parse<T: Schema>(v: &Json, path: &str) -> Result<T, SpecError> {
 /// The variant of `T` tagged `label`, at its defaults.
 fn lookup<T: Schema>(label: &str, path: &str) -> Result<T, SpecError> {
     let templates = T::templates();
-    let labels = || templates.iter().map(T::LABEL);
-    if let Some(i) = labels().position(|l| l == label) {
-        return Ok(templates[i].clone());
+    let labels: Vec<&str> = templates.iter().map(T::LABEL).collect();
+    match labels.iter().position(|&l| l == label) {
+        Some(i) => Ok(templates[i].clone()),
+        None => fail(path, unknown(T::TAG.map_or("", |t| t.1), label, &labels)),
     }
-    let noun = T::TAG.map_or("", |(_, noun)| noun);
+}
+
+/// `unknown <what> '<name>' (expected one of …)`, plus a did-you-mean
+/// hint when a candidate is close — the one diagnostic for unknown tags
+/// and unknown keys.
+fn unknown(what: &str, name: &str, candidates: &[&str]) -> String {
     let mut message = format!(
-        "unknown {noun} '{label}' (expected one of {})",
-        labels().collect::<Vec<_>>().join(", ")
+        "unknown {what} '{name}' (expected one of {})",
+        candidates.join(", ")
     );
-    if let Some(near) = nearest(label, labels()) {
+    if let Some(near) = nearest(name, candidates.iter().copied()) {
         message.push_str(&format!("; did you mean '{near}'?"));
     }
-    fail(path, message)
+    message
 }
 
 /// Rejects keys outside `allowed` (with a nearest-key hint) and repeated
@@ -263,14 +266,7 @@ pub(crate) fn check_fields(v: &Json, path: &str, allowed: &[&str]) -> Result<(),
     };
     for (i, (key, _)) in pairs.iter().enumerate() {
         if !allowed.contains(&key.as_str()) {
-            let mut message = format!(
-                "unknown field '{key}' (expected one of {})",
-                allowed.join(", ")
-            );
-            if let Some(near) = nearest(key, allowed.iter().copied()) {
-                message.push_str(&format!("; did you mean '{near}'?"));
-            }
-            return fail(path, message);
+            return fail(path, unknown("field", key, allowed));
         }
         // `Json::get` returns the first match, so a repeated key would
         // silently shadow the later value — exactly the kind of edit
@@ -286,7 +282,7 @@ pub(crate) fn check_fields(v: &Json, path: &str, allowed: &[&str]) -> Result<(),
 struct Keys(Vec<&'static str>);
 
 impl Visitor for Keys {
-    fn visit<T: Value>(&mut self, key: &'static str, _: &mut T, _: bool, _: fn(&T) -> Checked) {
+    fn visit<T: Value>(&mut self, key: &'static str, _: &mut T, _: bool, _: Check<T>) {
         self.0.push(key);
     }
 }
@@ -294,7 +290,7 @@ impl Visitor for Keys {
 struct Emit(Vec<(String, Json)>);
 
 impl Visitor for Emit {
-    fn visit<T: Value>(&mut self, key: &'static str, value: &mut T, _: bool, _: fn(&T) -> Checked) {
+    fn visit<T: Value>(&mut self, key: &'static str, value: &mut T, _: bool, _: Check<T>) {
         if let Some(json) = value.emit() {
             self.0.push((key.to_string(), json));
         }
@@ -309,24 +305,18 @@ struct Parse<'a> {
 }
 
 impl Visitor for Parse<'_> {
-    fn visit<T: Value>(
-        &mut self,
-        key: &'static str,
-        value: &mut T,
-        required: bool,
-        check: fn(&T) -> Checked,
-    ) {
+    fn visit<T: Value>(&mut self, key: &'static str, slot: &mut T, req: bool, check: Check<T>) {
         if self.result.is_err() {
             return;
         }
         let path = format!("{}.{key}", self.path);
         self.result = match self.obj.get(key) {
-            None if required => Err(T::missing(self.path, key)),
+            None if req => Err(T::missing(self.path, key)),
             None => Ok(()),
             Some(json) => T::parse(json, &path).and_then(|parsed| {
                 check(&parsed)
                     .map_err(|(suffix, message)| err(&format!("{path}{suffix}"), message))?;
-                *value = parsed;
+                *slot = parsed;
                 Ok(())
             }),
         };
@@ -399,10 +389,7 @@ impl Value for (usize, usize) {
     const ARRAY: &'static str = "expected an array of [n, m] pairs";
 
     fn emit(&self) -> Option<Json> {
-        Some(Json::Arr(vec![
-            Json::Num(self.0 as f64),
-            Json::Num(self.1 as f64),
-        ]))
+        Some(Json::Arr(vec![self.0.emit()?, self.1.emit()?]))
     }
 
     fn parse(v: &Json, path: &str) -> Result<Self, SpecError> {

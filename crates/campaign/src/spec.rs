@@ -57,6 +57,11 @@ impl SeedRange {
         SeedRange { start, count }
     }
 
+    /// Canonical JSON rendering: `{"start", "count"}`.
+    pub fn to_json(&self) -> Json {
+        schema::emit(self)
+    }
+
     /// Iterates the seeds.
     pub fn iter(&self) -> impl Iterator<Item = u64> {
         self.start..self.start + self.count
@@ -98,19 +103,10 @@ pub enum ExperimentKind {
 }
 
 impl ExperimentKind {
-    /// Short kind tag used in spec JSON and artifact names.
+    /// Short kind tag used in spec JSON and artifact names: the engine
+    /// shape's `kind`, declared once with each experiment.
     pub fn tag(&self) -> &'static str {
-        match self {
-            ExperimentKind::Fig5(_) => "fig5",
-            ExperimentKind::Fig6(_) => "fig6",
-            ExperimentKind::Fig7(_) => "fig7",
-            ExperimentKind::Fig8(_) => "fig8",
-            ExperimentKind::Table2 => "table2",
-            ExperimentKind::Complexity(_) => "complexity",
-            ExperimentKind::Theorem3(_) => "theorem3",
-            ExperimentKind::PolicyRun(_) => "policy-run",
-            ExperimentKind::PolicyDuel { .. } => "policy-duel",
-        }
+        self.experiment().spec().kind
     }
 
     /// Builds the unified-engine [`Experiment`] this kind describes. All
