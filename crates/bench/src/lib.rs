@@ -1,9 +1,9 @@
-//! Shared helpers for the figure-regeneration binaries.
+//! Shared helpers for the analysis binaries.
 //!
-//! Each binary in `src/bin/` regenerates one table or figure of the paper
-//! as CSV on stdout (series the paper plots) plus a short commentary on
-//! the expected shape. Pass `--full` to run at the paper's full scale
-//! where the default is reduced for quick turnaround.
+//! Each binary in `src/bin/` prints CSV on stdout plus a short commentary
+//! on the expected shape (the paper's figures and tables themselves are
+//! `mhca-campaign` registry scenarios). Pass `--full` to run at the
+//! paper's full scale where the default is reduced for quick turnaround.
 //!
 //! The presentation layer is shared: [`csv`] holds the one CSV
 //! formatting/escaping implementation and [`report`] the per-figure

@@ -1,8 +1,8 @@
 //! `mhca-campaign` — campaign orchestration for the reproduction.
 //!
-//! The paper's evaluation (Section V) is reproduced by per-figure
-//! binaries in `mhca-bench`, each a single instance of a single
-//! experiment. This crate is the scale layer above them:
+//! The paper's evaluation (Section V) is reproduced as registry
+//! scenarios, one per figure or table, each an experiment of
+//! `mhca_core::experiment` over a seed range. This crate is that layer:
 //!
 //! * [`spec`] — declarative [`ScenarioSpec`]s: experiment kind (wrapping
 //!   the spec-driven configs of `mhca_core::experiments`), topology and
@@ -32,7 +32,7 @@
 //!   policy-run seeds one decision period at a time with mid-seed
 //!   checkpoint/resume (see `docs/SERVICE.md`).
 //!
-//! One command replaces ten hand-invoked binaries:
+//! One command runs the whole evaluation:
 //!
 //! ```text
 //! mhca-campaign run --quick            # CI smoke: 2 scenarios × 3 seeds
