@@ -6,8 +6,7 @@
 //! set of the extended conflict graph (restricting to maximal sets loses
 //! nothing, since weights are non-negative) and runs plain UCB1 over them.
 //! Its per-round time and memory are linear in the number of strategies —
-//! exponential in `N` — which is exactly the blowup the `decision_time`
-//! bench demonstrates.
+//! exponential in `N` — the blowup the vertex-level formulation avoids.
 
 use mhca_graph::Graph;
 use serde::{Deserialize, Serialize};

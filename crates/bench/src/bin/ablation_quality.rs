@@ -1,7 +1,6 @@
 //! Quality ablations of the design parameters DESIGN.md calls out:
 //! how mini-round budget D, radius r, the local solver, and channel noise
-//! σ affect the *achieved weight/throughput* (the timing counterpart
-//! lives in `benches/ablation.rs`).
+//! σ affect the *achieved weight/throughput*.
 //!
 //! Run with: `cargo run --release -p mhca-bench --bin ablation_quality`
 

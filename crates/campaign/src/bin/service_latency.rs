@@ -20,10 +20,10 @@
 //! cargo run --release -p mhca-campaign --bin service_latency -- --quick --out target/x.json
 //! ```
 
-use mhca_campaign::json;
 use mhca_campaign::{ExperimentKind, ScenarioSpec, SeedRange, ServiceExecutor};
 use mhca_core::experiment::ObserverKind;
 use mhca_core::experiments::PolicyRunConfig;
+use mhca_service::json;
 use mhca_service::Supervisor;
 use mhca_telemetry::{LogHistogram, Provenance};
 use std::path::PathBuf;

@@ -22,9 +22,9 @@
 //! fields they change — while `show` output, which carries every field,
 //! re-emits byte-identical JSON.
 
-use crate::json::{self, Json};
 use crate::schema::{self, check_fields, err, fail};
 use crate::spec::{ExperimentKind, ScenarioSpec};
+use mhca_service::json::{self, Json};
 
 /// A spec-ingestion failure: the JSON field path plus what went wrong.
 #[derive(Debug, Clone, PartialEq, Eq)]

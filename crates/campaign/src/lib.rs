@@ -22,8 +22,6 @@
 //! * [`manifest`] — the durable job ledger enabling
 //!   resume-after-interrupt: completed jobs are skipped and their
 //!   recorded metrics reused.
-//! * [`json`] — a hand-rolled JSON emitter and parser (the vendored
-//!   `serde` is marker-only; see `vendor/README.md`).
 //! * [`tail`] — offline reader for the `--trace` event stream: re-merges
 //!   the per-job histogram dumps in `events.jsonl` and renders the
 //!   per-scenario / per-phase latency table behind `mhca-campaign tail`.
@@ -45,7 +43,6 @@
 #![warn(missing_docs)]
 
 pub mod ingest;
-pub mod json;
 pub mod manifest;
 pub mod registry;
 pub mod runner;

@@ -43,10 +43,10 @@
 //! `docs/SERVICE.md` for the protocol.
 
 use mhca_campaign::ingest::{self, nearest};
-use mhca_campaign::json::Json;
 use mhca_campaign::{
     registry, runner, tail as tail_mod, CampaignConfig, ScenarioSpec, ServiceExecutor,
 };
+use mhca_service::json::Json;
 use mhca_service::{protocol, Endpoint, Request, Supervisor};
 use std::fs;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -569,7 +569,7 @@ fn client(args: &[String]) -> Result<(), CliError> {
             break; // server closed the connection
         }
         print!("{response}");
-        let value = mhca_campaign::json::parse(response.trim_end()).ok();
+        let value = mhca_service::json::parse(response.trim_end()).ok();
         if first {
             first = false;
             ok = value

@@ -10,8 +10,8 @@
 //! and their metrics reused, so a killed campaign continues where it
 //! stopped instead of recomputing finished work.
 
-use crate::json::{self, Json};
 use crate::spec::{campaign_json, spec_hash, Job, ScenarioSpec};
+use mhca_service::json::{self, Json};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};

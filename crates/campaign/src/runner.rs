@@ -17,11 +17,11 @@
 //!   <scenario>/summary.csv    per-metric aggregate across seeds
 //! ```
 
-use crate::json::Json;
 use crate::manifest::{JobStatus, Manifest};
 use crate::spec::{expand_jobs, spec_hash, ScenarioSpec};
 use mhca_bench::csv::CsvWriter;
 use mhca_core::sweep::{for_each_bounded, Aggregate};
+use mhca_service::json::Json;
 use mhca_telemetry::{
     EventKind, FieldValue, JsonlSink, ProgressSnapshot, ProgressTracker, Telemetry,
 };

@@ -16,13 +16,13 @@
 //! route: a trait with one visitor per direction.
 
 use crate::ingest::{nearest, SpecError};
-use crate::json::Json;
 use crate::spec::{ExperimentKind, ScenarioSpec, SeedRange};
 use mhca_channels::ChannelModelSpec;
 use mhca_core::experiment::ObserverKind;
 use mhca_core::experiments::{PolicyRunConfig, PolicySpec};
 use mhca_core::{ArrivalProcess, FlowSpec, TrafficSpec};
 use mhca_graph::TopologySpec;
+use mhca_service::json::Json;
 use mhca_sim::LossSpec;
 
 pub(crate) fn err(path: &str, message: impl Into<String>) -> SpecError {

@@ -29,7 +29,6 @@
 //! identical bytes.
 
 use crate::ingest;
-use crate::json::Json;
 use crate::spec::{ExperimentKind, ScenarioSpec};
 use mhca_bench::report;
 use mhca_core::experiment::PolicyRunExperiment;
@@ -37,6 +36,7 @@ use mhca_core::{ExperimentData, ObserverSet, PolicyRunConfig, PolicyRunner};
 use mhca_service::checkpoint::{
     state_map_from_json, state_map_to_json, u64_from_json, u64_to_json,
 };
+use mhca_service::json::Json;
 use mhca_service::{Directive, Executor, JobCtrl, JobOutput, JobPlan, JobProgress};
 use mhca_telemetry::Telemetry;
 
@@ -266,7 +266,7 @@ mod tests {
     }
 
     fn scenario() -> Json {
-        crate::json::parse(
+        mhca_service::json::parse(
             r#"{
                 "name": "svc-test",
                 "spec": {"kind": "policy-run", "n": 10, "m": 3, "horizon": 120},
@@ -285,7 +285,7 @@ mod tests {
         assert_eq!(plan.seeds, vec![5, 6]);
         assert!(plan.steppable);
         assert!(ServiceExecutor
-            .validate(&crate::json::parse(r#"{"name":"x"}"#).unwrap())
+            .validate(&mhca_service::json::parse(r#"{"name":"x"}"#).unwrap())
             .is_err());
     }
 
@@ -348,7 +348,7 @@ mod tests {
             ServiceExecutor.run_seed(&scenario, 6, Some(&good), &telemetry, &mut fresh);
         assert!(wrong_seed.unwrap_err().contains("seed"));
 
-        let tampered = crate::json::parse(
+        let tampered = mhca_service::json::parse(
             &good
                 .to_string_compact()
                 .replace(CHECKPOINT_FORMAT, "mhca-checkpoint-v0"),
@@ -381,7 +381,7 @@ mod tests {
     }
 
     fn traffic_scenario() -> Json {
-        crate::json::parse(
+        mhca_service::json::parse(
             r#"{
                 "name": "svc-traffic",
                 "spec": {
@@ -473,7 +473,7 @@ mod tests {
 
     #[test]
     fn opaque_kinds_run_and_checkpoint_null() {
-        let scenario = crate::json::parse(
+        let scenario = mhca_service::json::parse(
             r#"{"name":"t2","spec":{"kind":"table2"},"seeds":{"start":1,"count":1}}"#,
         )
         .unwrap();

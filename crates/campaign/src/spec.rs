@@ -8,7 +8,6 @@
 //! resume), and know how to execute one job and summarize it as flat
 //! `(metric, value)` pairs for cross-seed aggregation.
 
-use crate::json::Json;
 use crate::schema;
 use mhca_bench::report;
 use mhca_core::experiment::{
@@ -20,6 +19,7 @@ use mhca_core::experiments::{
     ComplexityConfig, Fig5Config, Fig6Config, Fig7Config, Fig8Config, PolicyRunConfig, PolicySpec,
     Theorem3Config,
 };
+use mhca_service::json::Json;
 use mhca_telemetry::Telemetry;
 use std::io::{self, Write};
 
@@ -346,7 +346,7 @@ mod tests {
     fn spec_json_is_parseable_and_tagged() {
         let scenarios = two_scenarios();
         let text = campaign_json("smoke", &scenarios).to_string_pretty();
-        let parsed = crate::json::parse(&text).unwrap();
+        let parsed = mhca_service::json::parse(&text).unwrap();
         let list = parsed.get("scenarios").and_then(Json::as_arr).unwrap();
         assert_eq!(list.len(), 2);
         assert_eq!(

@@ -6,11 +6,11 @@
 //! per-scenario job-time histograms, and the per-job `hist` events'
 //! sparse bucket dumps merge **exactly** (bucket counts add), so the
 //! percentiles printed here equal those of a histogram that had seen
-//! every sample directly. Every line must parse with [`crate::json`] —
+//! every sample directly. Every line must parse with [`mhca_service::json`] —
 //! a malformed line fails the whole tail loudly (CI relies on this to
 //! validate the event stream).
 
-use crate::json::{self, Json};
+use mhca_service::json::{self, Json};
 use mhca_telemetry::LogHistogram;
 use std::io::{self, Write};
 use std::path::Path;

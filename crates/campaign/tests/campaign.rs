@@ -6,11 +6,11 @@
 //! `observer_zoo_campaign`) lives in `mhca_specgen::support`, shared with
 //! the generated `campaign_worker_parity` contract.
 
-use mhca_campaign::json::{self, Json};
 use mhca_campaign::manifest::{JobStatus, Manifest};
 use mhca_campaign::registry;
 use mhca_campaign::runner::{self, CampaignConfig};
 use mhca_campaign::spec::{expand_jobs, ExperimentKind, ScenarioSpec, SeedRange};
+use mhca_service::json::{self, Json};
 use mhca_specgen::support::{observer_zoo_campaign, paper_campaign, quiet, tmp_dir};
 use std::fs;
 use std::path::PathBuf;

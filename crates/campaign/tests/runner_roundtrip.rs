@@ -9,13 +9,13 @@
 //! a killed-and-restarted daemon would see it. The resumed `RunResult`
 //! must match the uninterrupted one bit for bit.
 
-use mhca_campaign::json;
 use mhca_core::{
     Algorithm2Config, DistributedPtasConfig, Network, ObserverSet, PolicyRunConfig, PolicyRunner,
     PolicySpec, RunResult,
 };
 use mhca_graph::TopologySpec;
 use mhca_service::checkpoint::{state_map_from_json, state_map_to_json};
+use mhca_service::json;
 use mhca_sim::LossSpec;
 use proptest::prelude::*;
 

@@ -3,9 +3,9 @@
 //! per-phase histograms — while every artifact CSV stays byte-identical
 //! to the untraced run of the same campaign.
 
-use mhca_campaign::json::{self, Json};
 use mhca_campaign::runner::{self, CampaignConfig};
 use mhca_campaign::{registry, tail};
+use mhca_service::json::{self, Json};
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};

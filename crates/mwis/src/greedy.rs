@@ -3,7 +3,7 @@
 //! Section IV-C of the paper notes that "in practice, we can use a more
 //! efficient constant approximation algorithm instead" of the local
 //! enumeration; these greedy solvers are those practical stand-ins and the
-//! quality baselines for the `mwis_solvers` bench.
+//! quality baselines for the exact and PTAS solvers.
 
 use crate::set::WeightedSet;
 use mhca_graph::Graph;

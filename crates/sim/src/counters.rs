@@ -7,12 +7,13 @@ use serde::{Deserialize, Serialize};
 /// * `transmissions` — local wireless broadcasts performed (one per
 ///   relaying vertex per flood). The paper's per-vertex communication
 ///   complexity `O(r² + D)` is checked against
-///   `per_vertex_tx` in the `complexity` bench.
+///   `per_vertex_tx` in the `complexity` campaign scenario.
 /// * `delivered` — (vertex, message) reception pairs.
 /// * `timeslots` — pipelined mini-timeslots: each call to
-///   [`crate::FloodEngine::deliver`] advances time by the largest TTL in
-///   the batch (floods in one batch propagate concurrently, as in the
-///   paper's pipelined weight broadcast).
+///   [`crate::FloodEngine::broadcast_only`] or
+///   [`crate::FloodEngine::deliver_receivers_into`] advances time by the
+///   largest TTL in the batch (floods in one batch propagate concurrently,
+///   as in the paper's pipelined weight broadcast).
 #[derive(Debug, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct Counters {
     /// Total relay broadcasts.

@@ -1,14 +1,16 @@
 //! TTL-limited flood delivery.
 //!
 //! The engine is **long-lived and allocation-free in steady state**: it is
-//! built once per graph, keeps epoch-stamped BFS scratch for the lossy
-//! path, and precomputes packed [`CompactBallTable`] r-hop neighborhood
-//! tables for the lossless path (the conflict graph is static across a whole horizon, so
-//! a TTL-bounded lossless flood is a table scan, not a BFS). Callers on
-//! the hot path use [`FloodEngine::deliver_into`] with reusable inboxes,
-//! or [`FloodEngine::deliver_receivers_into`] when only *who* heard each
-//! flood matters; [`FloodEngine::deliver`] remains as an allocating
-//! convenience.
+//! built once per graph and keeps epoch-stamped BFS scratch. Two calls
+//! deliver a batch of floods:
+//!
+//! * [`FloodEngine::broadcast_only`] charges the counters only. On a
+//!   lossless engine each flood is a scan of a precomputed packed
+//!   [`CompactBallTable`] r-hop neighborhood table (the conflict graph is
+//!   static across a whole horizon, so a TTL-bounded lossless flood needs
+//!   no BFS).
+//! * [`FloodEngine::deliver_receivers_into`] also records *who* heard each
+//!   flood. It always runs the BFS wave, lossless or lossy.
 
 use crate::counters::Counters;
 use crate::loss::SkipSampler;
@@ -83,22 +85,10 @@ pub struct Flood<P> {
     pub payload: P,
 }
 
-/// A message copy received by some vertex.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Received<P> {
-    /// The flood's originating vertex.
-    pub origin: usize,
-    /// Hop distance the copy travelled.
-    pub distance: usize,
-    /// Message content.
-    pub payload: P,
-}
-
 /// Who received each flood of one delivered batch, filled by
 /// [`FloodEngine::deliver_receivers_into`]: a CSR in batch order, so flood
-/// `i`'s receivers are [`FloodReceivers::of`]`(i)`, in reception order.
-/// The same vertices, one copy each, that [`FloodEngine::deliver_into`]
-/// would push an inbox entry to — without the per-vertex inboxes.
+/// `i`'s receivers are [`FloodReceivers::of`]`(i)`, in reception order:
+/// every vertex that got a copy, once each.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FloodReceivers {
     /// `offsets[i] .. offsets[i + 1]` delimits flood `i` in `vertices`.
@@ -133,10 +123,10 @@ impl FloodReceivers {
 /// # Reuse
 ///
 /// Build the engine **once** per graph and keep it across rounds: lossless
-/// deliveries are served from cached per-TTL neighborhood tables (built
-/// lazily on first use, or eagerly via [`FloodEngine::prewarm`]), and the
-/// lossy path reuses epoch-stamped BFS scratch. After warm-up, neither
-/// path allocates.
+/// [`FloodEngine::broadcast_only`] calls are served from cached per-TTL
+/// neighborhood tables (built lazily on first use, or eagerly via
+/// [`FloodEngine::prewarm`]), and every BFS wave reuses epoch-stamped
+/// scratch. After warm-up, neither path allocates.
 #[derive(Debug)]
 pub struct FloodEngine<'g> {
     graph: &'g Graph,
@@ -151,7 +141,8 @@ pub struct FloodEngine<'g> {
     /// was over the entry cap (never incremented by deliberate lossy BFS)
     /// — the diagnostic that makes large-N slowdowns attributable.
     fallback_floods: u64,
-    /// Lossless fast path: `tables[r]` holds the radius-`r` ball table.
+    /// Lossless counters-only path: `tables[r]` holds the radius-`r` ball
+    /// table.
     /// Indexed by *effective* TTL (clamped to `n`, where every ball has
     /// saturated), so the vector stays small for any caller TTL. Shared
     /// (`Arc`) so same-graph engines can adopt each other's tables
@@ -162,8 +153,8 @@ pub struct FloodEngine<'g> {
     /// Cap on total cached entries across all radii
     /// ([`DEFAULT_TABLE_ENTRY_CAP`] unless overridden).
     table_entry_cap: usize,
-    /// Lossy-path BFS scratch: `stamp[v] == epoch` marks `v` visited in
-    /// the current flood.
+    /// BFS scratch: `stamp[v] == epoch` marks `v` visited in the current
+    /// flood.
     stamp: Vec<u32>,
     epoch: u32,
     dist: Vec<u32>,
@@ -305,7 +296,7 @@ impl<'g> FloodEngine<'g> {
     }
 
     /// Eagerly builds the lossless neighborhood table for `ttl`, so the
-    /// first `deliver` call is as fast as the rest. No-op for lossy
+    /// first [`FloodEngine::broadcast_only`] call is as fast as the rest. No-op for lossy
     /// engines (they always BFS), for already-built tables, and for radii
     /// over the entry cap (which stay on the BFS fallback).
     pub fn prewarm(&mut self, ttl: usize) {
@@ -315,70 +306,17 @@ impl<'g> FloodEngine<'g> {
         }
     }
 
-    /// Delivers a batch of concurrent floods, allocating fresh inboxes.
+    /// Delivers a batch of concurrent floods, recording which vertices
+    /// received each flood ([`FloodReceivers`], batch order). A vertex
+    /// does **not** receive its own flood. Within one batch all floods
+    /// propagate concurrently, so the pipelined time charge is the
+    /// maximum TTL in the batch.
     ///
-    /// Returns one inbox per vertex. A vertex does **not** receive its own
-    /// flood. Within one batch all floods propagate concurrently, so the
-    /// pipelined time charge is the maximum TTL in the batch.
-    ///
-    /// Hot paths should prefer [`FloodEngine::deliver_into`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if a flood origin is out of range.
-    pub fn deliver<P: Clone>(&mut self, floods: &[Flood<P>]) -> Vec<Vec<Received<P>>> {
-        let mut inboxes = Vec::new();
-        self.deliver_into(floods, &mut inboxes);
-        inboxes
-    }
-
-    /// Delivers a batch of concurrent floods into caller-owned inboxes.
-    ///
-    /// `inboxes` is resized to one entry per vertex and each inbox is
-    /// cleared (capacity retained) before delivery — after warm-up the
-    /// call performs no heap allocation on the lossless path.
-    ///
-    /// Semantics match [`FloodEngine::deliver`]: no self-delivery, and the
-    /// batch advances `timeslots` by its maximum TTL.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a flood origin is out of range.
-    pub fn deliver_into<P: Clone>(
-        &mut self,
-        floods: &[Flood<P>],
-        inboxes: &mut Vec<Vec<Received<P>>>,
-    ) {
-        let n = self.graph.n();
-        if inboxes.len() != n {
-            inboxes.resize_with(n, Vec::new);
-        }
-        for inbox in inboxes.iter_mut() {
-            inbox.clear();
-        }
-        let mut max_ttl = 0;
-        for flood in floods {
-            assert!(flood.origin < n, "flood origin out of range");
-            max_ttl = max_ttl.max(flood.ttl);
-            self.flood_one(flood.origin, flood.ttl, &mut |v, distance| {
-                inboxes[v].push(Received {
-                    origin: flood.origin,
-                    distance,
-                    payload: flood.payload.clone(),
-                });
-            });
-        }
-        self.counters.timeslots += max_ttl as u64;
-    }
-
-    /// Delivers a batch of concurrent floods, recording only which
-    /// vertices received each flood ([`FloodReceivers`], batch order).
-    ///
+    /// Every flood runs the BFS wave, so the ball tables are neither built
+    /// nor consulted and [`FloodEngine::fallback_floods`] does not move.
     /// Counters, `timeslots` and the loss stream advance exactly as in
-    /// [`FloodEngine::deliver_into`], and each flood's receivers are the
-    /// vertices that call would have pushed its copy to. For protocols
-    /// that look up the content by flood index, this replaces `n`
-    /// per-vertex inboxes with one flat list per batch; after warm-up it
+    /// [`FloodEngine::broadcast_only`]. Protocols look the content up by
+    /// flood index, so no per-vertex inboxes exist; after warm-up the call
     /// performs no heap allocation.
     ///
     /// # Panics
@@ -399,29 +337,18 @@ impl<'g> FloodEngine<'g> {
             assert!(flood.origin < n, "flood origin out of range");
             max_ttl = max_ttl.max(flood.ttl);
             let vertices = &mut out.vertices;
-            self.flood_one(flood.origin, flood.ttl, &mut |v, _| vertices.push(v as u32));
+            self.flood_bfs(flood.origin, flood.ttl, &mut |v| vertices.push(v as u32));
             out.offsets.push(out.vertices.len());
         }
         self.counters.timeslots += max_ttl as u64;
     }
 
-    /// One flood of a delivering batch: the lossy BFS wave, or the
-    /// lossless table scan. `receive(v, distance)` is called once per
-    /// copy received.
-    fn flood_one(&mut self, origin: usize, ttl: usize, receive: &mut impl FnMut(usize, usize)) {
-        if self.loss_prob > 0.0 {
-            self.flood_bfs(origin, ttl, receive);
-        } else {
-            self.flood_table(origin, ttl, receive);
-        }
-    }
-
     /// Delivers a batch of concurrent floods **for accounting only**: the
-    /// counters advance exactly as in [`FloodEngine::deliver_into`], but
-    /// no inboxes are materialized. Use when the protocol phase only
-    /// needs the broadcast to have *happened* (weight broadcasts, leader
-    /// declarations) — skipping the per-reception pushes removes the
-    /// dominant remaining per-round work of those phases.
+    /// counters advance exactly as in
+    /// [`FloodEngine::deliver_receivers_into`], but no receivers are
+    /// recorded. Use when the protocol phase only needs the broadcast to
+    /// have *happened* (weight broadcasts, leader declarations). Lossless
+    /// floods are ball-table scans; lossy ones run the BFS wave.
     ///
     /// # Panics
     ///
@@ -433,7 +360,7 @@ impl<'g> FloodEngine<'g> {
             assert!(flood.origin < n, "flood origin out of range");
             max_ttl = max_ttl.max(flood.ttl);
             if self.loss_prob > 0.0 {
-                self.flood_bfs(flood.origin, flood.ttl, &mut |_, _| {});
+                self.flood_bfs(flood.origin, flood.ttl, &mut |_| {});
             } else {
                 self.flood_table_counts(flood.origin, flood.ttl);
             }
@@ -450,10 +377,15 @@ impl<'g> FloodEngine<'g> {
         let eff = ttl.min(self.graph.n());
         let Some(table) = Self::table_for(&mut self.tables, self.table_entry_cap, self.graph, eff)
         else {
+            // Over-cap radius: the lossless BFS wave charges the same
+            // counters and never touches the loss sampler.
             self.fallback_floods += 1;
-            self.flood_bfs(origin, ttl, &mut |_, _| {});
+            self.flood_bfs(origin, ttl, &mut |_| {});
             return;
         };
+        // In a lossless synchronous flood every ball member receives one
+        // copy, and the origin plus every member closer than the TTL
+        // boundary relays exactly once.
         let ball = table.ball_packed(origin);
         self.counters.transmissions += 1;
         self.counters.per_vertex_tx[origin] += 1;
@@ -532,51 +464,14 @@ impl<'g> FloodEngine<'g> {
         }
     }
 
-    /// Lossless delivery of one flood from the precomputed ball table,
-    /// with BFS fallback for radii over the entry cap.
-    ///
-    /// In a lossless synchronous flood every vertex holding a copy at
-    /// distance `< ttl` relays exactly once (the origin included) and
-    /// every ball member receives exactly one copy at its BFS distance, so
-    /// the table scan reproduces the BFS wave — receptions in distance
-    /// order — without traversing edges.
-    fn flood_table(&mut self, origin: usize, ttl: usize, receive: &mut impl FnMut(usize, usize)) {
-        if ttl == 0 {
-            return; // hold without relaying: no cost, no receptions
-        }
-        let eff = ttl.min(self.graph.n());
-        let Some(table) = Self::table_for(&mut self.tables, self.table_entry_cap, self.graph, eff)
-        else {
-            // Over-cap radius: the lossless BFS wave visits the same
-            // vertices in the same order and never touches the loss
-            // sampler.
-            self.fallback_floods += 1;
-            self.flood_bfs(origin, ttl, receive);
-            return;
-        };
-        // The origin always performs the first broadcast.
-        self.counters.transmissions += 1;
-        self.counters.per_vertex_tx[origin] += 1;
-        for &e in table.ball_packed(origin) {
-            let v = CompactBallTable::entry_vertex(e);
-            let d = CompactBallTable::entry_distance(e);
-            receive(v, d);
-            self.counters.delivered += 1;
-            if d < ttl {
-                // Holds a copy with TTL budget left: relays once.
-                self.counters.transmissions += 1;
-                self.counters.per_vertex_tx[v] += 1;
-            }
-        }
-    }
-
-    /// BFS wave for a single flood with per-relay loss, on epoch-stamped
-    /// scratch (no allocation after the first call). Also the lossless
-    /// fallback for radii whose ball table is over the entry cap, and —
-    /// with a no-op `receive` — the counters-only lossy delivery (the
+    /// BFS wave for a single flood, with per-relay loss on lossy engines,
+    /// on epoch-stamped scratch (no allocation after the first call).
+    /// `receive(v)` is called once per copy received. With a no-op
+    /// `receive` it is the counters-only lossy delivery and the lossless
+    /// fallback for radii whose ball table is over the entry cap (the
     /// per-flood drop stream is a pure function of the flood index, so
     /// counting and delivering agree).
-    fn flood_bfs(&mut self, origin: usize, ttl: usize, receive: &mut impl FnMut(usize, usize)) {
+    fn flood_bfs(&mut self, origin: usize, ttl: usize, receive: &mut impl FnMut(usize)) {
         let graph = self.graph;
         if self.loss_prob > 0.0 {
             self.loss.begin_flood();
@@ -605,7 +500,7 @@ impl<'g> FloodEngine<'g> {
                 if self.stamp[w] != epoch {
                     self.stamp[w] = epoch;
                     self.dist[w] = self.dist[u] + 1;
-                    receive(w, self.dist[w] as usize);
+                    receive(w);
                     self.counters.delivered += 1;
                     self.queue.push_back(w);
                 }
@@ -619,101 +514,93 @@ mod tests {
     use super::*;
     use mhca_graph::{topology, Graph};
 
+    fn flood<P>(origin: usize, ttl: usize, payload: P) -> Flood<P> {
+        Flood {
+            origin,
+            ttl,
+            payload,
+        }
+    }
+
+    /// Each flood's receivers, sorted.
+    fn receivers<P>(e: &mut FloodEngine<'_>, floods: &[Flood<P>]) -> Vec<Vec<u32>> {
+        let mut out = FloodReceivers::default();
+        e.deliver_receivers_into(floods, &mut out);
+        assert_eq!(out.floods(), floods.len());
+        (0..out.floods())
+            .map(|i| {
+                let mut got = out.of(i).to_vec();
+                got.sort_unstable();
+                got
+            })
+            .collect()
+    }
+
     #[test]
     fn flood_reaches_exactly_the_ttl_ball() {
         let g = topology::line(7);
         let mut e = FloodEngine::new(&g);
-        let inboxes = e.deliver(&[Flood {
-            origin: 3,
-            ttl: 2,
-            payload: (),
-        }]);
-        for (v, inbox) in inboxes.iter().enumerate() {
-            let d = g.hop_distance(3, v).unwrap();
-            if v != 3 && d <= 2 {
-                assert_eq!(inbox.len(), 1, "vertex {v} should receive");
-                assert_eq!(inbox[0].distance, d);
-            } else {
-                assert!(inbox.is_empty(), "vertex {v} should not receive");
-            }
-        }
+        let got = receivers(&mut e, &[flood(3, 2, ())]);
+        let want: Vec<u32> = (0..7u32)
+            .filter(|&v| v != 3 && g.hop_distance(3, v as usize).unwrap() <= 2)
+            .collect();
+        assert_eq!(got, vec![want]);
     }
 
     #[test]
     fn origin_does_not_receive_its_own_flood() {
         let g = topology::ring(4);
         let mut e = FloodEngine::new(&g);
-        let inboxes = e.deliver(&[Flood {
-            origin: 0,
-            ttl: 3,
-            payload: 42u32,
-        }]);
-        assert!(inboxes[0].is_empty());
+        assert_eq!(
+            receivers(&mut e, &[flood(0, 3, 42u32)]),
+            vec![vec![1, 2, 3]]
+        );
     }
 
     #[test]
     fn ttl_zero_reaches_nobody_and_costs_nothing() {
         let g = topology::line(3);
+        let floods = [flood(1, 0, ())];
         let mut e = FloodEngine::new(&g);
-        let inboxes = e.deliver(&[Flood {
-            origin: 1,
-            ttl: 0,
-            payload: (),
-        }]);
-        assert!(inboxes.iter().all(Vec::is_empty));
-        assert_eq!(e.counters().transmissions, 0);
-        assert_eq!(e.counters().timeslots, 0);
+        assert_eq!(receivers(&mut e, &floods), vec![Vec::<u32>::new()]);
+        e.broadcast_only(&floods);
+        assert_eq!(e.counters(), &Counters::new(3));
     }
 
     #[test]
     fn transmissions_count_relays_within_ttl() {
         // Line 0-1-2-3-4, flood from 0 with ttl 2: relayers are 0 and 1.
         let g = topology::line(5);
-        let mut e = FloodEngine::new(&g);
-        e.deliver(&[Flood {
-            origin: 0,
-            ttl: 2,
-            payload: (),
-        }]);
-        assert_eq!(e.counters().transmissions, 2);
-        assert_eq!(e.counters().per_vertex_tx[0], 1);
-        assert_eq!(e.counters().per_vertex_tx[1], 1);
-        assert_eq!(e.counters().delivered, 2); // vertices 1 and 2
+        let floods = [flood(0, 2, ())];
+        let mut listing = FloodEngine::new(&g);
+        let _ = receivers(&mut listing, &floods);
+        let mut counting = FloodEngine::new(&g);
+        counting.broadcast_only(&floods);
+        for e in [&listing, &counting] {
+            assert_eq!(e.counters().transmissions, 2);
+            assert_eq!(e.counters().per_vertex_tx[0], 1);
+            assert_eq!(e.counters().per_vertex_tx[1], 1);
+            assert_eq!(e.counters().delivered, 2); // vertices 1 and 2
+        }
     }
 
     #[test]
-    fn broadcast_only_matches_deliver_counters() {
+    fn broadcast_only_matches_receivers_delivery_counters() {
         let g = topology::grid(4, 5);
-        let floods = [
-            Flood {
-                origin: 0,
-                ttl: 3,
-                payload: (),
-            },
-            Flood {
-                origin: 19,
-                ttl: 2,
-                payload: (),
-            },
-            Flood {
-                origin: 7,
-                ttl: 0,
-                payload: (),
-            },
-        ];
-        let mut full = FloodEngine::new(&g);
-        let _ = full.deliver(&floods);
+        let floods = [flood(0, 3, ()), flood(19, 2, ()), flood(7, 0, ())];
+        let mut listing = FloodEngine::new(&g);
+        let _ = receivers(&mut listing, &floods);
         let mut counting = FloodEngine::new(&g);
         counting.broadcast_only(&floods);
-        assert_eq!(full.counters(), counting.counters());
+        assert_eq!(listing.counters(), counting.counters());
 
-        // Lossy path: identical seeds consume identical RNG streams, so
+        // Lossy path: identical seeds consume identical drop streams, so
         // the counters agree too.
-        let mut full = FloodEngine::with_loss(&g, 0.3, 11);
-        let _ = full.deliver(&floods);
+        let mut listing = FloodEngine::with_loss(&g, 0.3, 11);
+        let _ = receivers(&mut listing, &floods);
         let mut counting = FloodEngine::with_loss(&g, 0.3, 11);
         counting.broadcast_only(&floods);
-        assert_eq!(full.counters(), counting.counters());
+        assert_eq!(listing.counters(), counting.counters());
     }
 
     #[test]
@@ -731,12 +618,10 @@ mod tests {
             Arc::ptr_eq(&arc_of(&a, 3), &arc_of(&b, 3)),
             "adopted table must be the same allocation"
         );
-        let floods = [Flood {
-            origin: 5,
-            ttl: 3,
-            payload: (),
-        }];
-        assert_eq!(a.deliver(&floods), b.deliver(&floods));
+        let floods = [flood(5, 3, ())];
+        a.broadcast_only(&floods);
+        b.broadcast_only(&floods);
+        assert_eq!(a.counters(), b.counters());
     }
 
     #[test]
@@ -753,71 +638,36 @@ mod tests {
     fn batch_timeslots_use_max_ttl() {
         let g = topology::line(6);
         let mut e = FloodEngine::new(&g);
-        e.deliver(&[
-            Flood {
-                origin: 0,
-                ttl: 1,
-                payload: (),
-            },
-            Flood {
-                origin: 5,
-                ttl: 4,
-                payload: (),
-            },
-        ]);
+        let _ = receivers(&mut e, &[flood(0, 1, ()), flood(5, 4, ())]);
         assert_eq!(e.counters().timeslots, 4);
-        e.deliver(&[Flood {
-            origin: 0,
-            ttl: 2,
-            payload: (),
-        }]);
+        e.broadcast_only(&[flood(0, 2, ())]);
         assert_eq!(e.counters().timeslots, 6);
     }
 
     #[test]
-    fn concurrent_floods_have_independent_inboxes() {
+    fn concurrent_floods_have_independent_receivers() {
         let g = topology::line(5);
         let mut e = FloodEngine::new(&g);
-        let inboxes = e.deliver(&[
-            Flood {
-                origin: 0,
-                ttl: 4,
-                payload: "a",
-            },
-            Flood {
-                origin: 4,
-                ttl: 4,
-                payload: "b",
-            },
-        ]);
-        assert_eq!(inboxes[2].len(), 2);
-        let mut payloads: Vec<&str> = inboxes[2].iter().map(|r| r.payload).collect();
-        payloads.sort_unstable();
-        assert_eq!(payloads, vec!["a", "b"]);
+        let got = receivers(&mut e, &[flood(0, 4, "a"), flood(4, 4, "b")]);
+        assert_eq!(got, vec![vec![1, 2, 3, 4], vec![0, 1, 2, 3]]);
     }
 
     #[test]
-    fn deliver_into_reuses_and_matches_deliver() {
+    fn receivers_buffer_is_reused_across_batches() {
         let g = topology::grid(4, 4);
-        let floods = [
-            Flood {
-                origin: 0,
-                ttl: 3,
-                payload: 1u32,
-            },
-            Flood {
-                origin: 15,
-                ttl: 2,
-                payload: 2u32,
-            },
-        ];
+        let floods = [flood(0, 3, 1u32), flood(15, 2, 2u32)];
         let mut fresh = FloodEngine::new(&g);
-        let expect = fresh.deliver(&floods);
+        let expect = receivers(&mut fresh, &floods);
         let mut reused = FloodEngine::new(&g);
-        let mut inboxes = Vec::new();
+        let mut out = FloodReceivers::default();
         for _ in 0..3 {
-            reused.deliver_into(&floods, &mut inboxes);
-            assert_eq!(inboxes, expect);
+            reused.deliver_receivers_into(&floods, &mut out);
+            assert_eq!(out.floods(), floods.len());
+            for (i, want) in expect.iter().enumerate() {
+                let mut got = out.of(i).to_vec();
+                got.sort_unstable();
+                assert_eq!(&got, want);
+            }
         }
         // Counters accumulate linearly across identical deliveries.
         assert_eq!(
@@ -830,59 +680,43 @@ mod tests {
     #[test]
     fn huge_ttl_is_clamped_not_allocated() {
         let g = topology::line(4);
+        let floods = [flood(0, usize::MAX, ())];
+        assert_eq!(
+            receivers(&mut FloodEngine::new(&g), &floods),
+            vec![vec![1, 2, 3]]
+        );
         let mut e = FloodEngine::new(&g);
-        let inboxes = e.deliver(&[Flood {
-            origin: 0,
-            ttl: usize::MAX,
-            payload: (),
-        }]);
-        assert!(inboxes[1..].iter().all(|b| b.len() == 1));
+        e.broadcast_only(&floods);
         // Only the saturated table exists (radius ≤ n).
         assert!(e.tables.len() <= g.n() + 1);
     }
 
     #[test]
     fn lossy_path_matches_lossless_when_no_drop_fires() {
-        // loss_prob tiny enough that no draw fires in this run: the BFS
-        // path must agree with the table path exactly.
+        // loss_prob tiny enough that no draw fires in this run: the lossy
+        // BFS must agree with the lossless table scan exactly.
         let g = topology::grid(3, 5);
-        let floods = [Flood {
-            origin: 7,
-            ttl: 3,
-            payload: (),
-        }];
+        let floods = [flood(7, 3, ())];
         let mut lossless = FloodEngine::new(&g);
-        let a = lossless.deliver(&floods);
         let mut nearly = FloodEngine::with_loss(&g, 1e-12, 5);
-        let b = nearly.deliver(&floods);
-        assert_eq!(a, b);
         assert_eq!(
-            lossless.counters().transmissions,
-            nearly.counters().transmissions
+            receivers(&mut lossless, &floods),
+            receivers(&mut nearly, &floods)
         );
+        lossless.broadcast_only(&floods);
+        nearly.broadcast_only(&floods);
+        assert_eq!(lossless.counters(), nearly.counters());
     }
 
     #[test]
     fn total_loss_blocks_beyond_first_hop_never_the_math() {
-        // loss = 0.999…: with a seeded RNG, eventually every relay drops;
-        // here we use a high but valid probability and just assert safety
-        // properties (no panic, inbox subset of the lossless run).
+        // High but valid loss probability: assert only safety properties
+        // (no panic, receivers a subset of the lossless run).
         let g = topology::line(6);
-        let mut lossless = FloodEngine::new(&g);
-        let full = lossless.deliver(&[Flood {
-            origin: 0,
-            ttl: 5,
-            payload: (),
-        }]);
-        let mut lossy = FloodEngine::with_loss(&g, 0.9, 7);
-        let some = lossy.deliver(&[Flood {
-            origin: 0,
-            ttl: 5,
-            payload: (),
-        }]);
-        for v in 0..6 {
-            assert!(some[v].len() <= full[v].len());
-        }
+        let floods = [flood(0, 5, ())];
+        let full = receivers(&mut FloodEngine::new(&g), &floods);
+        let some = receivers(&mut FloodEngine::with_loss(&g, 0.9, 7), &floods);
+        assert!(some[0].iter().all(|v| full[0].contains(v)));
     }
 
     #[test]
@@ -890,12 +724,7 @@ mod tests {
         let g = topology::grid(4, 4);
         let run = |seed| {
             let mut e = FloodEngine::with_loss(&g, 0.3, seed);
-            let boxes = e.deliver(&[Flood {
-                origin: 0,
-                ttl: 6,
-                payload: (),
-            }]);
-            boxes.iter().map(|b| b.len()).collect::<Vec<_>>()
+            (receivers(&mut e, &[flood(0, 6, ())]), e.counters().clone())
         };
         assert_eq!(run(5), run(5));
     }
@@ -903,38 +732,30 @@ mod tests {
     #[test]
     fn capped_engine_falls_back_to_bfs_and_matches() {
         let g = topology::grid(4, 5);
-        let floods = [
-            Flood {
-                origin: 3,
-                ttl: 3,
-                payload: 7u32,
-            },
-            Flood {
-                origin: 17,
-                ttl: 2,
-                payload: 9u32,
-            },
-        ];
+        let floods = [flood(3, 3, 7u32), flood(17, 2, 9u32)];
         let mut tabled = FloodEngine::new(&g);
-        let expect = tabled.deliver(&floods);
+        tabled.broadcast_only(&floods);
         assert!(tabled.cached_table_entries() > 0);
 
         let mut capped = FloodEngine::new(&g);
         capped.set_table_entry_cap(0);
-        let got = capped.deliver(&floods);
-        assert_eq!(got, expect, "BFS fallback must reproduce the table path");
-        assert_eq!(capped.counters(), tabled.counters());
+        capped.broadcast_only(&floods);
+        assert_eq!(
+            capped.counters(),
+            tabled.counters(),
+            "BFS fallback must charge what the table scan charges"
+        );
         assert_eq!(capped.cached_table_entries(), 0);
         // The silent fallback is surfaced: one increment per fallen-back
         // flood on the capped engine, none on the tabled one.
         assert_eq!(tabled.fallback_floods(), 0);
         assert_eq!(capped.fallback_floods(), floods.len() as u64);
-        // broadcast_only agrees too.
-        let mut counting = FloodEngine::new(&g);
-        counting.set_table_entry_cap(0);
-        counting.broadcast_only(&floods);
-        assert_eq!(counting.counters(), tabled.counters());
-        assert_eq!(counting.fallback_floods(), floods.len() as u64);
+        // The receivers path is BFS by design, never a fallback.
+        let mut listing = FloodEngine::new(&g);
+        listing.set_table_entry_cap(0);
+        let _ = receivers(&mut listing, &floods);
+        assert_eq!(listing.counters(), tabled.counters());
+        assert_eq!(listing.fallback_floods(), 0);
         // reset_counters clears the fallback tally alongside the rest.
         capped.reset_counters();
         assert_eq!(capped.fallback_floods(), 0);
@@ -943,12 +764,10 @@ mod tests {
     #[test]
     fn deliberate_lossy_bfs_does_not_count_as_fallback() {
         let g = topology::grid(3, 4);
+        let floods = [flood(0, 3, ())];
         let mut e = FloodEngine::with_loss(&g, 0.3, 9);
-        e.deliver(&[Flood {
-            origin: 0,
-            ttl: 3,
-            payload: (),
-        }]);
+        let _ = receivers(&mut e, &floods);
+        e.broadcast_only(&floods);
         assert_eq!(e.fallback_floods(), 0);
     }
 
@@ -958,32 +777,18 @@ mod tests {
         // not depend on how many relays *earlier* floods consumed — only
         // on its position in the flood sequence. Deliver the same probe
         // flood after equally-many but very differently-sized warm-up
-        // floods and require identical inboxes. (The legacy single-stream
-        // RNG fails this.)
+        // floods and require identical receivers. (The legacy
+        // single-stream RNG fails this.)
         let g = topology::grid(5, 6);
-        let probe = Flood {
-            origin: 14,
-            ttl: 4,
-            payload: 1u32,
-        };
+        let probe = flood(14, 4, 1u32);
         let run_after = |warmup: &[Flood<u32>]| {
             let mut e = FloodEngine::with_loss(&g, 0.35, 21);
-            let _ = e.deliver(warmup);
-            e.deliver(std::slice::from_ref(&probe))
+            let _ = receivers(&mut e, warmup);
+            receivers(&mut e, std::slice::from_ref(&probe))
         };
-        let small = [Flood {
-            origin: 0,
-            ttl: 1,
-            payload: 0u32,
-        }];
-        let big = [Flood {
-            origin: 0,
-            ttl: 6,
-            payload: 0u32,
-        }];
         assert_eq!(
-            run_after(&small),
-            run_after(&big),
+            run_after(&[flood(0, 1, 0u32)]),
+            run_after(&[flood(0, 6, 0u32)]),
             "flood realizations must be independent of predecessor batch shape"
         );
     }
@@ -997,36 +802,21 @@ mod tests {
         let used = e.cached_table_entries();
         assert!(used > 0);
         e.set_table_entry_cap(used + 1);
-        let floods = [Flood {
-            origin: 12,
-            ttl: 4,
-            payload: (),
-        }];
+        let floods = [flood(12, 4, ())];
         let mut reference = FloodEngine::new(&g);
-        let expect = reference.deliver(&floods);
-        assert_eq!(e.deliver(&floods), expect);
+        reference.broadcast_only(&floods);
+        e.broadcast_only(&floods);
+        assert_eq!(e.counters(), reference.counters());
         // Radius 4 was refused; only the radius-1 table is cached.
         assert_eq!(e.cached_table_entries(), used);
         assert!(matches!(e.tables[4], TableSlot::Capped));
         // Capped radii stay capped even after repeated use.
-        let _ = e.deliver(&floods);
+        e.broadcast_only(&floods);
         assert!(matches!(e.tables[4], TableSlot::Capped));
     }
 
-    /// Per-flood receiver sets read off `deliver`'s inboxes, each sorted
-    /// (floods carry their batch index as payload).
-    fn receivers_from_inboxes(inboxes: &[Vec<Received<usize>>], floods: usize) -> Vec<Vec<u32>> {
-        let mut sets = vec![Vec::new(); floods];
-        for (v, inbox) in inboxes.iter().enumerate() {
-            for rec in inbox {
-                sets[rec.payload].push(v as u32);
-            }
-        }
-        sets
-    }
-
     #[test]
-    fn receivers_delivery_matches_inboxes_counters_and_loss_stream() {
+    fn receivers_delivery_matches_broadcast_counters_and_loss_stream() {
         // Vertex 20 is isolated: its floods reach nobody but still cost
         // the origin's broadcast (and, under loss, one drop draw).
         let mut b = Graph::builder(21);
@@ -1042,80 +832,86 @@ mod tests {
             }
         }
         let g = b.build();
-        let flood = |i: usize, origin: usize, ttl: usize| Flood {
-            origin,
-            ttl,
-            payload: i,
-        };
         let batches: Vec<Vec<Flood<usize>>> = vec![
             vec![],
-            vec![flood(0, 20, 3)],
-            vec![flood(0, 0, 3), flood(1, 19, 2), flood(2, 7, 0)],
+            vec![flood(20, 3, 0)],
+            vec![flood(0, 3, 0), flood(19, 2, 1), flood(7, 0, 2)],
             vec![
-                flood(0, 12, 4),
-                flood(1, 12, 4),
-                flood(2, 20, 1),
-                flood(3, 3, 1),
+                flood(12, 4, 0),
+                flood(12, 4, 1),
+                flood(20, 1, 2),
+                flood(3, 1, 3),
             ],
         ];
-        let engines = |cap: usize, loss: f64| {
-            let make = || {
-                let mut e = if loss > 0.0 {
-                    FloodEngine::with_loss(&g, loss, 23)
-                } else {
-                    FloodEngine::new(&g)
-                };
-                e.set_table_entry_cap(cap);
-                e
+        let make = |cap: usize, loss: f64| {
+            let mut e = if loss > 0.0 {
+                FloodEngine::with_loss(&g, loss, 23)
+            } else {
+                FloodEngine::new(&g)
             };
-            (make(), make())
+            e.set_table_entry_cap(cap);
+            e
         };
         for (cap, loss) in [
             (DEFAULT_TABLE_ENTRY_CAP, 0.0),
             (0, 0.0),
             (DEFAULT_TABLE_ENTRY_CAP, 0.3),
         ] {
-            let (mut inboxing, mut listing) = engines(cap, loss);
-            let mut receivers = FloodReceivers::default();
+            let (mut counting, mut listing) = (make(cap, loss), make(cap, loss));
             // Twice through, so the loss stream carries across batches.
             for batch in batches.iter().chain(&batches) {
-                let expect = receivers_from_inboxes(&inboxing.deliver(batch), batch.len());
-                listing.deliver_receivers_into(batch, &mut receivers);
-                assert_eq!(receivers.floods(), batch.len());
-                for (i, want) in expect.iter().enumerate() {
-                    let mut got = receivers.of(i).to_vec();
-                    got.sort_unstable();
-                    assert_eq!(&got, want, "cap={cap} loss={loss} flood {i}");
+                let delivered = listing.counters().delivered;
+                let got = receivers(&mut listing, batch);
+                counting.broadcast_only(batch);
+                for (f, set) in batch.iter().zip(&got) {
+                    let dist = g.bfs_distances(f.origin);
+                    assert!(
+                        set.iter().all(|&v| {
+                            v as usize != f.origin && dist[v as usize].is_some_and(|d| d <= f.ttl)
+                        }),
+                        "cap={cap} loss={loss}: receiver outside the ball"
+                    );
+                    if loss == 0.0 {
+                        let ball = (0..g.n())
+                            .filter(|&v| v != f.origin && dist[v].is_some_and(|d| d <= f.ttl))
+                            .count();
+                        assert_eq!(set.len(), ball, "cap={cap}: lossless reach is the ball");
+                    }
                 }
+                let copies: usize = got.iter().map(Vec::len).sum();
+                assert_eq!(listing.counters().delivered - delivered, copies as u64);
                 assert_eq!(
                     listing.counters(),
-                    inboxing.counters(),
+                    counting.counters(),
                     "cap={cap} loss={loss}"
                 );
-                assert_eq!(listing.loss_flood_index(), inboxing.loss_flood_index());
-                assert_eq!(listing.fallback_floods(), inboxing.fallback_floods());
+                assert_eq!(listing.loss_flood_index(), counting.loss_flood_index());
             }
+            assert_eq!(listing.fallback_floods(), 0);
         }
     }
 
     #[test]
     fn loss_spec_construction() {
         let g = topology::line(5);
-        let floods = [Flood {
-            origin: 0,
-            ttl: 4,
-            payload: (),
-        }];
+        let floods = [flood(0, 4, ())];
         assert!(LossSpec::lossless().is_lossless());
         assert!(!LossSpec::lossy(0.3, 9).is_lossless());
 
         let mut from_spec = FloodEngine::from_spec(&g, &LossSpec::lossless());
         let mut direct = FloodEngine::new(&g);
-        assert_eq!(from_spec.deliver(&floods), direct.deliver(&floods));
+        assert_eq!(
+            receivers(&mut from_spec, &floods),
+            receivers(&mut direct, &floods)
+        );
 
         let mut from_spec = FloodEngine::from_spec(&g, &LossSpec::lossy(0.4, 9));
         let mut direct = FloodEngine::with_loss(&g, 0.4, 9);
-        assert_eq!(from_spec.deliver(&floods), direct.deliver(&floods));
+        assert_eq!(
+            receivers(&mut from_spec, &floods),
+            receivers(&mut direct, &floods)
+        );
+        assert_eq!(from_spec.counters(), direct.counters());
     }
 
     #[test]
@@ -1123,10 +919,14 @@ mod tests {
     fn bad_origin_panics() {
         let g = topology::line(2);
         let mut e = FloodEngine::new(&g);
-        let _ = e.deliver(&[Flood {
-            origin: 9,
-            ttl: 1,
-            payload: (),
-        }]);
+        e.broadcast_only(&[flood(9, 1, ())]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn bad_origin_panics_on_the_receivers_path() {
+        let g = topology::line(2);
+        let mut e = FloodEngine::new(&g);
+        let _ = receivers(&mut e, &[flood(9, 1, ())]);
     }
 }

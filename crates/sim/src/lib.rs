@@ -12,27 +12,30 @@
 //! * [`Counters`] records transmissions, delivered copies, and pipelined
 //!   mini-timeslots, so the paper's communication-complexity claims
 //!   (`O(r² + D)` messages per vertex per round) can be *measured* rather
-//!   than assumed — see the `complexity` bench.
+//!   than assumed — see the `complexity` campaign scenario.
 //!
 //! The engine is deliberately transport-only: protocol state machines (the
 //! Candidate/LocalLeader/Winner/Loser logic) live in `mhca-core`, and are
-//! restricted to information received through [`FloodEngine::deliver`],
-//! preserving the locality the paper's distributed claims rest on.
+//! restricted to information received through
+//! [`FloodEngine::deliver_receivers_into`], preserving the locality the
+//! paper's distributed claims rest on.
 //!
 //! # Example
 //!
 //! ```
 //! use mhca_graph::topology;
-//! use mhca_sim::{Flood, FloodEngine};
+//! use mhca_sim::{Flood, FloodEngine, FloodReceivers};
 //!
 //! let g = topology::line(5);
 //! let mut engine = FloodEngine::new(&g);
-//! let inboxes = engine.deliver(&[Flood { origin: 0, ttl: 2, payload: "hi" }]);
+//! let mut heard = FloodReceivers::default();
+//! engine.deliver_receivers_into(&[Flood { origin: 0, ttl: 2, payload: "hi" }], &mut heard);
 //! // Vertices within 2 hops hear the flood; vertex 0 itself does not
 //! // receive its own message.
-//! assert!(inboxes[1].iter().any(|r| r.payload == "hi"));
-//! assert!(inboxes[2].iter().any(|r| r.payload == "hi"));
-//! assert!(inboxes[3].is_empty());
+//! assert_eq!(heard.of(0), &[1, 2]);
+//! // The origin and vertex 1 relayed; vertices 1 and 2 got a copy.
+//! assert_eq!(engine.counters().transmissions, 2);
+//! assert_eq!(engine.counters().delivered, 2);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -44,5 +47,5 @@ pub mod engine;
 pub mod loss;
 
 pub use counters::Counters;
-pub use engine::{Flood, FloodEngine, FloodReceivers, LossSpec, Received, DEFAULT_TABLE_ENTRY_CAP};
+pub use engine::{Flood, FloodEngine, FloodReceivers, LossSpec, DEFAULT_TABLE_ENTRY_CAP};
 pub use loss::SkipSampler;

@@ -15,7 +15,7 @@
 
 use mhca::bandit::policies::{CsUcb, IndexPolicy};
 use mhca::core::{DistributedPtas, DistributedPtasConfig, Network};
-use mhca::sim::{Flood, FloodEngine, Received};
+use mhca::sim::{Flood, FloodEngine, FloodReceivers};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -83,18 +83,21 @@ fn lossless_flood_delivery_is_allocation_free_after_warmup() {
         })
         .collect();
     let mut engine = FloodEngine::new(graph);
-    let mut inboxes: Vec<Vec<Received<()>>> = Vec::new();
-    // Warm-up: builds the ball table and sizes every inbox.
-    engine.deliver_into(&floods, &mut inboxes);
+    let mut receivers = FloodReceivers::default();
+    // Warm-up: builds the ball table, sizes the BFS queue and the
+    // receiver lists.
+    engine.broadcast_only(&floods);
+    engine.deliver_receivers_into(&floods, &mut receivers);
 
     let allocs = min_allocs(3, || {
         for _ in 0..20 {
-            engine.deliver_into(&floods, &mut inboxes);
+            engine.broadcast_only(&floods);
+            engine.deliver_receivers_into(&floods, &mut receivers);
         }
     });
     assert_eq!(
         allocs, 0,
-        "steady-state deliver_into must not allocate (counted {allocs})"
+        "steady-state broadcast_only + deliver_receivers_into must not allocate (counted {allocs})"
     );
 }
 
@@ -347,18 +350,53 @@ fn run_policy_allocation_grows_sublinearly_with_horizon() {
     // by setup, not by the per-slot loop. With the loop allocation-free,
     // doubling the horizon adds (almost) nothing; before PR 1 each slot
     // cost a fresh engine + inboxes + index/observation vectors.
+    //
+    // The second input is the lossy traffic period: 10 % control loss
+    // (the rescan decide), a light Poisson workload and the two traffic
+    // observers, run through `run_policy_observed`.
+    use mhca::core::runner::{run_policy_observed, Algorithm2Config};
+    use mhca::core::{FlowSpec, ObserverKind, ObserverSet, TrafficSpec};
     let net = Network::random(30, 3, 4.0, 0.1, 3);
-    let count_run = |horizon: u64| {
-        min_allocs(2, || {
-            let cfg = mhca::core::runner::Algorithm2Config::default().with_horizon(horizon);
-            let _ = mhca::core::runner::run_policy(&net, &cfg, &mut CsUcb::new(2.0));
-        })
-    };
-    let short = count_run(40);
-    let long = count_run(160);
-    // 4× the slots must cost well under 2× the allocations.
-    assert!(
-        long < short * 2,
-        "per-slot allocations leak: horizon 40 → {short} allocs, horizon 160 → {long}"
+    let lossless = Algorithm2Config::default();
+    let traffic = TrafficSpec::poisson(
+        0.05,
+        vec![
+            FlowSpec {
+                src: 0,
+                dst: 7,
+                deadline: Some(50),
+            },
+            FlowSpec {
+                src: 12,
+                dst: 3,
+                deadline: None,
+            },
+        ],
     );
+    let lossy = Algorithm2Config::default()
+        .with_decision(DistributedPtasConfig::default().with_loss(0.1, 17))
+        .with_traffic(traffic);
+    let observers = [
+        ObserverKind::FlowDelay,
+        ObserverKind::QueueTail { bound: 64 },
+    ];
+    for (label, base, kinds) in [
+        ("lossless", &lossless, &[][..]),
+        ("lossy traffic", &lossy, &observers[..]),
+    ] {
+        let count_run = |horizon: u64| {
+            min_allocs(2, || {
+                let cfg = base.clone().with_horizon(horizon);
+                let mut set = ObserverSet::from_kinds(kinds);
+                let _ = run_policy_observed(&net, &cfg, &mut CsUcb::new(2.0), &mut set);
+            })
+        };
+        let short = count_run(40);
+        let long = count_run(160);
+        // 4× the slots must cost well under 2× the allocations.
+        assert!(
+            long < short * 2,
+            "{label}: per-slot allocations leak: horizon 40 → {short} allocs, horizon 160 → {long}"
+        );
+    }
 }
