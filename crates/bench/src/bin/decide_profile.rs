@@ -14,8 +14,8 @@
 //!
 //! The `--pr6` flag switches to the large-N grid instead: serial vs
 //! partition-parallel (tiled) decide up to `n = 50_000`, with per-phase
-//! nanosecond breakdowns ([`mhca_core::DecidePhaseNs`]), halo sizes, and
-//! the table→BFS fallback counter, emitted as `BENCH_PR6.json`. The
+//! nanosecond breakdowns ([`mhca_core::DecidePhaseNs`]) and halo sizes,
+//! emitted as `BENCH_PR6.json`. The
 //! partitioned outcome is asserted byte-identical to the serial one at
 //! every grid point (and to the full-rescan oracle where it is run).
 //!
@@ -173,12 +173,6 @@ fn profile(n: usize, m: usize, r: usize, samples: usize, iters: usize) -> Profil
 // PR 6: large-N serial vs partition-parallel grid.
 // ---------------------------------------------------------------------------
 
-/// Flood-table entry cap for the large-N grid: 2^25 packed `u32` entries
-/// (128 MiB). The point of the compact layout is that lossless floods stay
-/// table scans at `n = 5×10^4`; `fallback_floods` in the emitted JSON
-/// proves whether they did.
-const PR6_TABLE_ENTRY_CAP: usize = 1 << 25;
-
 /// One measured large-N grid point.
 struct Pr6Point {
     n: usize,
@@ -193,7 +187,6 @@ struct Pr6Point {
     serial_phases: PhaseHists,
     partitioned_phases: PhaseHists,
     halo_entries: usize,
-    fallback_floods: u64,
     decide_transmissions: u64,
 }
 
@@ -218,7 +211,6 @@ fn profile_pr6(
     // Serial reference first; dropped before the partitioned engine is
     // built so only one ball CSR is resident at a time at n = 5×10^4.
     let mut serial = DistributedPtas::new(net.h(), base);
-    serial.set_table_entry_cap(PR6_TABLE_ENTRY_CAP);
     serial.set_profile_phases(true);
     serial.decide_into(&weights, &mut out); // warm pools + tables
     let (serial_wall, serial_phases) = sample_engine(&mut serial, &weights, &mut out, calls, false);
@@ -226,7 +218,6 @@ fn profile_pr6(
     drop(serial);
 
     let mut tiled = DistributedPtas::new(net.h(), base.with_partitions(partitions));
-    tiled.set_table_entry_cap(PR6_TABLE_ENTRY_CAP);
     tiled.set_profile_phases(true);
     tiled.decide_into(&weights, &mut out);
     assert_eq!(
@@ -240,7 +231,6 @@ fn profile_pr6(
 
     let rescan_wall = with_rescan.then(|| {
         let mut rescan = DistributedPtas::new(net.h(), base);
-        rescan.set_table_entry_cap(PR6_TABLE_ENTRY_CAP);
         rescan.decide_into_rescan(&weights, &mut out);
         assert_eq!(
             out, expect,
@@ -262,7 +252,6 @@ fn profile_pr6(
         serial_phases,
         partitioned_phases,
         halo_entries,
-        fallback_floods: expect.fallback_floods,
         decide_transmissions: expect.counters.transmissions,
     }
 }
@@ -291,12 +280,11 @@ fn run_pr6(quick: bool, out_path: &str) {
         let p = profile_pr6(n, m, r, partitions, samples, iters, with_rescan);
         eprintln!(
             "  serial p50 {:>13} ns  partitioned p50 {:>13} ns  ratio {:.2}x  \
-             halo {}  fallback_floods {}",
+             halo {}",
             p.serial_wall.p50(),
             p.partitioned_wall.p50(),
             p.serial_wall.p50() as f64 / p.partitioned_wall.p50().max(1) as f64,
             p.halo_entries,
-            p.fallback_floods,
         );
         points.push(p);
     }
@@ -312,9 +300,7 @@ fn run_pr6(quick: bool, out_path: &str) {
          partitioned_ns. Outcomes are asserted byte-identical in-process at every point \
          (and against the full-rescan oracle where rescan_ns is non-null). Per-phase \
          breakdowns come from DecidePhaseNs recorded on every profiled decision \
-         (p50/p99 per phase). fallback_floods counts decide floods that silently fell \
-         back from the compact ball table to live BFS — 0 means the 2^25-entry cap held \
-         and lossless floods stayed table scans.\",\n",
+         (p50/p99 per phase).\",\n",
     );
     json.push_str(
         "  \"workload\": \"Network::random(n, 2, 5.0, 0.1, 300 + n): unit-disk, 2 channels, \
@@ -344,7 +330,7 @@ fn run_pr6(quick: bool, out_path: &str) {
              \"partitioned_ns\": {}, \"partitioned_p99_ns\": {}, \"ratio\": {:.2}, \
              \"rescan_ns\": {}, \"rescan_p99_ns\": {}, \
              \"serial_phase_ns\": {}, \"partitioned_phase_ns\": {}, \
-             \"halo_entries\": {}, \"fallback_floods\": {}, \"decide_transmissions\": {}}}{}",
+             \"halo_entries\": {}, \"decide_transmissions\": {}}}{}",
             p.r,
             p.n,
             p.n,
@@ -363,7 +349,6 @@ fn run_pr6(quick: bool, out_path: &str) {
             p.serial_phases.json(),
             p.partitioned_phases.json(),
             p.halo_entries,
-            p.fallback_floods,
             p.decide_transmissions,
             comma,
         );

@@ -237,8 +237,8 @@ pub fn registry() -> Vec<ScenarioSpec> {
     // ---- Large-N scaling: the partition-parallel decide on a network
     // an order of magnitude past the rest of the catalog. r = 1 and a
     // short horizon keep the (2r+1)-ball tables and the round count
-    // affordable; CommTotals surfaces the table→BFS fallback counter so
-    // a capped flood engine cannot degrade silently.
+    // affordable; CommTotals reports the decide floods' communication
+    // totals at this scale.
     out.push(
         ScenarioSpec::new(
             "large-n",

@@ -77,8 +77,7 @@
 //! differential test battery (`tests/decide_parity.rs`), and its lossy
 //! outcomes are pinned to recorded digests there. The dirty expansion
 //! walks the per-vertex `(2r+1)`-ball tables precomputed at construction,
-//! so it needs no flood-engine ball table and is unaffected by the
-//! engine's large-N table entry cap.
+//! so it needs no flood-engine relay table.
 //!
 //! ## Local views on the rescan path
 //!
@@ -308,11 +307,10 @@ pub struct DecisionOutcome {
     /// Number of adjacent Winner pairs in the output (0 unless message
     /// loss corrupted the run) — instrumentation, not protocol state.
     pub conflicts: usize,
-    /// Floods the engine served through the per-flood BFS fallback
-    /// because the ball-table entry cap refused the radius
-    /// ([`FloodEngine::fallback_floods`]). Nonzero on a lossless run
-    /// means the decision silently paid BFS costs where `O(1)` table
-    /// scans were expected — the large-N honesty signal.
+    /// Always 0. It counted lossless floods that fell back from a capped
+    /// flood-engine table to BFS; the engine's relay tables have no cap,
+    /// so no flood falls back. Kept so that readers of this field and the
+    /// `decide_fallback_floods` artifact row keep their shape.
     pub fallback_floods: u64,
     /// Communication counters for the decision.
     pub counters: Counters,
@@ -409,7 +407,7 @@ enum Msg {
 pub struct DistributedPtas<'h> {
     h: &'h ExtendedConflictGraph,
     config: DistributedPtasConfig,
-    /// Long-lived flood engine over `H` (ball tables prewarmed for the
+    /// Long-lived flood engine over `H` (relay tables prewarmed for the
     /// protocol's two TTLs). Under message loss the engine's RNG stream
     /// advances across decisions — runs are reproducible per
     /// `(loss_seed, decision sequence)`, not per individual decision.
@@ -742,7 +740,7 @@ impl<'h> DistributedPtas<'h> {
 
     /// The flood engine this decision protocol communicates through —
     /// exposed so same-graph engines (e.g. the Algorithm 2 runner's WB
-    /// engine) can adopt its prewarmed neighborhood tables instead of
+    /// engine) can adopt its prewarmed relay tables instead of
     /// rebuilding them ([`FloodEngine::adopt_tables`]).
     pub fn flood_engine(&self) -> &FloodEngine<'h> {
         &self.engine
@@ -785,14 +783,6 @@ impl<'h> DistributedPtas<'h> {
     /// ([`Partition::halo_entries`]).
     pub fn partition(&self) -> Option<&Partition> {
         (self.partition.tile_count() > 1).then_some(&self.partition)
-    }
-
-    /// Overrides the flood engine's ball-table entry cap
-    /// ([`FloodEngine::set_table_entry_cap`]) — the large-N bench raises
-    /// it so lossless floods stay `O(1)` table scans instead of silently
-    /// falling back to BFS (watch [`DecisionOutcome::fallback_floods`]).
-    pub fn set_table_entry_cap(&mut self, cap: usize) {
-        self.engine.set_table_entry_cap(cap);
     }
 
     /// Enables per-phase wall-clock stamps on the dirty-ball decide path
@@ -1217,7 +1207,7 @@ impl<'h> DistributedPtas<'h> {
             })
             .sum();
         out.minirounds_used = out.leaders_per_miniround.len();
-        out.fallback_floods = engine.fallback_floods();
+        out.fallback_floods = 0;
         out.counters.clone_from(engine.counters());
     }
 

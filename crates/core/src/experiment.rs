@@ -151,10 +151,10 @@ pub struct RoundRecord<'a> {
     /// performed ([`crate::DecideScanStats::candidates_scanned`]) — the
     /// work metric the incremental dirty-ball decide path shrinks.
     pub decide_scanned: u64,
-    /// Floods of this decision the flood engine silently served through
-    /// its BFS fallback because the ball-table entry cap refused the
-    /// radius ([`crate::DecisionOutcome::fallback_floods`]) — nonzero
-    /// means the run paid BFS costs where table scans were expected.
+    /// Always 0 ([`crate::DecisionOutcome::fallback_floods`]): the flood
+    /// engine's relay tables have no cap, so no decide flood falls back
+    /// to BFS. Kept so that observers built against this field still
+    /// compile and read the same value.
     pub decide_fallback_floods: u64,
     /// Per-vertex relay broadcasts of this decision (indexed by vertex).
     pub per_vertex_tx: &'a [u64],
@@ -576,7 +576,6 @@ pub struct CommTotalsObserver {
     delivered: u64,
     timeslots: u64,
     scanned: u64,
-    fallback_floods: u64,
     decisions: u64,
     telemetry: Telemetry,
 }
@@ -600,7 +599,6 @@ impl RoundObserver for CommTotalsObserver {
         self.delivered += record.decide_delivered;
         self.timeslots += record.decide_timeslots;
         self.scanned += record.decide_scanned;
-        self.fallback_floods += record.decide_fallback_floods;
         self.decisions += 1;
         if self.telemetry.enabled() && self.decisions.is_multiple_of(COMM_STREAM_EVERY) {
             self.stream_counters();
@@ -620,7 +618,9 @@ impl RoundObserver for CommTotalsObserver {
         t.push("decide_delivered", self.delivered as f64);
         t.push("decide_timeslots", self.timeslots as f64);
         t.push("decide_candidates_scanned", self.scanned as f64);
-        t.push("decide_fallback_floods", self.fallback_floods as f64);
+        // Constant 0: no decide flood falls back to BFS any more. The
+        // row stays so that artifacts keep their shape and digests.
+        t.push("decide_fallback_floods", 0.0);
         t.push("decisions", self.decisions as f64);
         t
     }
@@ -630,7 +630,6 @@ impl RoundObserver for CommTotalsObserver {
         out.put_u64("delivered", self.delivered);
         out.put_u64("timeslots", self.timeslots);
         out.put_u64("scanned", self.scanned);
-        out.put_u64("fallback_floods", self.fallback_floods);
         out.put_u64("decisions", self.decisions);
     }
 
@@ -639,7 +638,6 @@ impl RoundObserver for CommTotalsObserver {
         self.delivered = state.get_u64("delivered")?;
         self.timeslots = state.get_u64("timeslots")?;
         self.scanned = state.get_u64("scanned")?;
-        self.fallback_floods = state.get_u64("fallback_floods")?;
         self.decisions = state.get_u64("decisions")?;
         Ok(())
     }
@@ -2465,6 +2463,33 @@ mod tests {
         // Timing streamed something (non-negative, finite).
         let ms = out.metrics.get("decide-timing:decide_ms_total").unwrap();
         assert!(ms.is_finite() && ms >= 0.0);
+    }
+
+    #[test]
+    fn comm_totals_restores_a_snapshot_with_the_retired_fallback_key() {
+        // The key order and values of a snapshot written while the
+        // observer still tallied fallback floods.
+        let mut legacy = StateMap::new();
+        for (key, value) in [
+            ("transmissions", 7),
+            ("delivered", 5),
+            ("timeslots", 3),
+            ("scanned", 2),
+            ("fallback_floods", 4),
+            ("decisions", 1),
+        ] {
+            legacy.put_u64(key, value);
+        }
+        let mut obs = CommTotalsObserver::default();
+        obs.restore_state(&legacy).unwrap();
+        let mut again = StateMap::new();
+        obs.snapshot_state(&mut again);
+        assert!(again.iter().all(|(key, _)| key != "fallback_floods"));
+        let t = obs.finish();
+        assert_eq!(t.get("decide_transmissions"), Some(7.0));
+        assert_eq!(t.get("decide_candidates_scanned"), Some(2.0));
+        assert_eq!(t.get("decide_fallback_floods"), Some(0.0));
+        assert_eq!(t.get("decisions"), Some(1.0));
     }
 
     #[test]

@@ -699,7 +699,6 @@ impl<'n> PolicyRunner<'n> {
         out.put_u64("wb.delivered", wb.delivered);
         out.put_u64("wb.timeslots", wb.timeslots);
         out.put_u64_vec("wb.per_vertex_tx", wb.per_vertex_tx.clone());
-        out.put_u64("wb.fallback_floods", self.wb_engine.fallback_floods());
         out.put_u64("ptas.loss_flood", self.ptas.loss_flood_index());
         if let Some(q) = &self.queue {
             q.snapshot_into(&mut out, "traffic");
@@ -801,8 +800,6 @@ impl<'n> PolicyRunner<'n> {
         wb.timeslots = state.get_u64("wb.timeslots")?;
         wb.per_vertex_tx = state.get_u64_vec_exact("wb.per_vertex_tx", k)?;
         self.wb_engine.restore_counters(&wb);
-        self.wb_engine
-            .set_fallback_floods(state.get_u64("wb.fallback_floods")?);
         self.ptas
             .set_loss_flood_index(state.get_u64("ptas.loss_flood")?);
         if let Some(q) = self.queue.as_mut() {
@@ -1079,6 +1076,32 @@ mod tests {
         let plain_snap = plain.snapshot(&plain_policy);
         let mut fresh = PolicyRunner::new(&net, &cfg, &observers);
         assert!(fresh.restore(&mut policy2, &plain_snap).is_err());
+    }
+
+    #[test]
+    fn snapshot_with_the_retired_fallback_key_still_restores() {
+        // Snapshots written before the flood engine lost its BFS fallback
+        // also carry `wb.fallback_floods`; restore ignores the key.
+        let net = small_net();
+        let cfg = Algorithm2Config::default().with_horizon(30).with_seed(4);
+        let uninterrupted = run_policy(&net, &cfg, &mut CsUcb::new(2.0));
+        let observers = ObserverSet::new();
+        let mut obs = ObserverSet::new();
+        let mut policy = CsUcb::new(2.0);
+        let mut first = PolicyRunner::new(&net, &cfg, &observers);
+        for _ in 0..10 {
+            first.step_period(&mut policy, &mut obs);
+        }
+        let mut legacy = first.snapshot(&policy);
+        legacy.put_u64("wb.fallback_floods", 0);
+
+        let mut policy2 = CsUcb::new(2.0);
+        let mut second = PolicyRunner::new(&net, &cfg, &observers);
+        second.restore(&mut policy2, &legacy).unwrap();
+        while !second.done() {
+            second.step_period(&mut policy2, &mut obs);
+        }
+        assert_eq!(second.finish(&policy2), uninterrupted);
     }
 
     #[test]

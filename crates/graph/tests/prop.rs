@@ -1,6 +1,6 @@
 //! Property-based tests for the graph substrate.
 
-use mhca_graph::{BallTable, ExtendedConflictGraph, Graph, NodeId, Strategy as ChannelStrategy};
+use mhca_graph::{BallScan, ExtendedConflictGraph, Graph, NodeId, Strategy as ChannelStrategy};
 use proptest::prelude::*;
 
 fn arb_graph(max_n: usize) -> impl Strategy<Value = Graph> {
@@ -150,8 +150,9 @@ proptest! {
     }
 
     #[test]
-    fn ball_table_matches_fresh_bfs(g in arb_graph(16), r in 0usize..5) {
-        let table = BallTable::build(&g, r);
+    fn ball_scan_matches_fresh_bfs(g in arb_graph(16), r in 0usize..5) {
+        // One scratch for every origin, as the per-vertex tables use it.
+        let mut scan = BallScan::default();
         for v in 0..g.n() {
             let dist = g.bfs_distances(v);
             let mut expect: Vec<(u32, u32)> = dist
@@ -162,8 +163,9 @@ proptest! {
                 })
                 .collect();
             expect.sort_unstable();
-            let mut got = table.ball(v).to_vec();
-            // Entries arrive in BFS (distance) order; check that first.
+            let mut got = Vec::new();
+            scan.for_each(&g, v, r, |w, d| got.push((w as u32, d)));
+            // Members arrive in BFS (distance) order; check that first.
             prop_assert!(got.windows(2).all(|w| w[0].1 <= w[1].1), "v={}", v);
             got.sort_unstable();
             prop_assert_eq!(got, expect, "v={} r={}", v, r);

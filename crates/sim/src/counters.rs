@@ -13,7 +13,8 @@ use serde::{Deserialize, Serialize};
 ///   [`crate::FloodEngine::broadcast_only`] or
 ///   [`crate::FloodEngine::deliver_receivers_into`] advances time by the
 ///   largest TTL in the batch (floods in one batch propagate concurrently,
-///   as in the paper's pipelined weight broadcast).
+///   as in the paper's pipelined weight broadcast), saturating at
+///   `u64::MAX`.
 #[derive(Debug, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct Counters {
     /// Total relay broadcasts.

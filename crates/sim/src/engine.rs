@@ -5,16 +5,16 @@
 //! deliver a batch of floods:
 //!
 //! * [`FloodEngine::broadcast_only`] charges the counters only. On a
-//!   lossless engine each flood is a scan of a precomputed packed
-//!   [`CompactBallTable`] r-hop neighborhood table (the conflict graph is
-//!   static across a whole horizon, so a TTL-bounded lossless flood needs
-//!   no BFS).
+//!   lossless engine a TTL-`t` flood from `v` is charged from a per-radius
+//!   relay table: the relays `ball(v, t−1)` and the reach count
+//!   `|ball(v, t)| − 1` (the conflict graph is static across a whole
+//!   horizon, so a TTL-bounded lossless flood needs no BFS).
 //! * [`FloodEngine::deliver_receivers_into`] also records *who* heard each
 //!   flood. It always runs the BFS wave, lossless or lossy.
 
 use crate::counters::Counters;
 use crate::loss::SkipSampler;
-use mhca_graph::{CompactBallTable, Graph};
+use mhca_graph::{BallScan, Graph};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -48,29 +48,54 @@ impl LossSpec {
     }
 }
 
-/// Default cap on the **total** entries cached across an engine's ball
-/// tables. Tables use the packed [`CompactBallTable`] layout (4 bytes per
-/// entry), so the default bounds table memory at the same 32 MiB per
-/// engine as before the compact layout — at twice the entries, pushing
-/// the BFS-fallback wall out to networks twice as large. Small and
-/// mid-size networks never come close; dense large-N graphs hit the cap
-/// and transparently fall back to per-flood BFS on the epoch-stamped
-/// scratch (counted by [`FloodEngine::fallback_floods`]).
-pub const DEFAULT_TABLE_ENTRY_CAP: usize = 1 << 23;
+/// What a lossless TTL-`R` flood costs from each origin `v`: the row of
+/// relays `ball(v, R−1) \ {v}` (the origin relays too, but is not
+/// stored) and the reach `|ball(v, R)| − 1`, the copies the flood
+/// delivers. In a lossless synchronous flood every member of the ball
+/// receives exactly one copy and every member closer than `R` hops
+/// relays exactly once, so these two fix every counter.
+#[derive(Debug)]
+struct RelayTable {
+    /// `offsets[v]..offsets[v + 1]` delimits `v`'s row in `relays`.
+    offsets: Vec<usize>,
+    relays: Vec<u32>,
+    reach: Vec<u32>,
+}
 
-/// Cache slot for one radius' ball table.
-#[derive(Debug, Default, Clone)]
-enum TableSlot {
-    /// Never attempted.
-    #[default]
-    Unbuilt,
-    /// Built and cached.
-    Built(Arc<CompactBallTable>),
-    /// Attempted, but the entry cap was exceeded (or the graph is beyond
-    /// the packed layout's 24-bit vertex / 8-bit distance limits) —
-    /// floods at this radius permanently use the BFS fallback (the graph
-    /// is static, so retrying would fail identically).
-    Capped,
+impl RelayTable {
+    /// One [`BallScan`] of radius `radius` per origin, on shared scratch.
+    fn build(graph: &Graph, radius: usize) -> Self {
+        let n = graph.n();
+        assert!(
+            u32::try_from(n).is_ok(),
+            "graph too large for u32 relay rows"
+        );
+        let mut offsets = Vec::with_capacity(n + 1);
+        offsets.push(0);
+        let mut relays = Vec::new();
+        let mut reach = Vec::with_capacity(n);
+        let mut scan = BallScan::default();
+        for origin in 0..n {
+            let mut members = 0u32;
+            scan.for_each(graph, origin, radius, |w, d| {
+                members += 1;
+                if (d as usize) < radius {
+                    relays.push(w as u32);
+                }
+            });
+            reach.push(members);
+            offsets.push(relays.len());
+        }
+        RelayTable {
+            offsets,
+            relays,
+            reach,
+        }
+    }
+
+    fn row(&self, v: usize) -> &[u32] {
+        &self.relays[self.offsets[v]..self.offsets[v + 1]]
+    }
 }
 
 /// A hop-limited local broadcast: `payload` floods from `origin` to every
@@ -124,9 +149,11 @@ impl FloodReceivers {
 ///
 /// Build the engine **once** per graph and keep it across rounds: lossless
 /// [`FloodEngine::broadcast_only`] calls are served from cached per-TTL
-/// neighborhood tables (built lazily on first use, or eagerly via
+/// relay tables (built lazily on first use, or eagerly via
 /// [`FloodEngine::prewarm`]), and every BFS wave reuses epoch-stamped
-/// scratch. After warm-up, neither path allocates.
+/// scratch. After warm-up, neither path allocates. Tables are built
+/// without a memory cap: radius `R` costs `Σ_v (|ball(v, R−1)| − 1)` row
+/// entries plus an offset and a reach count per vertex.
 #[derive(Debug)]
 pub struct FloodEngine<'g> {
     graph: &'g Graph,
@@ -137,22 +164,13 @@ pub struct FloodEngine<'g> {
     /// floods sample independently of one another and per-relay queries
     /// match batch materialization byte for byte.
     loss: SkipSampler,
-    /// Floods served by the BFS fallback because their radius' ball table
-    /// was over the entry cap (never incremented by deliberate lossy BFS)
-    /// — the diagnostic that makes large-N slowdowns attributable.
-    fallback_floods: u64,
-    /// Lossless counters-only path: `tables[r]` holds the radius-`r` ball
-    /// table.
+    /// Lossless counters-only path: `tables[r]` holds the radius-`r` relay
+    /// table once built.
     /// Indexed by *effective* TTL (clamped to `n`, where every ball has
     /// saturated), so the vector stays small for any caller TTL. Shared
     /// (`Arc`) so same-graph engines can adopt each other's tables
     /// instead of rebuilding them ([`FloodEngine::adopt_tables`]).
-    /// Building respects `table_entry_cap`; radii whose table would blow
-    /// the cap are marked [`TableSlot::Capped`] and served by BFS.
-    tables: Vec<TableSlot>,
-    /// Cap on total cached entries across all radii
-    /// ([`DEFAULT_TABLE_ENTRY_CAP`] unless overridden).
-    table_entry_cap: usize,
+    tables: Vec<Option<Arc<RelayTable>>>,
     /// BFS scratch: `stamp[v] == epoch` marks `v` visited in the current
     /// flood.
     stamp: Vec<u32>,
@@ -202,9 +220,7 @@ impl<'g> FloodEngine<'g> {
             counters: Counters::new(n),
             loss_prob,
             loss: SkipSampler::new(loss_prob, seed),
-            fallback_floods: 0,
             tables: Vec::new(),
-            table_entry_cap: DEFAULT_TABLE_ENTRY_CAP,
             stamp: vec![0; n],
             epoch: 0,
             dist: vec![0; n],
@@ -212,24 +228,10 @@ impl<'g> FloodEngine<'g> {
         }
     }
 
-    /// Overrides the cap on total cached ball-table entries (large-N
-    /// memory control). Lowering the cap below what is already cached
-    /// keeps existing tables but stops further builds; radii already
-    /// marked capped stay capped.
-    pub fn set_table_entry_cap(&mut self, cap: usize) {
-        self.table_entry_cap = cap;
-    }
-
-    /// Total entries currently cached across all ball tables (each entry
-    /// is 4 packed bytes) — the memory diagnostic the cap bounds.
+    /// Total relay-row entries currently cached across all radii (4 bytes
+    /// each) — the table-memory diagnostic.
     pub fn cached_table_entries(&self) -> usize {
-        self.tables
-            .iter()
-            .map(|slot| match slot {
-                TableSlot::Built(t) => t.total_entries(),
-                _ => 0,
-            })
-            .sum()
+        self.tables.iter().flatten().map(|t| t.relays.len()).sum()
     }
 
     /// The graph this engine delivers over.
@@ -243,10 +245,9 @@ impl<'g> FloodEngine<'g> {
     }
 
     /// Resets the counters (e.g. between protocol phases) without
-    /// releasing their storage. Also zeroes the fallback-flood counter.
+    /// releasing their storage.
     pub fn reset_counters(&mut self) {
         self.counters.reset();
-        self.fallback_floods = 0;
     }
 
     /// Overwrites the accumulated counters with a previously captured
@@ -265,12 +266,6 @@ impl<'g> FloodEngine<'g> {
         self.counters.clone_from(saved);
     }
 
-    /// Sets the fallback-flood tally (checkpoint restore, paired with
-    /// [`FloodEngine::fallback_floods`]).
-    pub fn set_fallback_floods(&mut self, n: u64) {
-        self.fallback_floods = n;
-    }
-
     /// The loss stream's flood index (`0` for lossless engines or before
     /// the first lossy flood) — with [`FloodEngine::set_loss_flood_index`]
     /// this checkpoints the only cross-flood state the loss model keeps.
@@ -285,24 +280,13 @@ impl<'g> FloodEngine<'g> {
         self.loss.set_flood_index(flood);
     }
 
-    /// Floods since the last [`FloodEngine::reset_counters`] that ran on
-    /// the per-flood BFS fallback because their radius' ball table was
-    /// over the entry cap (or beyond the packed layout's limits).
-    /// Deliberate lossy BFS floods do **not** count — this counter is
-    /// exactly the "silent slowdown" diagnostic: nonzero means lossless
-    /// floods stopped being table scans.
-    pub fn fallback_floods(&self) -> u64 {
-        self.fallback_floods
-    }
-
-    /// Eagerly builds the lossless neighborhood table for `ttl`, so the
-    /// first [`FloodEngine::broadcast_only`] call is as fast as the rest. No-op for lossy
-    /// engines (they always BFS), for already-built tables, and for radii
-    /// over the entry cap (which stay on the BFS fallback).
+    /// Eagerly builds the lossless relay table for `ttl`, so the first
+    /// [`FloodEngine::broadcast_only`] call is as fast as the rest. No-op
+    /// for lossy engines (they always BFS) and for already-built tables.
     pub fn prewarm(&mut self, ttl: usize) {
         if self.loss_prob == 0.0 && ttl > 0 {
             let eff = ttl.min(self.graph.n());
-            Self::table_for(&mut self.tables, self.table_entry_cap, self.graph, eff);
+            Self::table_for(&mut self.tables, self.graph, eff);
         }
     }
 
@@ -312,8 +296,8 @@ impl<'g> FloodEngine<'g> {
     /// propagate concurrently, so the pipelined time charge is the
     /// maximum TTL in the batch.
     ///
-    /// Every flood runs the BFS wave, so the ball tables are neither built
-    /// nor consulted and [`FloodEngine::fallback_floods`] does not move.
+    /// Every flood runs the BFS wave, so the relay tables are neither
+    /// built nor consulted.
     /// Counters, `timeslots` and the loss stream advance exactly as in
     /// [`FloodEngine::broadcast_only`]. Protocols look the content up by
     /// flood index, so no per-vertex inboxes exist; after warm-up the call
@@ -340,7 +324,7 @@ impl<'g> FloodEngine<'g> {
             self.flood_bfs(flood.origin, flood.ttl, &mut |v| vertices.push(v as u32));
             out.offsets.push(out.vertices.len());
         }
-        self.counters.timeslots += max_ttl as u64;
+        self.charge_timeslots(max_ttl);
     }
 
     /// Delivers a batch of concurrent floods **for accounting only**: the
@@ -348,7 +332,8 @@ impl<'g> FloodEngine<'g> {
     /// [`FloodEngine::deliver_receivers_into`], but no receivers are
     /// recorded. Use when the protocol phase only needs the broadcast to
     /// have *happened* (weight broadcasts, leader declarations). Lossless
-    /// floods are ball-table scans; lossy ones run the BFS wave.
+    /// floods are charged from the relay tables; lossy ones run the BFS
+    /// wave.
     ///
     /// # Panics
     ///
@@ -365,75 +350,48 @@ impl<'g> FloodEngine<'g> {
                 self.flood_table_counts(flood.origin, flood.ttl);
             }
         }
-        self.counters.timeslots += max_ttl as u64;
+        self.charge_timeslots(max_ttl);
     }
 
-    /// Counters-only lossless delivery: one table scan, no receptions;
-    /// BFS fallback when the radius is over the table cap.
+    /// Charges one batch's pipelined time. Saturating, because the charge
+    /// is the caller's unclamped TTL: a `usize::MAX` flood pins the
+    /// counter at `u64::MAX` instead of overflowing it.
+    fn charge_timeslots(&mut self, max_ttl: usize) {
+        self.counters.timeslots = self.counters.timeslots.saturating_add(max_ttl as u64);
+    }
+
+    /// Counters-only lossless delivery from the relay table: no BFS, no
+    /// receptions.
     fn flood_table_counts(&mut self, origin: usize, ttl: usize) {
         if ttl == 0 {
             return;
         }
         let eff = ttl.min(self.graph.n());
-        let Some(table) = Self::table_for(&mut self.tables, self.table_entry_cap, self.graph, eff)
-        else {
-            // Over-cap radius: the lossless BFS wave charges the same
-            // counters and never touches the loss sampler.
-            self.fallback_floods += 1;
-            self.flood_bfs(origin, ttl, &mut |_| {});
-            return;
-        };
-        // In a lossless synchronous flood every ball member receives one
-        // copy, and the origin plus every member closer than the TTL
-        // boundary relays exactly once.
-        let ball = table.ball_packed(origin);
-        self.counters.transmissions += 1;
+        let table = Self::table_for(&mut self.tables, self.graph, eff);
+        let row = table.row(origin);
+        self.counters.transmissions += 1 + row.len() as u64;
+        self.counters.delivered += u64::from(table.reach[origin]);
         self.counters.per_vertex_tx[origin] += 1;
-        self.counters.delivered += ball.len() as u64;
-        // Entries are distance-sorted: members before the TTL boundary
-        // relay exactly once each.
-        let relays = ball.partition_point(|&e| CompactBallTable::entry_distance(e) < ttl);
-        self.counters.transmissions += relays as u64;
-        for &e in &ball[..relays] {
-            self.counters.per_vertex_tx[CompactBallTable::entry_vertex(e)] += 1;
+        for &v in row {
+            self.counters.per_vertex_tx[v as usize] += 1;
         }
     }
 
-    /// Returns the cached ball table for `radius`, building it on first
-    /// use — or `None` when the build would push the engine's cached
-    /// entries past `cap` (the slot is then marked capped permanently and
-    /// the caller uses the BFS fallback). An associated function over the
-    /// `tables` field so callers can keep disjoint borrows of `counters`.
+    /// Returns the relay table for `radius`, building it on first use. An
+    /// associated function over the `tables` field so callers can keep
+    /// disjoint borrows of `counters`.
     fn table_for<'t>(
-        tables: &'t mut Vec<TableSlot>,
-        cap: usize,
+        tables: &'t mut Vec<Option<Arc<RelayTable>>>,
         graph: &Graph,
         radius: usize,
-    ) -> Option<&'t CompactBallTable> {
+    ) -> &'t RelayTable {
         if tables.len() <= radius {
-            tables.resize_with(radius + 1, TableSlot::default);
+            tables.resize(radius + 1, None);
         }
-        if matches!(tables[radius], TableSlot::Unbuilt) {
-            let used: usize = tables
-                .iter()
-                .map(|slot| match slot {
-                    TableSlot::Built(t) => t.total_entries(),
-                    _ => 0,
-                })
-                .sum();
-            let budget = cap.saturating_sub(used);
-            tables[radius] = match CompactBallTable::build_capped(graph, radius, budget) {
-                Some(t) => TableSlot::Built(Arc::new(t)),
-                None => TableSlot::Capped,
-            };
-        }
-        match &tables[radius] {
-            TableSlot::Built(t) => Some(t),
-            _ => None,
-        }
+        tables[radius].get_or_insert_with(|| Arc::new(RelayTable::build(graph, radius)))
     }
 
-    /// Adopts another engine's cached ball tables (cheap `Arc` clones),
+    /// Adopts another engine's cached relay tables (cheap `Arc` clones),
     /// so two engines over the same graph build each radius only once —
     /// e.g. the Algorithm 2 runner's WB engine and the strategy
     /// decision's engine both flood within `2r+1` hops.
@@ -449,17 +407,11 @@ impl<'g> FloodEngine<'g> {
             "engines must share a graph to share tables"
         );
         if self.tables.len() < other.tables.len() {
-            self.tables
-                .resize_with(other.tables.len(), TableSlot::default);
+            self.tables.resize(other.tables.len(), None);
         }
         for (mine, theirs) in self.tables.iter_mut().zip(&other.tables) {
-            // Adopting shares the allocation (`Arc`), so it never adds
-            // memory — the entry cap only constrains fresh builds. Capped
-            // marks are not adopted: the caps may differ.
-            if matches!(mine, TableSlot::Unbuilt) {
-                if let TableSlot::Built(t) = theirs {
-                    *mine = TableSlot::Built(Arc::clone(t));
-                }
+            if mine.is_none() {
+                mine.clone_from(theirs);
             }
         }
     }
@@ -467,10 +419,9 @@ impl<'g> FloodEngine<'g> {
     /// BFS wave for a single flood, with per-relay loss on lossy engines,
     /// on epoch-stamped scratch (no allocation after the first call).
     /// `receive(v)` is called once per copy received. With a no-op
-    /// `receive` it is the counters-only lossy delivery and the lossless
-    /// fallback for radii whose ball table is over the entry cap (the
-    /// per-flood drop stream is a pure function of the flood index, so
-    /// counting and delivering agree).
+    /// `receive` it is the counters-only lossy delivery (the per-flood
+    /// drop stream is a pure function of the flood index, so counting and
+    /// delivering agree).
     fn flood_bfs(&mut self, origin: usize, ttl: usize, receive: &mut impl FnMut(usize)) {
         let graph = self.graph;
         if self.loss_prob > 0.0 {
@@ -610,9 +561,9 @@ mod tests {
         a.prewarm(3);
         let mut b = FloodEngine::new(&g);
         b.adopt_tables(&a);
-        let arc_of = |e: &FloodEngine, r: usize| match &e.tables[r] {
-            TableSlot::Built(t) => Arc::clone(t),
-            other => panic!("expected built table at radius {r}, got {other:?}"),
+        let arc_of = |e: &FloodEngine, r: usize| {
+            let t = e.tables[r].as_ref();
+            Arc::clone(t.unwrap_or_else(|| panic!("expected built table at radius {r}")))
         };
         assert!(
             Arc::ptr_eq(&arc_of(&a, 3), &arc_of(&b, 3)),
@@ -632,6 +583,22 @@ mod tests {
         let a = FloodEngine::new(&g1);
         let mut b = FloodEngine::new(&g2);
         b.adopt_tables(&a);
+    }
+
+    #[test]
+    fn huge_ttl_timeslots_saturate_instead_of_overflowing() {
+        let g = topology::line(3);
+        let floods = [flood(1, usize::MAX, ())];
+        let mut e = FloodEngine::new(&g);
+        let _ = receivers(&mut e, &floods);
+        let _ = receivers(&mut e, &floods);
+        assert_eq!(e.counters().timeslots, u64::MAX);
+        e.broadcast_only(&floods);
+        e.broadcast_only(&floods);
+        assert_eq!(e.counters().timeslots, u64::MAX);
+        // The rest of the charge is the saturated ball's, four times over.
+        assert_eq!(e.counters().transmissions, 4 * 3);
+        assert_eq!(e.counters().delivered, 4 * 2);
     }
 
     #[test]
@@ -687,8 +654,10 @@ mod tests {
         );
         let mut e = FloodEngine::new(&g);
         e.broadcast_only(&floods);
-        // Only the saturated table exists (radius ≤ n).
+        // Only the saturated table exists (radius ≤ n): on a line of 4
+        // every vertex's three others relay.
         assert!(e.tables.len() <= g.n() + 1);
+        assert_eq!(e.cached_table_entries(), 4 * 3);
     }
 
     #[test]
@@ -730,48 +699,6 @@ mod tests {
     }
 
     #[test]
-    fn capped_engine_falls_back_to_bfs_and_matches() {
-        let g = topology::grid(4, 5);
-        let floods = [flood(3, 3, 7u32), flood(17, 2, 9u32)];
-        let mut tabled = FloodEngine::new(&g);
-        tabled.broadcast_only(&floods);
-        assert!(tabled.cached_table_entries() > 0);
-
-        let mut capped = FloodEngine::new(&g);
-        capped.set_table_entry_cap(0);
-        capped.broadcast_only(&floods);
-        assert_eq!(
-            capped.counters(),
-            tabled.counters(),
-            "BFS fallback must charge what the table scan charges"
-        );
-        assert_eq!(capped.cached_table_entries(), 0);
-        // The silent fallback is surfaced: one increment per fallen-back
-        // flood on the capped engine, none on the tabled one.
-        assert_eq!(tabled.fallback_floods(), 0);
-        assert_eq!(capped.fallback_floods(), floods.len() as u64);
-        // The receivers path is BFS by design, never a fallback.
-        let mut listing = FloodEngine::new(&g);
-        listing.set_table_entry_cap(0);
-        let _ = receivers(&mut listing, &floods);
-        assert_eq!(listing.counters(), tabled.counters());
-        assert_eq!(listing.fallback_floods(), 0);
-        // reset_counters clears the fallback tally alongside the rest.
-        capped.reset_counters();
-        assert_eq!(capped.fallback_floods(), 0);
-    }
-
-    #[test]
-    fn deliberate_lossy_bfs_does_not_count_as_fallback() {
-        let g = topology::grid(3, 4);
-        let floods = [flood(0, 3, ())];
-        let mut e = FloodEngine::with_loss(&g, 0.3, 9);
-        let _ = receivers(&mut e, &floods);
-        e.broadcast_only(&floods);
-        assert_eq!(e.fallback_floods(), 0);
-    }
-
-    #[test]
     fn lossy_flood_realization_is_independent_of_batch_shape() {
         // With counter-based per-flood streams, a flood's realization must
         // not depend on how many relays *earlier* floods consumed — only
@@ -791,28 +718,6 @@ mod tests {
             run_after(&[flood(0, 6, 0u32)]),
             "flood realizations must be independent of predecessor batch shape"
         );
-    }
-
-    #[test]
-    fn cap_budget_is_shared_across_radii() {
-        let g = topology::grid(5, 5);
-        let mut e = FloodEngine::new(&g);
-        // Let radius 1 fit, then shrink the budget so radius 4 cannot.
-        e.prewarm(1);
-        let used = e.cached_table_entries();
-        assert!(used > 0);
-        e.set_table_entry_cap(used + 1);
-        let floods = [flood(12, 4, ())];
-        let mut reference = FloodEngine::new(&g);
-        reference.broadcast_only(&floods);
-        e.broadcast_only(&floods);
-        assert_eq!(e.counters(), reference.counters());
-        // Radius 4 was refused; only the radius-1 table is cached.
-        assert_eq!(e.cached_table_entries(), used);
-        assert!(matches!(e.tables[4], TableSlot::Capped));
-        // Capped radii stay capped even after repeated use.
-        e.broadcast_only(&floods);
-        assert!(matches!(e.tables[4], TableSlot::Capped));
     }
 
     #[test]
@@ -843,21 +748,15 @@ mod tests {
                 flood(3, 1, 3),
             ],
         ];
-        let make = |cap: usize, loss: f64| {
-            let mut e = if loss > 0.0 {
+        let make = |loss: f64| {
+            if loss > 0.0 {
                 FloodEngine::with_loss(&g, loss, 23)
             } else {
                 FloodEngine::new(&g)
-            };
-            e.set_table_entry_cap(cap);
-            e
+            }
         };
-        for (cap, loss) in [
-            (DEFAULT_TABLE_ENTRY_CAP, 0.0),
-            (0, 0.0),
-            (DEFAULT_TABLE_ENTRY_CAP, 0.3),
-        ] {
-            let (mut counting, mut listing) = (make(cap, loss), make(cap, loss));
+        for loss in [0.0, 0.3] {
+            let (mut counting, mut listing) = (make(loss), make(loss));
             // Twice through, so the loss stream carries across batches.
             for batch in batches.iter().chain(&batches) {
                 let delivered = listing.counters().delivered;
@@ -869,25 +768,20 @@ mod tests {
                         set.iter().all(|&v| {
                             v as usize != f.origin && dist[v as usize].is_some_and(|d| d <= f.ttl)
                         }),
-                        "cap={cap} loss={loss}: receiver outside the ball"
+                        "loss={loss}: receiver outside the ball"
                     );
                     if loss == 0.0 {
                         let ball = (0..g.n())
                             .filter(|&v| v != f.origin && dist[v].is_some_and(|d| d <= f.ttl))
                             .count();
-                        assert_eq!(set.len(), ball, "cap={cap}: lossless reach is the ball");
+                        assert_eq!(set.len(), ball, "lossless reach is the ball");
                     }
                 }
                 let copies: usize = got.iter().map(Vec::len).sum();
                 assert_eq!(listing.counters().delivered - delivered, copies as u64);
-                assert_eq!(
-                    listing.counters(),
-                    counting.counters(),
-                    "cap={cap} loss={loss}"
-                );
+                assert_eq!(listing.counters(), counting.counters(), "loss={loss}");
                 assert_eq!(listing.loss_flood_index(), counting.loss_flood_index());
             }
-            assert_eq!(listing.fallback_floods(), 0);
         }
     }
 

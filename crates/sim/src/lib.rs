@@ -47,5 +47,5 @@ pub mod engine;
 pub mod loss;
 
 pub use counters::Counters;
-pub use engine::{Flood, FloodEngine, FloodReceivers, LossSpec, DEFAULT_TABLE_ENTRY_CAP};
+pub use engine::{Flood, FloodEngine, FloodReceivers, LossSpec};
 pub use loss::SkipSampler;

@@ -1,7 +1,7 @@
 //! Property-based tests for the flooding engine.
 
 use mhca_graph::Graph;
-use mhca_sim::{Flood, FloodEngine, FloodReceivers, DEFAULT_TABLE_ENTRY_CAP};
+use mhca_sim::{Flood, FloodEngine, FloodReceivers};
 use proptest::prelude::*;
 
 fn arb_graph(max_n: usize) -> impl Strategy<Value = Graph> {
@@ -91,14 +91,12 @@ proptest! {
     fn receivers_delivery_matches_broadcast_on_a_twin(
         g in arb_graph(18),
         shape in proptest::collection::vec((0usize..18, 0usize..6), 0..6),
-        capped in any::<bool>(),
         lossy in any::<bool>(),
         p in 0.05f64..0.6,
         seed in any::<u64>(),
     ) {
-        // On a lossless engine `broadcast_only` scans the ball tables
-        // (or, capped, falls back to BFS) while `deliver_receivers_into`
-        // always runs the BFS wave; on a lossy one both run BFS over the
+        // On a lossless engine `broadcast_only` charges from the relay
+        // tables while `deliver_receivers_into` always runs the BFS wave; on a lossy one both run BFS over the
         // same drop stream. Either way both must charge identical
         // counters. Arbitrary graphs have isolated vertices, so
         // empty-ball origins and repeated origins both occur.
@@ -107,13 +105,11 @@ proptest! {
             .map(|&(o, ttl)| Flood { origin: o % g.n(), ttl, payload: () })
             .collect();
         let make = || {
-            let mut e = if lossy {
+            if lossy {
                 FloodEngine::with_loss(&g, p, seed)
             } else {
                 FloodEngine::new(&g)
-            };
-            e.set_table_entry_cap(if capped { 0 } else { DEFAULT_TABLE_ENTRY_CAP });
-            e
+            }
         };
         let (mut counting, mut listing) = (make(), make());
         for _ in 0..2 {
@@ -123,14 +119,5 @@ proptest! {
             prop_assert_eq!(listing.counters(), counting.counters());
             prop_assert_eq!(listing.loss_flood_index(), counting.loss_flood_index());
         }
-        // Only the capped lossless table path falls back (an edgeless
-        // graph's empty tables fit even a zero cap); BFS never does.
-        let fallen_back = if capped && !lossy && g.edge_count() > 0 {
-            2 * floods.iter().filter(|f| f.ttl > 0).count() as u64
-        } else {
-            0
-        };
-        prop_assert_eq!(counting.fallback_floods(), fallen_back);
-        prop_assert_eq!(listing.fallback_floods(), 0);
     }
 }

@@ -84,7 +84,7 @@ fn lossless_flood_delivery_is_allocation_free_after_warmup() {
         .collect();
     let mut engine = FloodEngine::new(graph);
     let mut receivers = FloodReceivers::default();
-    // Warm-up: builds the ball table, sizes the BFS queue and the
+    // Warm-up: builds the relay table, sizes the BFS queue and the
     // receiver lists.
     engine.broadcast_only(&floods);
     engine.deliver_receivers_into(&floods, &mut receivers);
