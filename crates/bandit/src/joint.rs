@@ -9,7 +9,6 @@
 //! exponential in `N` — the blowup the vertex-level formulation avoids.
 
 use mhca_graph::Graph;
-use serde::{Deserialize, Serialize};
 
 /// Enumerates all maximal independent sets of `graph` via Bron–Kerbosch
 /// (with pivoting) on the complement, using `u128` vertex masks.
@@ -82,7 +81,7 @@ fn iter_bits(mut mask: u128) -> impl Iterator<Item = usize> {
 }
 
 /// UCB1 over whole strategies — the `O(M^N)`-arm baseline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JointUcb1 {
     strategies: Vec<Vec<usize>>,
     means: Vec<f64>,

@@ -2,7 +2,6 @@
 //! (θ-scaled) regret of Section IV-E.
 
 use crate::state::{StateError, StateMap};
-use serde::{Deserialize, Serialize};
 
 /// Tracks the reward history of one policy run and derives the paper's
 /// regret notions.
@@ -20,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// strategy it played (sum of true means — this is what Eq. (1)'s
 /// expectation evaluates to) and the *observed* throughput (sum of
 /// realized rates).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RegretTracker {
     optimal: f64,
     beta: f64,

@@ -1,7 +1,5 @@
 //! Per-arm sufficient statistics and the update rules (5)–(6).
 
-use serde::{Deserialize, Serialize};
-
 /// Running statistics for `K` arms: observed mean `µ̃_k` and play count
 /// `m_k`, updated exactly as the paper's Eqs. (5) and (6):
 ///
@@ -12,7 +10,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// both unchanged otherwise. Storage is `O(K) = O(MN)` — the paper's
 /// headline space saving over the `O(M^N)` joint formulation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ArmStats {
     means: Vec<f64>,
     counts: Vec<u64>,

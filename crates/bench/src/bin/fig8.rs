@@ -15,7 +15,7 @@
 //! Run with: `cargo run --release -p mhca-bench --bin fig8 [--full]`
 
 use mhca_bench::{full_scale, report};
-use mhca_core::experiment::{run_experiment, Fig8Experiment};
+use mhca_core::experiment::run_experiment;
 use mhca_core::experiments::Fig8Config;
 use mhca_core::ObserverSet;
 use mhca_graph::TopologySpec;
@@ -39,6 +39,6 @@ fn main() {
         cfg.n, cfg.m, cfg.update_periods, cfg.updates_per_run
     );
     let seed = cfg.seed;
-    let out = run_experiment(&Fig8Experiment(cfg), seed, ObserverSet::new());
+    let out = run_experiment(&cfg, seed, ObserverSet::new());
     report::render_experiment(&out.data, &mut std::io::stdout().lock()).expect("stdout write");
 }

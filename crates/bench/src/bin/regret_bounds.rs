@@ -9,7 +9,7 @@
 
 use mhca_bandit::bounds;
 use mhca_bench::csv_row;
-use mhca_core::experiment::{run_experiment, ExperimentData, Fig7Experiment};
+use mhca_core::experiment::{run_experiment, ExperimentData};
 use mhca_core::experiments::Fig7Config;
 use mhca_core::ObserverSet;
 
@@ -43,9 +43,9 @@ fn main() {
     println!();
     eprintln!("running the Fig. 7 instance for measured regret ...");
     let seed = cfg.seed;
-    let result = run_experiment(&Fig7Experiment(cfg.clone()), seed, ObserverSet::new());
+    let result = run_experiment(&cfg, seed, ObserverSet::new());
     let ExperimentData::Fig7(out) = result.data else {
-        unreachable!("Fig7Experiment yields Fig7 data");
+        unreachable!("Fig7Config yields Fig7 data");
     };
     // Measured cumulative regret ≈ per-round practical regret × n; report
     // the per-round value against the bound's per-round value.

@@ -387,13 +387,13 @@ pub fn render_job_artifact(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mhca_core::experiment::{run_experiment, Fig5Experiment, Table2Experiment};
+    use mhca_core::experiment::{run_experiment, Table2Experiment};
     use mhca_core::experiments::Fig5Config;
     use mhca_core::ObserverSet;
 
     #[test]
     fn fig5_render_matches_legacy_shape() {
-        let out = run_experiment(&Fig5Experiment(Fig5Config::quick()), 0, ObserverSet::new());
+        let out = run_experiment(&Fig5Config::quick(), 0, ObserverSet::new());
         let mut buf = Vec::new();
         render_experiment(&out.data, &mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
@@ -404,7 +404,6 @@ mod tests {
 
     #[test]
     fn traffic_runs_render_flow_tables() {
-        use mhca_core::experiment::PolicyRunExperiment;
         use mhca_core::{FlowSpec, TrafficSpec};
         use mhca_graph::TopologySpec;
 
@@ -420,7 +419,7 @@ mod tests {
                 deadline: Some(30),
             }],
         ));
-        let out = run_experiment(&PolicyRunExperiment(cfg), 7, ObserverSet::new());
+        let out = run_experiment(&cfg, 7, ObserverSet::new());
         let mut buf = Vec::new();
         render_experiment(&out.data, &mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
@@ -432,11 +431,7 @@ mod tests {
 
         // Traffic-free runs keep the exact pre-traffic rendering (no
         // empty flow table).
-        let out = run_experiment(
-            &PolicyRunExperiment(PolicyRunConfig::quick()),
-            7,
-            ObserverSet::new(),
-        );
+        let out = run_experiment(&PolicyRunConfig::quick(), 7, ObserverSet::new());
         let mut buf = Vec::new();
         render_experiment(&out.data, &mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();

@@ -11,8 +11,8 @@ use crate::spec::{ExperimentKind, ScenarioSpec, SeedRange};
 use mhca_channels::ChannelModelSpec;
 use mhca_core::experiment::ObserverKind;
 use mhca_core::experiments::{
-    ComplexityConfig, Fig5Config, Fig6Config, Fig7Config, Fig8Config, PolicyRunConfig, PolicySpec,
-    Theorem3Config,
+    ComplexityConfig, Fig5Config, Fig6Config, Fig7Config, Fig8Config, PolicyDuelConfig,
+    PolicyRunConfig, PolicySpec, Theorem3Config,
 };
 use mhca_core::{ArrivalProcess, FlowSpec, TrafficSpec};
 use mhca_graph::TopologySpec;
@@ -117,14 +117,14 @@ pub fn registry() -> Vec<ScenarioSpec> {
             ScenarioSpec::new(
                 format!("duel-{suffix}"),
                 format!("CS-UCB vs LLR head-to-head on {suffix} channels"),
-                ExperimentKind::PolicyDuel {
+                ExperimentKind::PolicyDuel(PolicyDuelConfig {
                     base: PolicyRunConfig {
                         channel,
                         horizon: 800,
                         ..PolicyRunConfig::default()
                     },
                     challenger: PolicySpec::Llr { l: 2.0 },
-                },
+                }),
                 SeedRange::new(0, 5),
             )
             .with_observers(vec![ObserverKind::CommTotals]),
@@ -353,7 +353,7 @@ pub fn registry() -> Vec<ScenarioSpec> {
         ScenarioSpec::new(
             "traffic-deadline-duel",
             "CS-UCB vs LLR ranked by deadline-constrained delay utility",
-            ExperimentKind::PolicyDuel {
+            ExperimentKind::PolicyDuel(PolicyDuelConfig {
                 base: PolicyRunConfig {
                     n: 16,
                     m: 3,
@@ -377,7 +377,7 @@ pub fn registry() -> Vec<ScenarioSpec> {
                     ..PolicyRunConfig::default()
                 },
                 challenger: PolicySpec::Llr { l: 2.0 },
-            },
+            }),
             SeedRange::new(0, 5),
         )
         .with_observers(vec![
@@ -517,7 +517,7 @@ mod tests {
             let s = find(name).unwrap_or_else(|| panic!("missing {name}"));
             let cfg = match &s.kind {
                 ExperimentKind::PolicyRun(cfg) => cfg,
-                ExperimentKind::PolicyDuel { base, .. } => base,
+                ExperimentKind::PolicyDuel(duel) => &duel.base,
                 other => panic!("{name} has wrong kind {other:?}"),
             };
             let traffic = cfg

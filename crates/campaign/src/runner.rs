@@ -533,8 +533,7 @@ fn write_summary_csv(out_dir: &Path, summary: &ScenarioSummary) -> io::Result<()
 }
 
 /// `campaign.json`: spec, per-job metrics, and aggregates in one document
-/// (emitted by the hand-rolled `json` module — vendored serde is
-/// marker-only).
+/// (emitted by the hand-rolled `json` module).
 fn write_campaign_json(
     out_dir: &Path,
     manifest: &Manifest,

@@ -12,14 +12,14 @@
 //! its default. Constraints are plain functions on the parsed field;
 //! checks that span fields run afterwards in [`Schema::validate`].
 //!
-//! The vendored `serde` is marker-only, so this is the derive-free
-//! route: a trait with one visitor per direction.
+//! The workspace links no serialization framework, so this is the
+//! derive-free route: a trait with one visitor per direction.
 
 use crate::ingest::{nearest, SpecError};
 use crate::spec::{ExperimentKind, ScenarioSpec, SeedRange};
 use mhca_channels::ChannelModelSpec;
 use mhca_core::experiment::ObserverKind;
-use mhca_core::experiments::{PolicyRunConfig, PolicySpec};
+use mhca_core::experiments::{PolicyDuelConfig, PolicyRunConfig, PolicySpec};
 use mhca_core::{ArrivalProcess, FlowSpec, TrafficSpec};
 use mhca_graph::TopologySpec;
 use mhca_service::json::Json;
@@ -567,10 +567,7 @@ impl Schema for ExperimentKind {
             ExperimentKind::Complexity(Default::default()),
             ExperimentKind::Theorem3(Default::default()),
             ExperimentKind::PolicyRun(Default::default()),
-            ExperimentKind::PolicyDuel {
-                base: Default::default(),
-                challenger: Default::default(),
-            },
+            ExperimentKind::PolicyDuel(Default::default()),
         ]
     }
 
@@ -626,31 +623,67 @@ impl Schema for ExperimentKind {
                 v.checked("instances", &mut c.instances, positive);
             }
             ExperimentKind::PolicyRun(c) => policy_run_fields(c, v),
-            ExperimentKind::PolicyDuel { base, challenger } => {
-                policy_run_fields(base, v);
-                v.required("challenger", challenger);
+            ExperimentKind::PolicyDuel(c) => {
+                policy_run_fields(&mut c.base, v);
+                v.required("challenger", &mut c.challenger);
             }
         }
     }
 
     /// Flow endpoints must name vertices of the run's network (the queue
-    /// engine panics on out-of-range vertices).
+    /// engine panics on out-of-range vertices), and every network built
+    /// on a unit-disk topology must be one the sampler can draw.
     fn validate(&mut self, _: &Json) -> Checked {
-        let (ExperimentKind::PolicyRun(cfg) | ExperimentKind::PolicyDuel { base: cfg, .. }) = self
-        else {
-            return Ok(());
-        };
-        let flows = cfg.traffic.iter().flat_map(|t| t.flows.iter().enumerate());
-        for (i, flow) in flows {
-            for (end, x) in [("src", flow.src), ("dst", flow.dst)] {
-                if x >= cfg.n {
-                    let message = format!("vertex {x} out of range for n = {}", cfg.n);
-                    return ensure(false, &format!(".traffic.flows[{i}].{end}"), message);
+        match self {
+            ExperimentKind::Fig5(_) | ExperimentKind::Table2 => Ok(()),
+            ExperimentKind::Fig6(c) => c.sizes.iter().enumerate().try_for_each(|(i, &(n, _))| {
+                unit_disk_size(&c.topology, n, &format!(".sizes[{i}]"))
+            }),
+            ExperimentKind::Fig7(c) => unit_disk_size(&c.topology, c.n, ".n"),
+            ExperimentKind::Fig8(c) => unit_disk_size(&c.topology, c.n, ".n"),
+            ExperimentKind::Complexity(c) => {
+                c.ns.iter()
+                    .enumerate()
+                    .try_for_each(|(i, &n)| unit_disk_size(&c.topology, n, &format!(".ns[{i}]")))
+            }
+            ExperimentKind::Theorem3(c) => unit_disk_size(&c.topology, c.n, ".n"),
+            ExperimentKind::PolicyRun(cfg)
+            | ExperimentKind::PolicyDuel(PolicyDuelConfig { base: cfg, .. }) => {
+                let flows = cfg.traffic.iter().flat_map(|t| t.flows.iter().enumerate());
+                for (i, flow) in flows {
+                    for (end, x) in [("src", flow.src), ("dst", flow.dst)] {
+                        if x >= cfg.n {
+                            let message = format!("vertex {x} out of range for n = {}", cfg.n);
+                            return ensure(false, &format!(".traffic.flows[{i}].{end}"), message);
+                        }
+                    }
                 }
+                unit_disk_size(&cfg.topology, cfg.n, ".n")
             }
         }
-        Ok(())
     }
+}
+
+/// The unit-disk sampler panics unless `n >= 2` and `avg_degree < n`, so a
+/// network of `n` nodes on such a topology is checked up front. (Whether
+/// the connected family finds a connected instance cannot be.)
+fn unit_disk_size(topology: &TopologySpec, n: usize, suffix: &str) -> Checked {
+    let (TopologySpec::UnitDisk { avg_degree } | TopologySpec::UnitDiskConnected { avg_degree }) =
+        *topology
+    else {
+        return Ok(());
+    };
+    let family = topology.label();
+    ensure(
+        n >= 2,
+        suffix,
+        format!("a {family} topology needs n >= 2 (got n = {n})"),
+    )?;
+    ensure(
+        avg_degree < n as f64,
+        suffix,
+        format!("a {family} topology needs avg_degree < n (got {avg_degree} with n = {n})"),
+    )
 }
 
 /// The fields of a policy run (also the base run of a duel).

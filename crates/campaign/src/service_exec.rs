@@ -22,16 +22,15 @@
 //!   mid-seed checkpoint records [`Json::Null`] and resume restarts the
 //!   seed (they are minutes-scale at worst, and deterministic).
 //!
-//! The steppable path builds its workload with
-//! `PolicyRunExperiment::setup`, emits `PolicyRunExperiment::headline_metrics`
-//! and renders `mhca_bench::report::render_job_artifact` — the calls the
-//! batch path makes — so a service-run seed and a batch-run seed produce
-//! identical bytes.
+//! The steppable path builds its workload with [`PolicyRunConfig::setup`],
+//! emits [`PolicyRunConfig::headline_metrics`] and renders
+//! `mhca_bench::report::render_job_artifact` — the calls the batch path
+//! makes — so a service-run seed and a batch-run seed produce identical
+//! bytes.
 
 use crate::ingest;
 use crate::spec::{ExperimentKind, ScenarioSpec};
 use mhca_bench::report;
-use mhca_core::experiment::PolicyRunExperiment;
 use mhca_core::{ExperimentData, ObserverSet, PolicyRunConfig, PolicyRunner};
 use mhca_service::checkpoint::{
     state_map_from_json, state_map_to_json, u64_from_json, u64_to_json,
@@ -155,7 +154,7 @@ fn run_steppable_seed(
         seed,
         ..base.clone()
     };
-    let (net, acfg) = PolicyRunExperiment::setup(&cfg, seed);
+    let (net, acfg) = cfg.setup(seed);
     let mut policy = cfg.policy.build(&net);
     let mut observers = ObserverSet::from_kinds(&spec.observers);
     observers.attach_telemetry(telemetry);
@@ -186,7 +185,7 @@ fn run_steppable_seed(
     }
     let run = runner.finish(policy.as_ref());
 
-    let mut metrics = PolicyRunExperiment::headline_metrics(&run);
+    let mut metrics = PolicyRunConfig::headline_metrics(&run);
     observers.finish_into(&mut metrics);
     let rows = metrics.into_rows();
     let mut artifact = Vec::new();

@@ -11,13 +11,11 @@
 use crate::schema;
 use mhca_bench::report;
 use mhca_core::experiment::{
-    run_experiment, ComplexityExperiment, Experiment, Fig5Experiment, Fig6Experiment,
-    Fig7Experiment, Fig8Experiment, ObserverKind, ObserverSet, PolicyDuelExperiment,
-    PolicyRunExperiment, Table2Experiment, Theorem3Experiment,
+    run_experiment, Experiment, ObserverKind, ObserverSet, Table2Experiment,
 };
 use mhca_core::experiments::{
-    ComplexityConfig, Fig5Config, Fig6Config, Fig7Config, Fig8Config, PolicyRunConfig, PolicySpec,
-    Theorem3Config,
+    ComplexityConfig, Fig5Config, Fig6Config, Fig7Config, Fig8Config, PolicyDuelConfig,
+    PolicyRunConfig, Theorem3Config,
 };
 use mhca_service::json::Json;
 use mhca_telemetry::Telemetry;
@@ -70,8 +68,8 @@ impl SeedRange {
 
 /// The experiment a scenario runs, with its full parameterization. Each
 /// variant wraps the corresponding spec-driven config from
-/// `mhca_core::experiments`; the scenario's per-job seed overrides the
-/// config's own seed field.
+/// `mhca_core::experiments`, which is itself the [`Experiment`]; the
+/// scenario's per-job seed overrides the config's own seed field.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ExperimentKind {
     /// Fig. 5 linear worst case (deterministic — seeds only replicate).
@@ -90,16 +88,8 @@ pub enum ExperimentKind {
     Theorem3(Theorem3Config),
     /// Generic declarative Algorithm 2 run (the cross-product axis).
     PolicyRun(PolicyRunConfig),
-    /// Paired head-to-head: `base.policy` vs `challenger` on the same
-    /// network and identical channel realizations (the Fig. 7 comparison
-    /// generalized — the counter-based channel matrix makes any two runs
-    /// with the same seed a paired experiment).
-    PolicyDuel {
-        /// The baseline run (its `policy` is contestant A).
-        base: PolicyRunConfig,
-        /// Contestant B, run on the identical instance.
-        challenger: PolicySpec,
-    },
+    /// Paired head-to-head of two policies on identical realizations.
+    PolicyDuel(PolicyDuelConfig),
 }
 
 impl ExperimentKind {
@@ -109,49 +99,22 @@ impl ExperimentKind {
         self.experiment().spec().kind
     }
 
-    /// Builds the unified-engine [`Experiment`] this kind describes. All
-    /// eight paper workloads (plus the duel) run through this one
-    /// surface; the per-kind metric extraction lives with the experiment
-    /// implementations in `mhca_core::experiment`.
-    pub fn experiment(&self) -> Box<dyn Experiment> {
+    /// The unified-engine [`Experiment`] this kind describes: the wrapped
+    /// config itself. All eight paper workloads (plus the duel) run
+    /// through this one surface; the per-kind metric extraction lives
+    /// with the experiment implementations in `mhca_core::experiment`.
+    pub fn experiment(&self) -> &dyn Experiment {
         match self {
-            ExperimentKind::Fig5(cfg) => Box::new(Fig5Experiment(cfg.clone())),
-            ExperimentKind::Fig6(cfg) => Box::new(Fig6Experiment(cfg.clone())),
-            ExperimentKind::Fig7(cfg) => Box::new(Fig7Experiment(cfg.clone())),
-            ExperimentKind::Fig8(cfg) => Box::new(Fig8Experiment(cfg.clone())),
-            ExperimentKind::Table2 => Box::new(Table2Experiment),
-            ExperimentKind::Complexity(cfg) => Box::new(ComplexityExperiment(cfg.clone())),
-            ExperimentKind::Theorem3(cfg) => Box::new(Theorem3Experiment(cfg.clone())),
-            ExperimentKind::PolicyRun(cfg) => Box::new(PolicyRunExperiment(cfg.clone())),
-            ExperimentKind::PolicyDuel { base, challenger } => Box::new(PolicyDuelExperiment {
-                base: base.clone(),
-                challenger: *challenger,
-            }),
+            ExperimentKind::Fig5(cfg) => cfg,
+            ExperimentKind::Fig6(cfg) => cfg,
+            ExperimentKind::Fig7(cfg) => cfg,
+            ExperimentKind::Fig8(cfg) => cfg,
+            ExperimentKind::Table2 => &Table2Experiment,
+            ExperimentKind::Complexity(cfg) => cfg,
+            ExperimentKind::Theorem3(cfg) => cfg,
+            ExperimentKind::PolicyRun(cfg) => cfg,
+            ExperimentKind::PolicyDuel(cfg) => cfg,
         }
-    }
-
-    /// Runs the experiment for one seed with no observers attached. See
-    /// [`ExperimentKind::run_with_observers`].
-    pub fn run(&self, seed: u64, artifact: &mut dyn Write) -> io::Result<Vec<(String, f64)>> {
-        self.run_with_observers(seed, artifact, ObserverSet::new())
-    }
-
-    /// Runs the experiment for one seed through the unified engine,
-    /// writes the per-seed artifact into `artifact` (the figure CSV, then
-    /// any observer metrics; see [`report::render_job_artifact`]) and
-    /// returns the flat headline metrics (experiment metrics first, then
-    /// the registered observers' metrics) used for cross-seed
-    /// aggregation.
-    pub fn run_with_observers(
-        &self,
-        seed: u64,
-        artifact: &mut dyn Write,
-        observers: ObserverSet,
-    ) -> io::Result<Vec<(String, f64)>> {
-        let out = run_experiment(self.experiment().as_ref(), seed, observers);
-        let rows = out.metrics.into_rows();
-        report::render_job_artifact(&out.data, &rows, artifact)?;
-        Ok(rows)
     }
 
     /// Canonical JSON rendering of the kind and its full parameterization
@@ -209,14 +172,15 @@ impl ScenarioSpec {
         self.run_job_traced(seed, artifact, &Telemetry::disabled())
     }
 
-    /// Runs one job with a telemetry handle threaded through the
-    /// observers (see `ObserverSet::attach_telemetry` in `mhca_core`): an
-    /// enabled handle streams phase histograms, sampled decide spans, and
-    /// incremental observer counters into the sink, scoped to whatever
-    /// scope `telemetry` already carries. A disabled handle makes this
-    /// identical to [`run_job`](Self::run_job) — and by the byte-identity
-    /// contract, so does an enabled one, as far as the artifact and the
-    /// returned metrics are concerned.
+    /// Runs one job through the unified engine: the experiment at `seed`
+    /// with this scenario's observers, `telemetry` threaded through them
+    /// (see `ObserverSet::attach_telemetry` in `mhca_core`). Writes the
+    /// per-seed artifact (the figure CSV, then observer metrics; see
+    /// [`report::render_job_artifact`]) and returns the flat metric rows,
+    /// the experiment's first, used for cross-seed aggregation. By the
+    /// byte-identity contract both are the same whether `telemetry` is
+    /// enabled or not; an enabled handle adds phase histograms, sampled
+    /// decide spans and incremental observer counters to its sink.
     pub fn run_job_traced(
         &self,
         seed: u64,
@@ -225,7 +189,10 @@ impl ScenarioSpec {
     ) -> io::Result<Vec<(String, f64)>> {
         let mut observers = ObserverSet::from_kinds(&self.observers);
         observers.attach_telemetry(telemetry);
-        self.kind.run_with_observers(seed, artifact, observers)
+        let out = run_experiment(self.kind.experiment(), seed, observers);
+        let rows = out.metrics.into_rows();
+        report::render_job_artifact(&out.data, &rows, artifact)?;
+        Ok(rows)
     }
 
     /// Expands this scenario into its per-seed jobs, in seed order.
@@ -295,6 +262,12 @@ pub fn spec_hash(name: &str, scenarios: &[ScenarioSpec]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mhca_core::experiments::PolicySpec;
+
+    /// A one-seed scenario running `kind` with no observers.
+    fn job(kind: ExperimentKind) -> ScenarioSpec {
+        ScenarioSpec::new("job", "job", kind, SeedRange::new(0, 1))
+    }
 
     fn two_scenarios() -> Vec<ScenarioSpec> {
         vec![
@@ -366,10 +339,10 @@ mod tests {
             vec![ScenarioSpec::new(
                 "duel",
                 "duel",
-                ExperimentKind::PolicyDuel {
+                ExperimentKind::PolicyDuel(PolicyDuelConfig {
                     base: PolicyRunConfig::quick(),
                     challenger: PolicySpec::Llr { l },
-                },
+                }),
                 SeedRange::new(0, 2),
             )]
         };
@@ -390,24 +363,25 @@ mod tests {
 
     #[test]
     fn run_produces_metrics_and_artifact() {
-        let kind = ExperimentKind::Table2;
         let mut artifact = Vec::new();
-        let metrics = kind.run(0, &mut artifact).unwrap();
+        let metrics = job(ExperimentKind::Table2)
+            .run_job(0, &mut artifact)
+            .unwrap();
         assert!(metrics.iter().any(|(k, v)| k == "theta" && *v == 0.5));
         assert!(!artifact.is_empty());
     }
 
     #[test]
     fn policy_duel_runs_both_contestants_paired() {
-        let kind = ExperimentKind::PolicyDuel {
+        let kind = ExperimentKind::PolicyDuel(PolicyDuelConfig {
             base: PolicyRunConfig {
                 horizon: 150,
                 ..PolicyRunConfig::quick()
             },
             challenger: PolicySpec::Random,
-        };
+        });
         let mut artifact = Vec::new();
-        let metrics = kind.run(3, &mut artifact).unwrap();
+        let metrics = job(kind).run_job(3, &mut artifact).unwrap();
         let get = |name: &str| {
             metrics
                 .iter()
@@ -443,10 +417,10 @@ mod tests {
             ExperimentKind::Complexity(ComplexityConfig::quick()),
             ExperimentKind::Theorem3(Theorem3Config::quick()),
             ExperimentKind::PolicyRun(PolicyRunConfig::quick()),
-            ExperimentKind::PolicyDuel {
+            ExperimentKind::PolicyDuel(PolicyDuelConfig {
                 base: PolicyRunConfig::quick(),
                 challenger: PolicySpec::Random,
-            },
+            }),
         ];
         for kind in &kinds {
             assert_eq!(kind.tag(), kind.experiment().spec().kind);
@@ -492,12 +466,11 @@ mod tests {
 
     #[test]
     fn job_seed_overrides_config_seed() {
-        let cfg = PolicyRunConfig::quick();
-        let kind = ExperimentKind::PolicyRun(cfg);
+        let spec = job(ExperimentKind::PolicyRun(PolicyRunConfig::quick()));
         let mut sink = Vec::new();
-        let a = kind.run(5, &mut sink).unwrap();
-        let b = kind.run(5, &mut sink).unwrap();
-        let c = kind.run(6, &mut sink).unwrap();
+        let a = spec.run_job(5, &mut sink).unwrap();
+        let b = spec.run_job(5, &mut sink).unwrap();
+        let c = spec.run_job(6, &mut sink).unwrap();
         assert_eq!(a, b, "same seed must reproduce");
         assert_ne!(a, c, "different seeds must differ");
     }

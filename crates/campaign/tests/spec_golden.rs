@@ -289,5 +289,12 @@ const DIAGNOSTICS_GOLDEN: &[(&str, &str, &str)] = &[
     (r#"{"name":"x","spec":{"kind":"policy-run","n":8,"traffic":{"arrivals":{"process":"poisson"},"flows":[{"src":0,"dst":8}]}}}"#, "scenario.spec.traffic.flows[0].dst", "vertex 8 out of range for n = 8"),
     (r#"{"name":"x","spec":{"kind":"policy-run","n":8,"traffic":{"arrivals":{"process":"poisson"},"flows":[{"src":0,"dst":1},{"src":1,"dst":0,"deadline":0}]}}}"#, "scenario.spec.traffic.flows[1].deadline", "must be positive"),
     (r#"{"name":"x","spec":{"kind":"policy-run","n":8,"traffic":{"arrivals":{"process":"poisson"},"flows":[{"src":0,"dst":1,"deadline":"soon"}]}}}"#, "scenario.spec.traffic.flows[0].deadline", "must be a non-negative integer (within 2^53)"),
-    (r#"{"name":"x","spec":{"kind":"policy-duel","n":4,"challenger":{"name":"llr"},"traffic":{"arrivals":{"process":"poisson"},"flows":[{"src":0,"dst":4}]}}}"#, "scenario.spec.traffic.flows[0].dst", "vertex 4 out of range for n = 4"),
+    (r#"{"name":"x","spec":{"kind":"policy-duel","n":4,"challenger":{"name":"llr"},"traffic":{"arrivals":{"process":"poisson"},"flows":[{"src":0,"dst":4}]}}}"#, "scenario.spec.traffic.flows[0].dst", "vertex 4 out of range for n = 4"),    (r#"{"name":"x","spec":{"kind":"fig6","sizes":[[1,1]],"topology":{"family":"unit-disk","avg_degree":5}}}"#, "scenario.spec.sizes[0]", "a unit-disk topology needs n >= 2 (got n = 1)"),
+    (r#"{"name":"x","spec":{"kind":"fig6","sizes":[[50,5],[4,2]],"topology":{"family":"unit-disk","avg_degree":5}}}"#, "scenario.spec.sizes[1]", "a unit-disk topology needs avg_degree < n (got 5 with n = 4)"),
+    (r#"{"name":"x","spec":{"kind":"fig7","n":3,"topology":{"family":"unit-disk-connected","avg_degree":3.5}}}"#, "scenario.spec.n", "a unit-disk-connected topology needs avg_degree < n (got 3.5 with n = 3)"),
+    (r#"{"name":"x","spec":{"kind":"fig8","n":1,"topology":{"family":"unit-disk","avg_degree":4}}}"#, "scenario.spec.n", "a unit-disk topology needs n >= 2 (got n = 1)"),
+    (r#"{"name":"x","spec":{"kind":"complexity","ns":[20,4],"topology":{"family":"unit-disk","avg_degree":4}}}"#, "scenario.spec.ns[1]", "a unit-disk topology needs avg_degree < n (got 4 with n = 4)"),
+    (r#"{"name":"x","spec":{"kind":"theorem3","n":1,"topology":{"family":"unit-disk","avg_degree":0.5}}}"#, "scenario.spec.n", "a unit-disk topology needs n >= 2 (got n = 1)"),
+    (r#"{"name":"x","spec":{"kind":"policy-run","n":2,"topology":{"family":"unit-disk","avg_degree":3.5}}}"#, "scenario.spec.n", "a unit-disk topology needs avg_degree < n (got 3.5 with n = 2)"),
+    (r#"{"name":"x","spec":{"kind":"policy-duel","n":3,"challenger":{"name":"llr"},"topology":{"family":"unit-disk-connected","avg_degree":3}}}"#, "scenario.spec.n", "a unit-disk-connected topology needs avg_degree < n (got 3 with n = 3)"),
 ];

@@ -15,7 +15,6 @@ use crate::{
     matrix::ChannelMatrix,
     process::{Bernoulli, Constant, Uniform},
 };
-use serde::{Deserialize, Serialize};
 
 /// Declarative channel-model family.
 ///
@@ -41,7 +40,7 @@ use serde::{Deserialize, Serialize};
 /// let m = drifting.build(4, 3, 7);
 /// assert_ne!(m.mean_at(0, 0), m.mean_at(500, 0));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ChannelModelSpec {
     /// The paper's Section V workload: truncated-Gaussian rates with
     /// `σ = sigma_frac · µ` around rate-class means.

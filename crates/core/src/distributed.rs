@@ -126,11 +126,10 @@
 use mhca_graph::{BallScan, ExtendedConflictGraph, Partition};
 use mhca_mwis::{exact, greedy};
 use mhca_sim::{Counters, Flood, FloodEngine, FloodReceivers, LossSpec};
-use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 /// Per-vertex protocol status.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Status {
     /// Unresolved; eligible for leadership and selection.
     Candidate,
@@ -141,7 +140,7 @@ pub enum Status {
 }
 
 /// How a LocalLeader solves its local MWIS.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LocalSolver {
     /// Exact branch-and-bound enumeration (the paper's Algorithm 3 line 8).
     Exact,
@@ -172,7 +171,7 @@ impl Default for LocalSolver {
 }
 
 /// Configuration of the distributed strategy decision.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DistributedPtasConfig {
     /// Local MWIS radius `r` (the paper's simulations use `r = 2`).
     pub r: usize,
@@ -285,7 +284,7 @@ impl DistributedPtasConfig {
 }
 
 /// Result of one distributed strategy decision (one round's `t_s` part).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DecisionOutcome {
     /// Vertices selected to transmit, sorted ascending. Independent in `H`
     /// under lossless delivery.
@@ -334,7 +333,7 @@ impl DecisionOutcome {
 /// observer pipeline as `decide_scanned`; the dirty-ball path's whole
 /// point is that `candidates_scanned` stays near one full sweep per
 /// decision instead of one per mini-round.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DecideScanStats {
     /// `(2r+1)`-ball candidate evaluations performed. The dirty-ball
     /// path charges one per vertex for the mini-round 0 election probe
@@ -358,7 +357,7 @@ pub struct DecideScanStats {
 /// large `n` but measurable in small-`n` hot loops, so they are gated).
 /// The dirty-ball path fills it; the rescan reference leaves it zeroed.
 /// This is what `decide_profile --pr6` reports per grid point.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DecidePhaseNs {
     /// Leader election: the mini-round 0 ball probe plus the pending-list
     /// drain of later mini-rounds.

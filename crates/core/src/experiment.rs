@@ -32,7 +32,7 @@ use crate::{
     distributed::{DecidePhaseNs, DistributedPtas, DistributedPtasConfig},
     experiments::{
         ComplexityConfig, ComplexityPoint, Fig5Config, Fig6Config, Fig6Series, Fig7Config,
-        Fig7Output, Fig8Config, Fig8Run, PolicyRunConfig, PolicySpec, Table2, Theorem3Config,
+        Fig7Output, Fig8Config, Fig8Run, PolicyDuelConfig, PolicyRunConfig, Table2, Theorem3Config,
         Theorem3Point, WorstCasePoint,
     },
     network::Network,
@@ -1437,18 +1437,21 @@ pub struct ExperimentOutput {
 }
 
 /// One experiment: a declarative shape plus an execution against a
-/// context. Implementations are plain data (a config struct), so they are
-/// `Send + Sync` and can be constructed inside parallel campaign workers.
+/// context. Each paper workload's config struct implements it directly
+/// (`Fig5Config` … `Theorem3Config`, `PolicyRunConfig`,
+/// `PolicyDuelConfig`; [`Table2Experiment`] stands for the parameterless
+/// Table II), so an experiment is plain `Send + Sync` data that parallel
+/// campaign workers borrow rather than rebuild.
 ///
 /// # Example
 ///
 /// Running a paper workload through the engine with streaming observers:
 ///
 /// ```
-/// use mhca_core::experiment::{run_experiment, PolicyRunExperiment};
+/// use mhca_core::experiment::run_experiment;
 /// use mhca_core::{ObserverKind, ObserverSet, PolicyRunConfig};
 ///
-/// let exp = PolicyRunExperiment(PolicyRunConfig::quick());
+/// let exp = PolicyRunConfig::quick();
 /// let observers = ObserverSet::from_kinds(&[ObserverKind::CommTotals]);
 /// let out = run_experiment(&exp, 7, observers);
 /// // Headline metrics come from the experiment, prefixed rows from the
@@ -1475,14 +1478,12 @@ pub fn run_experiment(exp: &dyn Experiment, seed: u64, observers: ObserverSet) -
 }
 
 // ---------------------------------------------------------------------------
-// The eight experiment kinds (plus the campaign duel), unified.
+// The eight experiment kinds (plus the campaign duel): each config type is
+// its experiment. Table II has no parameters, so a unit struct stands in.
 // ---------------------------------------------------------------------------
 
 /// Fig. 5: linear-network worst case for the strategy decision.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Fig5Experiment(pub Fig5Config);
-
-impl Experiment for Fig5Experiment {
+impl Experiment for Fig5Config {
     fn spec(&self) -> ScenarioShape {
         ScenarioShape {
             kind: "fig5",
@@ -1492,8 +1493,7 @@ impl Experiment for Fig5Experiment {
     }
 
     fn run(&self, _ctx: &mut ExperimentCtx) -> ExperimentOutput {
-        let cfg = &self.0;
-        let points: Vec<WorstCasePoint> = cfg
+        let points: Vec<WorstCasePoint> = self
             .ns
             .iter()
             .map(|&n| {
@@ -1501,7 +1501,7 @@ impl Experiment for Fig5Experiment {
                 let h = ExtendedConflictGraph::new(&g, 1);
                 let weights: Vec<f64> = (0..n).map(|i| 1.0 - i as f64 / (n + 1) as f64).collect();
                 let dcfg = DistributedPtasConfig::default()
-                    .with_r(cfg.r)
+                    .with_r(self.r)
                     .with_max_minirounds(None);
                 let mut ptas = DistributedPtas::new(&h, dcfg);
                 let out = ptas.decide(&weights);
@@ -1524,10 +1524,7 @@ impl Experiment for Fig5Experiment {
 }
 
 /// Fig. 6: convergence of Algorithm 3 over mini-rounds.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Fig6Experiment(pub Fig6Config);
-
-impl Experiment for Fig6Experiment {
+impl Experiment for Fig6Config {
     fn spec(&self) -> ScenarioShape {
         ScenarioShape {
             kind: "fig6",
@@ -1537,24 +1534,23 @@ impl Experiment for Fig6Experiment {
     }
 
     fn run(&self, ctx: &mut ExperimentCtx) -> ExperimentOutput {
-        let cfg = &self.0;
-        let series: Vec<Fig6Series> = cfg
+        let series: Vec<Fig6Series> = self
             .sizes
             .iter()
             .enumerate()
             .map(|(i, &(n, m))| {
                 let net =
-                    Network::from_spec(n, m, &cfg.topology, &cfg.channel, ctx.seed + i as u64);
+                    Network::from_spec(n, m, &self.topology, &self.channel, ctx.seed + i as u64);
                 let weights = net.channels().means();
                 let dcfg = DistributedPtasConfig::default()
-                    .with_r(cfg.r)
-                    .with_max_minirounds(Some(cfg.minirounds))
-                    .with_loss_spec(cfg.loss);
+                    .with_r(self.r)
+                    .with_max_minirounds(Some(self.minirounds))
+                    .with_loss_spec(self.loss);
                 let mut ptas = DistributedPtas::new(net.h(), dcfg);
                 let out = ptas.decide(&weights);
                 let mut weight_by_miniround = out.per_miniround_weight.clone();
                 let last = weight_by_miniround.last().copied().unwrap_or(0.0);
-                weight_by_miniround.resize(cfg.minirounds, last);
+                weight_by_miniround.resize(self.minirounds, last);
                 Fig6Series {
                     n,
                     m,
@@ -1574,7 +1570,7 @@ impl Experiment for Fig6Experiment {
         }
         ExperimentOutput {
             data: ExperimentData::Fig6 {
-                minirounds: cfg.minirounds,
+                minirounds: self.minirounds,
                 series,
             },
             metrics,
@@ -1583,10 +1579,7 @@ impl Experiment for Fig6Experiment {
 }
 
 /// Fig. 7: practical regret and β-regret, Algorithm 2 vs LLR.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Fig7Experiment(pub Fig7Config);
-
-impl Experiment for Fig7Experiment {
+impl Experiment for Fig7Config {
     fn spec(&self) -> ScenarioShape {
         ScenarioShape {
             kind: "fig7",
@@ -1596,23 +1589,22 @@ impl Experiment for Fig7Experiment {
     }
 
     fn run(&self, ctx: &mut ExperimentCtx) -> ExperimentOutput {
-        let cfg = &self.0;
         let seed = ctx.seed;
-        let net = Network::from_spec(cfg.n, cfg.m, &cfg.topology, &cfg.channel, seed);
+        let net = Network::from_spec(self.n, self.m, &self.topology, &self.channel, seed);
         let optimal = net.optimal().weight;
         let dcfg = DistributedPtasConfig::default()
-            .with_r(cfg.r)
-            .with_max_minirounds(Some(cfg.minirounds))
-            .with_loss_spec(cfg.loss);
+            .with_r(self.r)
+            .with_max_minirounds(Some(self.minirounds))
+            .with_loss_spec(self.loss);
         let base = Algorithm2Config::default()
-            .with_horizon(cfg.horizon)
+            .with_horizon(self.horizon)
             .with_decision(dcfg)
             .with_seed(seed)
             .with_optimal_kbps(optimal);
 
         let mut cs = CsUcb::new(2.0);
         let algorithm2 = run_policy_observed(&net, &base, &mut cs, &mut ctx.observers);
-        let mut llr_policy = Llr::new(cfg.n, 2.0);
+        let mut llr_policy = Llr::new(self.n, 2.0);
         let llr = run_policy_observed(&net, &base, &mut llr_policy, &mut ctx.observers);
         let beta = algorithm2.beta;
         let out = Fig7Output {
@@ -1650,10 +1642,7 @@ impl Experiment for Fig7Experiment {
 }
 
 /// Fig. 8: throughput under periodic (stale-weight) updates.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Fig8Experiment(pub Fig8Config);
-
-impl Experiment for Fig8Experiment {
+impl Experiment for Fig8Config {
     fn spec(&self) -> ScenarioShape {
         ScenarioShape {
             kind: "fig8",
@@ -1663,18 +1652,17 @@ impl Experiment for Fig8Experiment {
     }
 
     fn run(&self, ctx: &mut ExperimentCtx) -> ExperimentOutput {
-        let cfg = &self.0;
         let seed = ctx.seed;
-        let net = Network::from_spec(cfg.n, cfg.m, &cfg.topology, &cfg.channel, seed);
+        let net = Network::from_spec(self.n, self.m, &self.topology, &self.channel, seed);
         let dcfg = DistributedPtasConfig::default()
-            .with_r(cfg.r)
-            .with_max_minirounds(Some(cfg.minirounds))
-            .with_loss_spec(cfg.loss);
-        let runs: Vec<Fig8Run> = cfg
+            .with_r(self.r)
+            .with_max_minirounds(Some(self.minirounds))
+            .with_loss_spec(self.loss);
+        let runs: Vec<Fig8Run> = self
             .update_periods
             .iter()
             .map(|&y| {
-                let horizon = cfg.updates_per_run * y as u64;
+                let horizon = self.updates_per_run * y as u64;
                 let base = Algorithm2Config::default()
                     .with_horizon(horizon)
                     .with_update_period(y)
@@ -1682,7 +1670,7 @@ impl Experiment for Fig8Experiment {
                     .with_seed(seed);
                 let mut cs = CsUcb::new(2.0);
                 let algorithm2 = run_policy_observed(&net, &base, &mut cs, &mut ctx.observers);
-                let mut llr_policy = Llr::new(cfg.n, 2.0);
+                let mut llr_policy = Llr::new(self.n, 2.0);
                 let llr = run_policy_observed(&net, &base, &mut llr_policy, &mut ctx.observers);
                 Fig8Run {
                     y,
@@ -1745,10 +1733,7 @@ impl Experiment for Table2Experiment {
 }
 
 /// Section IV-C: measured communication/space complexity.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ComplexityExperiment(pub ComplexityConfig);
-
-impl Experiment for ComplexityExperiment {
+impl Experiment for ComplexityConfig {
     fn spec(&self) -> ScenarioShape {
         ScenarioShape {
             kind: "complexity",
@@ -1758,15 +1743,14 @@ impl Experiment for ComplexityExperiment {
     }
 
     fn run(&self, ctx: &mut ExperimentCtx) -> ExperimentOutput {
-        let cfg = &self.0;
         let mut points = Vec::new();
-        for (i, &n) in cfg.ns.iter().enumerate() {
-            let net =
-                Network::from_spec(n, cfg.m, &cfg.topology, &cfg.channel, ctx.seed + i as u64);
-            for &r in &cfg.rs {
+        for (i, &n) in self.ns.iter().enumerate() {
+            let seed = ctx.seed + i as u64;
+            let net = Network::from_spec(n, self.m, &self.topology, &self.channel, seed);
+            for &r in &self.rs {
                 let dcfg = DistributedPtasConfig::default()
                     .with_r(r)
-                    .with_max_minirounds(Some(cfg.minirounds));
+                    .with_max_minirounds(Some(self.minirounds));
                 let mut ptas = DistributedPtas::new(net.h(), dcfg);
                 let weights = net.channels().means();
                 let outcome = ptas.decide(&weights);
@@ -1775,7 +1759,7 @@ impl Experiment for ComplexityExperiment {
                     (0..hn).map(|v| ptas.ball_len(v) as f64).sum::<f64>() / hn as f64;
                 points.push(ComplexityPoint {
                     n,
-                    m: cfg.m,
+                    m: self.m,
                     r,
                     minirounds: outcome.minirounds_used,
                     mean_tx_per_vertex: outcome.counters.mean_per_vertex_tx(),
@@ -1803,10 +1787,7 @@ impl Experiment for ComplexityExperiment {
 }
 
 /// Theorem 3: distributed vs centralized approximation quality.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Theorem3Experiment(pub Theorem3Config);
-
-impl Experiment for Theorem3Experiment {
+impl Experiment for Theorem3Config {
     fn spec(&self) -> ScenarioShape {
         ScenarioShape {
             kind: "theorem3",
@@ -1817,10 +1798,9 @@ impl Experiment for Theorem3Experiment {
 
     fn run(&self, ctx: &mut ExperimentCtx) -> ExperimentOutput {
         use mhca_mwis::{exact, robust_ptas};
-        let cfg = &self.0;
-        let points: Vec<Theorem3Point> = (ctx.seed..ctx.seed + cfg.instances)
+        let points: Vec<Theorem3Point> = (ctx.seed..ctx.seed + self.instances)
             .map(|seed| {
-                let net = Network::from_spec(cfg.n, cfg.m, &cfg.topology, &cfg.channel, seed);
+                let net = Network::from_spec(self.n, self.m, &self.topology, &self.channel, seed);
                 let w = net.channels().means();
                 let allowed: Vec<usize> = (0..net.n_vertices()).collect();
                 let optimal =
@@ -1868,27 +1848,24 @@ impl Experiment for Theorem3Experiment {
 
 /// One generic declarative Algorithm 2 run — the campaign cross-product
 /// workload; the per-figure experiments above are fixed points of it.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PolicyRunExperiment(pub PolicyRunConfig);
-
-impl PolicyRunExperiment {
-    /// The network and Algorithm 2 configuration `cfg` runs on at `seed`
-    /// (the seed overrides the config's own). The one definition of the
-    /// workload, shared by the plain run, the duel and any stepped
+impl PolicyRunConfig {
+    /// The network and Algorithm 2 configuration this config runs on at
+    /// `seed` (the seed overrides the config's own). The one definition
+    /// of the workload, shared by the plain run, the duel and any stepped
     /// driver of the same run (the campaign service's executor).
-    pub fn setup(cfg: &PolicyRunConfig, seed: u64) -> (Network, Algorithm2Config) {
-        let net = Network::from_spec(cfg.n, cfg.m, &cfg.topology, &cfg.channel, seed);
+    pub fn setup(&self, seed: u64) -> (Network, Algorithm2Config) {
+        let net = Network::from_spec(self.n, self.m, &self.topology, &self.channel, seed);
         let dcfg = DistributedPtasConfig::default()
-            .with_r(cfg.r)
-            .with_max_minirounds(Some(cfg.minirounds))
-            .with_loss_spec(cfg.loss)
-            .with_partitions(cfg.partitions);
+            .with_r(self.r)
+            .with_max_minirounds(Some(self.minirounds))
+            .with_loss_spec(self.loss)
+            .with_partitions(self.partitions);
         let mut acfg = Algorithm2Config::default()
-            .with_horizon(cfg.horizon)
-            .with_update_period(cfg.update_period)
+            .with_horizon(self.horizon)
+            .with_update_period(self.update_period)
             .with_decision(dcfg)
             .with_seed(seed);
-        if let Some(traffic) = &cfg.traffic {
+        if let Some(traffic) = &self.traffic {
             acfg = acfg.with_traffic(traffic.clone());
         }
         (net, acfg)
@@ -1918,14 +1895,14 @@ impl PolicyRunExperiment {
 
     /// Runs the config at one seed with observers — shared by the plain
     /// run and the duel.
-    fn run_one(cfg: &PolicyRunConfig, seed: u64, observers: &mut ObserverSet) -> RunResult {
-        let (net, acfg) = Self::setup(cfg, seed);
-        let mut policy = cfg.policy.build(&net);
+    fn run_one(&self, seed: u64, observers: &mut ObserverSet) -> RunResult {
+        let (net, acfg) = self.setup(seed);
+        let mut policy = self.policy.build(&net);
         run_policy_observed(&net, &acfg, policy.as_mut(), observers)
     }
 }
 
-impl Experiment for PolicyRunExperiment {
+impl Experiment for PolicyRunConfig {
     fn spec(&self) -> ScenarioShape {
         ScenarioShape {
             kind: "policy-run",
@@ -1937,9 +1914,9 @@ impl Experiment for PolicyRunExperiment {
     fn run(&self, ctx: &mut ExperimentCtx) -> ExperimentOutput {
         let cfg = PolicyRunConfig {
             seed: ctx.seed,
-            ..self.0.clone()
+            ..self.clone()
         };
-        let run = Self::run_one(&cfg, ctx.seed, &mut ctx.observers);
+        let run = cfg.run_one(ctx.seed, &mut ctx.observers);
         ExperimentOutput {
             metrics: Self::headline_metrics(&run),
             data: ExperimentData::PolicyRun { cfg, run },
@@ -1949,15 +1926,7 @@ impl Experiment for PolicyRunExperiment {
 
 /// Paired head-to-head: `base.policy` vs `challenger` on the same network
 /// and identical channel realizations (the Fig. 7 comparison generalized).
-#[derive(Debug, Clone, PartialEq)]
-pub struct PolicyDuelExperiment {
-    /// The baseline run (its `policy` is contestant A).
-    pub base: PolicyRunConfig,
-    /// Contestant B, run on the identical instance.
-    pub challenger: PolicySpec,
-}
-
-impl Experiment for PolicyDuelExperiment {
+impl Experiment for PolicyDuelConfig {
     fn spec(&self) -> ScenarioShape {
         ScenarioShape {
             kind: "policy-duel",
@@ -1977,8 +1946,8 @@ impl Experiment for PolicyDuelExperiment {
         };
         // Same seed ⇒ same network and channel realizations: a paired
         // comparison, as in the paper's Fig. 7/8.
-        let run_a = PolicyRunExperiment::run_one(&cfg_a, ctx.seed, &mut ctx.observers);
-        let run_b = PolicyRunExperiment::run_one(&cfg_b, ctx.seed, &mut ctx.observers);
+        let run_a = cfg_a.run_one(ctx.seed, &mut ctx.observers);
+        let run_b = cfg_b.run_one(ctx.seed, &mut ctx.observers);
         // A same-policy duel (e.g. cs-ucb l=2 vs cs-ucb l=1 — labels
         // ignore parameters) must not emit colliding metric names: the
         // campaign summarizer pools by name, which would silently blend
@@ -2029,6 +1998,7 @@ impl Experiment for PolicyDuelExperiment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PolicySpec;
 
     #[test]
     fn metric_table_preserves_order_and_lookups() {
@@ -2225,7 +2195,7 @@ mod tests {
 
     #[test]
     fn new_observer_metrics_are_deterministic() {
-        let exp = PolicyRunExperiment(PolicyRunConfig {
+        let exp = PolicyRunConfig {
             channel: mhca_channels::ChannelModelSpec::Drifting {
                 shift_frac: 0.5,
                 breakpoints: vec![40, 80],
@@ -2233,7 +2203,7 @@ mod tests {
             },
             horizon: 120,
             ..PolicyRunConfig::quick()
-        });
+        };
         let kinds = [
             ObserverKind::SensingCost {
                 probe_cost: 1.0,
@@ -2255,7 +2225,7 @@ mod tests {
         // flip and the per-window regret against the exact
         // instantaneous-means optimum re-grows in the window containing
         // the breakpoint.
-        let exp = PolicyRunExperiment(PolicyRunConfig {
+        let exp = PolicyRunConfig {
             channel: mhca_channels::ChannelModelSpec::Drifting {
                 shift_frac: 0.5,
                 breakpoints: vec![300],
@@ -2267,7 +2237,7 @@ mod tests {
             // r = 2, as in the registry drift scenarios.
             r: 2,
             ..PolicyRunConfig::quick()
-        });
+        };
         let observers = ObserverSet::from_kinds(&[ObserverKind::WindowedRegret { window: 100 }]);
         let out = run_experiment(&exp, 2, observers);
         assert_eq!(out.metrics.get("windowed-regret:windows"), Some(6.0));
@@ -2355,14 +2325,14 @@ mod tests {
     fn capture_stats_tally_outages_under_full_swing_adversary() {
         // A full-swing square wave (low phase = 0 kbps): attempts split
         // into captures and outages, and the tallies are channel-complete.
-        let exp = PolicyRunExperiment(PolicyRunConfig {
+        let exp = PolicyRunConfig {
             channel: mhca_channels::ChannelModelSpec::AdversarialSwitching {
                 swing_frac: 1.0,
                 dwell: 20,
             },
             horizon: 200,
             ..PolicyRunConfig::quick()
-        });
+        };
         let out = run_experiment(
             &exp,
             3,
@@ -2391,10 +2361,10 @@ mod tests {
 
     #[test]
     fn sensing_cost_charges_follow_the_cost_model() {
-        let exp = PolicyRunExperiment(PolicyRunConfig {
+        let exp = PolicyRunConfig {
             horizon: 100,
             ..PolicyRunConfig::quick()
-        });
+        };
         let run_with = |probe: f64, report: f64| {
             run_experiment(
                 &exp,
@@ -2441,7 +2411,7 @@ mod tests {
 
     #[test]
     fn policy_run_streams_rounds_to_observers() {
-        let exp = PolicyRunExperiment(PolicyRunConfig::quick());
+        let exp = PolicyRunConfig::quick();
         let observers = ObserverSet::from_kinds(&[
             ObserverKind::CommTotals,
             ObserverKind::Throughput,
@@ -2494,7 +2464,7 @@ mod tests {
 
     #[test]
     fn observer_metrics_are_deterministic_where_expected() {
-        let exp = PolicyRunExperiment(PolicyRunConfig::quick());
+        let exp = PolicyRunConfig::quick();
         let kinds = [ObserverKind::CommTotals, ObserverKind::PerVertexTx];
         let a = run_experiment(&exp, 5, ObserverSet::from_kinds(&kinds));
         let b = run_experiment(&exp, 5, ObserverSet::from_kinds(&kinds));
@@ -2504,7 +2474,7 @@ mod tests {
 
     #[test]
     fn duel_pairs_runs_on_identical_instances() {
-        let exp = PolicyDuelExperiment {
+        let exp = PolicyDuelConfig {
             base: PolicyRunConfig {
                 horizon: 120,
                 ..PolicyRunConfig::quick()
@@ -2521,7 +2491,7 @@ mod tests {
     fn same_policy_duel_disambiguates_metric_names() {
         // cs-ucb vs cs-ucb (different l): labels collide, so the metric
         // names must not — the campaign summarizer pools by name.
-        let exp = PolicyDuelExperiment {
+        let exp = PolicyDuelConfig {
             base: PolicyRunConfig {
                 horizon: 60,
                 ..PolicyRunConfig::quick()
@@ -2568,7 +2538,7 @@ mod tests {
 
     #[test]
     fn flow_delay_and_queue_tail_report_per_flow_tails() {
-        let exp = PolicyRunExperiment(traffic_cfg());
+        let exp = traffic_cfg();
         let kinds = [
             ObserverKind::FlowDelay,
             ObserverKind::QueueTail { bound: 4 },
@@ -2604,7 +2574,7 @@ mod tests {
 
     #[test]
     fn traffic_duels_rank_by_delay_utility() {
-        let exp = PolicyDuelExperiment {
+        let exp = PolicyDuelConfig {
             base: traffic_cfg(),
             challenger: PolicySpec::Random,
         };
@@ -2693,7 +2663,7 @@ mod tests {
             seed: 999,
             ..PolicyRunConfig::quick()
         };
-        let at_seed = |s| run_experiment(&PolicyRunExperiment(cfg.clone()), s, ObserverSet::new());
+        let at_seed = |s| run_experiment(&cfg, s, ObserverSet::new());
         let a = at_seed(5);
         let b = at_seed(5);
         let c = at_seed(6);

@@ -4,10 +4,10 @@
 //!
 //! This module is **data only**: the config structs (`Fig6Config`,
 //! `PolicyRunConfig`, …) and the typed output records the figures plot.
-//! The execution logic lives in [`crate::experiment`] — each config has
-//! a corresponding [`Experiment`](crate::experiment::Experiment)
-//! implementation (`Fig6Experiment`, `PolicyRunExperiment`, …) driven by
-//! the unified engine [`run_experiment`](crate::experiment::run_experiment).
+//! The execution logic lives in [`crate::experiment`] — each config type
+//! implements [`Experiment`](crate::experiment::Experiment) itself and is
+//! driven by the unified engine
+//! [`run_experiment`](crate::experiment::run_experiment).
 //! (The pre-engine free functions `fig6`, `run_fig5`, `run_policy_spec`,
 //! … spent one release as deprecated shims and have been retired; the
 //! engine is the only entry point.)
@@ -23,7 +23,6 @@ use mhca_bandit::{
 use mhca_channels::ChannelModelSpec;
 use mhca_graph::TopologySpec;
 use mhca_sim::LossSpec;
-use serde::{Deserialize, Serialize};
 
 // ---------------------------------------------------------------------------
 // Policy specs — declarative learning-policy construction.
@@ -31,7 +30,7 @@ use serde::{Deserialize, Serialize};
 
 /// Declarative learning-policy choice for spec-driven experiments: a
 /// `(spec, network)` pair fully determines the policy instance.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PolicySpec {
     /// The paper's CS-UCB index (Algorithm 2) with exploration weight `l`.
     CsUcb {
@@ -107,7 +106,7 @@ impl Default for PolicySpec {
 
 /// Configuration of the Fig. 6 experiment: summed weight of all output
 /// independent sets as mini-rounds advance, for several `N×M` networks.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig6Config {
     /// `(N, M)` pairs; the paper uses `{50,100,200} × {5,10}`.
     pub sizes: Vec<(usize, usize)>,
@@ -155,7 +154,7 @@ impl Fig6Config {
 }
 
 /// One line of Fig. 6.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig6Series {
     /// Users `N`.
     pub n: usize,
@@ -173,7 +172,7 @@ pub struct Fig6Series {
 // ---------------------------------------------------------------------------
 
 /// Configuration of the Fig. 7 experiment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig7Config {
     /// Users (paper: 15).
     pub n: usize,
@@ -226,7 +225,7 @@ impl Fig7Config {
 }
 
 /// Per-policy regret series of Fig. 7.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig7Output {
     /// The exact optimum `R_1` in kbps (paper's instance: 7282.90).
     pub optimal_kbps: f64,
@@ -243,7 +242,7 @@ pub struct Fig7Output {
 // ---------------------------------------------------------------------------
 
 /// Configuration of the Fig. 8 experiment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig8Config {
     /// Users (paper: 100).
     pub n: usize,
@@ -303,7 +302,7 @@ impl Fig8Config {
 }
 
 /// One subplot of Fig. 8 (one update period `y`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig8Run {
     /// Update period `y`.
     pub y: usize,
@@ -320,7 +319,7 @@ pub struct Fig8Run {
 // ---------------------------------------------------------------------------
 
 /// One point of the worst-case demonstration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorstCasePoint {
     /// Line length `N`.
     pub n: usize,
@@ -331,7 +330,7 @@ pub struct WorstCasePoint {
 /// Configuration of the Fig. 5 worst-case experiment. The workload is
 /// deterministic (a line with strictly decreasing weights), so there is no
 /// seed or channel model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig5Config {
     /// Line lengths `N` to measure.
     pub ns: Vec<usize>,
@@ -363,7 +362,7 @@ impl Fig5Config {
 // ---------------------------------------------------------------------------
 
 /// One measured complexity point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ComplexityPoint {
     /// Users `N`.
     pub n: usize,
@@ -388,7 +387,7 @@ pub struct ComplexityPoint {
 }
 
 /// Configuration of the Section IV-C complexity measurement.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ComplexityConfig {
     /// Network sizes `N`.
     pub ns: Vec<usize>,
@@ -439,7 +438,7 @@ impl ComplexityConfig {
 // ---------------------------------------------------------------------------
 
 /// One instance of the Theorem 3 comparison.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Theorem3Point {
     /// Seed of the instance.
     pub seed: u64,
@@ -455,7 +454,7 @@ pub struct Theorem3Point {
 }
 
 /// Configuration of the Theorem 3 comparison.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Theorem3Config {
     /// Users `N` (small enough for exact branch-and-bound).
     pub n: usize,
@@ -502,7 +501,7 @@ impl Theorem3Config {
 // ---------------------------------------------------------------------------
 
 /// Table II rendered as data, with the derived quantities Section V uses.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table2 {
     /// The timing parameters.
     pub time: TimeModel,
@@ -522,7 +521,7 @@ pub struct Table2 {
 /// × `(N, M)` × horizon × update period × loss, all from one seed. This is
 /// the cross-product axis experiment campaigns sweep; the per-figure
 /// configs above are fixed points of it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PolicyRunConfig {
     /// Users `N`.
     pub n: usize,
@@ -590,14 +589,22 @@ impl PolicyRunConfig {
     }
 }
 
+/// A paired head-to-head: `base.policy` vs `challenger` on the same
+/// network and identical channel realizations (the Fig. 7 comparison
+/// generalized — the counter-based channel matrix makes any two runs with
+/// the same seed a paired experiment).
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct PolicyDuelConfig {
+    /// The baseline run (its `policy` is contestant A).
+    pub base: PolicyRunConfig,
+    /// Contestant B, run on the identical instance.
+    pub challenger: PolicySpec,
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment::{
-        run_experiment, ComplexityExperiment, ExperimentData, Fig5Experiment, Fig6Experiment,
-        Fig7Experiment, Fig8Experiment, ObserverSet, PolicyRunExperiment, Table2Experiment,
-        Theorem3Experiment,
-    };
+    use crate::experiment::{run_experiment, ExperimentData, ObserverSet, Table2Experiment};
 
     /// Engine shorthand: run an experiment observer-free at one seed and
     /// return its typed payload.
@@ -606,14 +613,14 @@ mod tests {
     }
 
     fn fig6(cfg: &Fig6Config) -> Vec<Fig6Series> {
-        match run(&Fig6Experiment(cfg.clone()), cfg.seed) {
+        match run(cfg, cfg.seed) {
             ExperimentData::Fig6 { series, .. } => series,
             other => panic!("wrong data variant {other:?}"),
         }
     }
 
     fn policy_run(cfg: &PolicyRunConfig) -> RunResult {
-        match run(&PolicyRunExperiment(cfg.clone()), cfg.seed) {
+        match run(cfg, cfg.seed) {
             ExperimentData::PolicyRun { run, .. } => run,
             other => panic!("wrong data variant {other:?}"),
         }
@@ -637,7 +644,7 @@ mod tests {
     #[test]
     fn fig7_quick_shows_negative_beta_regret() {
         let cfg = Fig7Config::quick();
-        let ExperimentData::Fig7(out) = run(&Fig7Experiment(cfg.clone()), cfg.seed) else {
+        let ExperimentData::Fig7(out) = run(&cfg, cfg.seed) else {
             panic!("wrong data variant");
         };
         assert!(out.optimal_kbps > 0.0);
@@ -653,7 +660,7 @@ mod tests {
     #[test]
     fn fig8_quick_stale_updates_improve_throughput() {
         let cfg = Fig8Config::quick();
-        let ExperimentData::Fig8(runs) = run(&Fig8Experiment(cfg.clone()), cfg.seed) else {
+        let ExperimentData::Fig8(runs) = run(&cfg, cfg.seed) else {
             panic!("wrong data variant");
         };
         assert_eq!(runs.len(), 2);
@@ -671,10 +678,10 @@ mod tests {
 
     #[test]
     fn fig5_worstcase_grows_linearly() {
-        let exp = Fig5Experiment(Fig5Config {
+        let exp = Fig5Config {
             ns: vec![10, 20, 40],
             r: 1,
-        });
+        };
         let ExperimentData::Fig5(points) = run(&exp, 0) else {
             panic!("wrong data variant");
         };
@@ -687,8 +694,7 @@ mod tests {
     #[test]
     fn complexity_is_size_independent_per_vertex() {
         let cfg = ComplexityConfig::quick();
-        let ExperimentData::Complexity(pts) = run(&ComplexityExperiment(cfg.clone()), cfg.seed)
-        else {
+        let ExperimentData::Complexity(pts) = run(&cfg, cfg.seed) else {
             panic!("wrong data variant");
         };
         assert_eq!(pts.len(), 2);
@@ -705,7 +711,7 @@ mod tests {
     #[test]
     fn theorem3_ratios_are_sane() {
         let cfg = Theorem3Config::quick();
-        let ExperimentData::Theorem3(pts) = run(&Theorem3Experiment(cfg.clone()), cfg.seed) else {
+        let ExperimentData::Theorem3(pts) = run(&cfg, cfg.seed) else {
             panic!("wrong data variant");
         };
         assert_eq!(pts.len(), cfg.instances as usize);

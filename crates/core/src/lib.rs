@@ -21,8 +21,8 @@
 //! * [`experiments`] — the experiment configurations and output records
 //!   for every figure of the paper's evaluation (Fig. 5 worst case,
 //!   Fig. 6 convergence, Fig. 7 regret, Fig. 8 periodic updates, plus the
-//!   complexity claims of Section IV-C); its free functions are
-//!   deprecated shims over the [`experiment`] engine.
+//!   complexity claims of Section IV-C); each config implements
+//!   [`Experiment`] and runs through the [`experiment`] engine.
 //!
 //! # Quickstart
 //!
@@ -60,7 +60,7 @@ pub use experiment::{
     run_experiment, Experiment, ExperimentCtx, ExperimentData, ExperimentOutput, MetricTable,
     ObserverKind, ObserverSet, RoundObserver, RoundRecord, ScenarioShape, TelemetryObserver,
 };
-pub use experiments::{PolicyRunConfig, PolicySpec};
+pub use experiments::{PolicyDuelConfig, PolicyRunConfig, PolicySpec};
 pub use network::Network;
 pub use runner::{run_policy_observed, Algorithm2Config, PolicyRunner, RunResult};
 pub use time::TimeModel;

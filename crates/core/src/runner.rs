@@ -38,11 +38,10 @@ use mhca_bandit::{
 use mhca_channels::rates;
 use mhca_sim::{Counters, Flood, FloodEngine};
 use rand::{rngs::StdRng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 /// Aggregate communication cost across a run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CommTotals {
     /// Total relay broadcasts (WB + LD + LB phases).
     pub transmissions: u64,
@@ -55,7 +54,7 @@ pub struct CommTotals {
 }
 
 /// Configuration of an Algorithm 2 run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Algorithm2Config {
     /// Horizon in time slots (`n`).
     pub horizon: u64,
@@ -141,7 +140,7 @@ impl Algorithm2Config {
 }
 
 /// Output of one Algorithm 2 run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunResult {
     /// Policy name.
     pub policy: String,

@@ -8,10 +8,9 @@
 //! outperforms LLR" can be checked for robustness rather than luck.
 
 use crate::stats;
-use serde::{Deserialize, Serialize};
 
 /// Mean ± population standard deviation of a measurement across seeds.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Aggregate {
     /// Number of seeds aggregated.
     pub runs: usize,

@@ -1,7 +1,5 @@
 //! The Table II time model and practical-throughput arithmetic.
 
-use serde::{Deserialize, Serialize};
-
 /// Timing parameters of a single round (paper Table II and Fig. 2).
 ///
 /// A round of length `t_a` splits into a strategy-decision part `t_s` and a
@@ -12,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// Defaults reproduce Table II exactly:
 /// `t_a = 2000 ms`, `t_b = 100 ms`, `t_l = 50 ms`, `t_d = 1000 ms`,
 /// hence `t_m = 250 ms`, `t_s = 1000 ms`, and `θ = t_d/t_a = 0.5`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimeModel {
     /// Round length `t_a` in milliseconds.
     pub round_ms: f64,

@@ -29,7 +29,6 @@
 //! destination.
 
 use mhca_graph::Graph;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// SplitMix64 finalizer — the same bijective avalanche mix the loss
@@ -59,7 +58,7 @@ fn unit(seed: u64, flow: u64, slot: u64) -> f64 {
 }
 
 /// Packet-arrival process shared by every flow of a [`TrafficSpec`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ArrivalProcess {
     /// Poisson arrivals: `rate` packets per slot in expectation, sampled
     /// by inverse CDF from one uniform per (flow, slot).
@@ -133,7 +132,7 @@ impl ArrivalProcess {
 
 /// One end-to-end flow: packets arrive at `src` and are forwarded
 /// hop-by-hop to `dst` along a shortest conflict-graph path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlowSpec {
     /// Source node (index into the conflict graph `G`, not `H`).
     pub src: usize,
@@ -145,7 +144,7 @@ pub struct FlowSpec {
 }
 
 /// Declarative traffic workload: arrival process × flows × packet size.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrafficSpec {
     /// Arrival process shared by every flow.
     pub arrivals: ArrivalProcess,
@@ -199,7 +198,7 @@ pub struct TrafficRound<'a> {
 }
 
 /// Lifetime totals for one flow.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct FlowTotals {
     /// Packets that arrived at the source.
     pub arrivals: u64,
@@ -225,7 +224,7 @@ impl FlowTotals {
 }
 
 /// End-of-run traffic totals attached to a `RunResult`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrafficSummary {
     /// Per-flow lifetime totals, indexed like [`TrafficSpec::flows`].
     pub flows: Vec<FlowTotals>,

@@ -18,7 +18,6 @@ use crate::{
     ids::{ChannelId, NodeId, VertexId},
     strategy::Strategy,
 };
-use serde::{Deserialize, Serialize};
 
 /// The extended conflict graph `H` plus master/slave bookkeeping.
 ///
@@ -37,7 +36,7 @@ use serde::{Deserialize, Serialize};
 /// // …adjacent nodes 0 and 1 may not.
 /// assert!(!h.graph().is_independent(&[0, 2])); // v(0,c0), v(1,c0)
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExtendedConflictGraph {
     graph: Graph,
     n_nodes: usize,

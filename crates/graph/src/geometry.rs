@@ -1,6 +1,5 @@
 //! Planar geometry used by unit-disk conflict graphs.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A point in the Euclidean plane.
@@ -8,7 +7,7 @@ use std::fmt;
 /// Node locations are points; two nodes conflict in a unit-disk graph when
 /// their distance is at most the conflict radius (the paper uses `‖u,v‖ ≤ 2`
 /// for unit disks of radius 1).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Point {
     /// Horizontal coordinate.
     pub x: f64,

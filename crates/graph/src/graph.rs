@@ -13,7 +13,6 @@
 //! sorted-insert per edge the old `Vec<Vec<usize>>` representation paid.
 
 use crate::balls::BallScan;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// An undirected simple graph over vertices `0..n`, stored as CSR.
@@ -37,7 +36,7 @@ use std::collections::VecDeque;
 /// assert!(g.is_independent(&[0, 2]));
 /// assert!(!g.is_independent(&[1, 2]));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Graph {
     /// `offsets[v]..offsets[v + 1]` delimits `v`'s slice of `targets`.
     offsets: Vec<usize>,

@@ -1,27 +1,20 @@
 //! Typed identifiers for nodes, channels, and virtual vertices.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a node (secondary user) in the original conflict graph `G`.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct NodeId(pub usize);
 
 /// Identifier of a channel, `0 ≤ ChannelId < M`.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct ChannelId(pub usize);
 
 /// Identifier of a virtual vertex `v_{i,j}` in the extended conflict graph `H`.
 ///
 /// The canonical packing is `vertex = node · M + channel`; see
 /// [`crate::ExtendedConflictGraph::vertex`].
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct VertexId(pub usize);
 
 impl fmt::Display for NodeId {

@@ -2,10 +2,9 @@
 //! harnesses to characterize the random workloads they generate.
 
 use crate::graph::Graph;
-use serde::{Deserialize, Serialize};
 
 /// Summary statistics of a graph.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GraphMetrics {
     /// Vertex count.
     pub n: usize,

@@ -1,7 +1,6 @@
 //! Channel-assignment strategies (the paper's strategy vectors `s_x`).
 
 use crate::ids::{ChannelId, NodeId};
-use serde::{Deserialize, Serialize};
 
 /// A (possibly partial) channel assignment: each node either selects one
 /// channel or stays silent.
@@ -22,7 +21,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(s.channel_of(NodeId(1)), None);
 /// assert_eq!(s.assigned_count(), 2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Strategy {
     choices: Vec<Option<ChannelId>>,
 }

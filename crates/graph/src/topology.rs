@@ -7,7 +7,6 @@
 
 use crate::graph::{Graph, GraphBuilder};
 use crate::unit_disk::{self, Layout};
-use serde::{Deserialize, Serialize};
 
 /// Path (linear network) on `n` vertices: `0 — 1 — … — n−1`.
 ///
@@ -95,7 +94,7 @@ pub fn grid_n(n: usize) -> Graph {
 /// constructors in this module and [`unit_disk`], used by spec-driven
 /// experiment campaigns: a `(family, n, seed)` triple fully determines the
 /// conflict graph.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TopologySpec {
     /// Random unit-disk graph targeting an average conflict degree
     /// (Section IV-D's "random networks with an average degree `d`").

@@ -10,11 +10,10 @@
 
 use crate::{geometry::Point, graph::Graph};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Geometric layout backing a unit-disk graph: node positions plus the
 /// conflict radius (edge iff `distance ≤ radius`).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Layout {
     /// Node positions, indexed by node id.
     pub points: Vec<Point>,

@@ -15,11 +15,10 @@
 
 use crate::{exact, set::WeightedSet};
 use mhca_graph::Graph;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Configuration of the robust PTAS.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Config {
     /// Approximation target `ρ = 1 + ε` (must be `> 1`).
     pub rho: f64,

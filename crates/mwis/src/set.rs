@@ -1,9 +1,7 @@
 //! Solver result type.
 
-use serde::{Deserialize, Serialize};
-
 /// An independent set together with its total weight.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct WeightedSet {
     /// Selected vertices, sorted ascending.
     pub vertices: Vec<usize>,

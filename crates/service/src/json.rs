@@ -1,9 +1,9 @@
 //! Hand-rolled JSON: a value model, an RFC 8259 emitter, and a small
 //! recursive-descent parser.
 //!
-//! The workspace's vendored `serde` is marker-only (see
+//! The workspace links no serialization framework (see
 //! `vendor/README.md`), so campaign artifacts and manifests are emitted
-//! and re-read by this module instead of a serde backend. The subset is
+//! and re-read by this module. The subset is
 //! complete JSON — objects, arrays, strings (with escapes), numbers,
 //! booleans, null — which is all a manifest round-trip needs. Object keys
 //! keep insertion order so emitted documents are deterministic and

@@ -1,7 +1,5 @@
 //! Communication-complexity accounting.
 
-use serde::{Deserialize, Serialize};
-
 /// Counters accumulated by a [`crate::FloodEngine`] across deliveries.
 ///
 /// * `transmissions` — local wireless broadcasts performed (one per
@@ -15,7 +13,7 @@ use serde::{Deserialize, Serialize};
 ///   largest TTL in the batch (floods in one batch propagate concurrently,
 ///   as in the paper's pipelined weight broadcast), saturating at
 ///   `u64::MAX`.
-#[derive(Debug, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Eq, Default)]
 pub struct Counters {
     /// Total relay broadcasts.
     pub transmissions: u64,

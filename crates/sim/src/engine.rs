@@ -15,7 +15,6 @@
 use crate::counters::Counters;
 use crate::loss::SkipSampler;
 use mhca_graph::{BallScan, Graph};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -23,7 +22,7 @@ use std::sync::Arc;
 /// `prob = 0` is lossless delivery, `prob > 0` drops each relay broadcast
 /// independently with that probability, drawn from a counter-based
 /// per-flood stream keyed by `seed` ([`SkipSampler`]).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct LossSpec {
     /// Per-relay drop probability in `[0, 1)`.
     pub prob: f64,

@@ -23,8 +23,8 @@ use mhca_campaign::{ExperimentKind, ScenarioSpec, SeedRange};
 use mhca_channels::ChannelModelSpec;
 use mhca_core::experiment::ObserverKind;
 use mhca_core::experiments::{
-    ComplexityConfig, Fig5Config, Fig6Config, Fig7Config, Fig8Config, PolicyRunConfig, PolicySpec,
-    Theorem3Config,
+    ComplexityConfig, Fig5Config, Fig6Config, Fig7Config, Fig8Config, PolicyDuelConfig,
+    PolicyRunConfig, PolicySpec, Theorem3Config,
 };
 use mhca_core::{ArrivalProcess, FlowSpec, TrafficSpec};
 use mhca_graph::TopologySpec;
@@ -489,7 +489,9 @@ impl ArbSpec for ExperimentKind {
                 })
                 .boxed(),
             (arb_policy_run_config(&k), PolicySpec::arb_spec(&k))
-                .prop_map(|(base, challenger)| ExperimentKind::PolicyDuel { base, challenger })
+                .prop_map(|(base, challenger)| {
+                    ExperimentKind::PolicyDuel(PolicyDuelConfig { base, challenger })
+                })
                 .boxed(),
         ];
         if k.heavy {

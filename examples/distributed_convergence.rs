@@ -6,7 +6,7 @@
 //!
 //! Run with: `cargo run --release --example distributed_convergence`
 
-use mhca::core::experiment::{run_experiment, ExperimentData, Fig6Experiment};
+use mhca::core::experiment::{run_experiment, ExperimentData};
 use mhca::core::experiments::Fig6Config;
 use mhca::core::ObserverSet;
 use mhca::graph::TopologySpec;
@@ -26,9 +26,9 @@ fn main() {
     );
     println!();
     let seed = cfg.seed;
-    let out = run_experiment(&Fig6Experiment(cfg), seed, ObserverSet::new());
+    let out = run_experiment(&cfg, seed, ObserverSet::new());
     let ExperimentData::Fig6 { series, .. } = out.data else {
-        unreachable!("Fig6Experiment yields Fig6 data");
+        unreachable!("Fig6Config yields Fig6 data");
     };
 
     // Header.

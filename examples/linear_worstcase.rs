@@ -6,7 +6,7 @@
 //!
 //! Run with: `cargo run --release --example linear_worstcase`
 
-use mhca::core::experiment::{run_experiment, ExperimentData, Fig5Experiment};
+use mhca::core::experiment::{run_experiment, ExperimentData};
 use mhca::core::experiments::Fig5Config;
 use mhca::core::ObserverSet;
 
@@ -15,9 +15,9 @@ fn main() {
         ns: vec![10, 20, 40, 80, 160],
         r: 1,
     };
-    let out = run_experiment(&Fig5Experiment(cfg), 0, ObserverSet::new());
+    let out = run_experiment(&cfg, 0, ObserverSet::new());
     let ExperimentData::Fig5(points) = out.data else {
-        unreachable!("Fig5Experiment yields Fig5 data");
+        unreachable!("Fig5Config yields Fig5 data");
     };
     println!("Algorithm 3 on a line with decreasing weights (M = 1, r = 1):");
     println!("{:>6} {:>12}", "N", "mini-rounds");

@@ -9,7 +9,7 @@
 //! Run with: `cargo run --release --example periodic_update`
 //! (Pass `--full` as an argument for the paper-scale 100x10 network.)
 
-use mhca::core::experiment::{run_experiment, ExperimentData, Fig8Experiment};
+use mhca::core::experiment::{run_experiment, ExperimentData};
 use mhca::core::experiments::Fig8Config;
 use mhca::core::ObserverSet;
 use mhca::graph::TopologySpec;
@@ -45,9 +45,9 @@ fn main() {
         "y", "slots", "alg2 actual", "alg2 estimate", "llr actual", "llr estimate"
     );
     let seed = cfg.seed;
-    let out = run_experiment(&Fig8Experiment(cfg), seed, ObserverSet::new());
+    let out = run_experiment(&cfg, seed, ObserverSet::new());
     let ExperimentData::Fig8(runs) = out.data else {
-        unreachable!("Fig8Experiment yields Fig8 data");
+        unreachable!("Fig8Config yields Fig8 data");
     };
     for run in runs {
         println!(

@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release --example regret_comparison`
 
-use mhca::core::experiment::{run_experiment, ExperimentData, Fig7Experiment};
+use mhca::core::experiment::{run_experiment, ExperimentData};
 use mhca::core::experiments::Fig7Config;
 use mhca::core::ObserverSet;
 
@@ -15,9 +15,9 @@ fn main() {
         cfg.n, cfg.m, cfg.horizon
     );
     let seed = cfg.seed;
-    let result = run_experiment(&Fig7Experiment(cfg), seed, ObserverSet::new());
+    let result = run_experiment(&cfg, seed, ObserverSet::new());
     let ExperimentData::Fig7(out) = result.data else {
-        unreachable!("Fig7Experiment yields Fig7 data");
+        unreachable!("Fig7Config yields Fig7 data");
     };
     println!(
         "exact optimum R1 = {:.2} kbps (paper instance: 7282.90)",

@@ -1,11 +1,9 @@
-//! Serde round-trips for the data structures experiments persist.
+//! Value semantics of the data structures experiments persist.
 //!
-//! Experiment configs and outputs are serialized (CSV/JSON) for the bench
-//! binaries and for reproducibility records; these tests pin the formats
-//! down with JSON round-trips through `serde_json`-free plumbing (we use
-//! the `serde` data model via the `serde::Serialize`/`Deserialize` derive
-//! and a minimal in-tree encoder is overkill — `bincode`-style checks are
-//! done structurally by comparing debug output after a clone instead).
+//! Configs and ids are written out by hand (CSV artifacts, the campaign
+//! spec codec), not by a serialization framework, so these tests pin the
+//! properties those writers rely on: clones compare equal, defaults carry
+//! the paper's values, and ids order and hash consistently.
 
 use mhca::core::{
     experiments::{Fig6Config, Fig7Config, Fig8Config},
