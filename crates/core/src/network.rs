@@ -199,32 +199,69 @@ mod tests {
         assert_eq!(a.channels().means(), b.channels().means());
     }
 
-    #[test]
-    fn from_spec_defaults_match_random() {
-        let legacy = Network::random(12, 3, 3.0, 0.1, 5);
-        let spec = Network::from_spec(
-            12,
-            3,
-            &TopologySpec::UnitDisk { avg_degree: 3.0 },
-            &ChannelModelSpec::GaussianRateClasses { sigma_frac: 0.1 },
-            5,
-        );
-        assert_eq!(legacy.g(), spec.g());
-        assert_eq!(legacy.channels().means(), spec.channels().means());
-        for v in 0..legacy.n_vertices() {
-            assert_eq!(legacy.channels().value(9, v), spec.channels().value(9, v));
+    /// FNV-1a 64 over a network's edges, layout and channel means plus
+    /// one sample per vertex (all f64s by bit pattern).
+    fn network_digest(mut hash: u64, net: &Network) -> u64 {
+        let mut eat = |word: u64| {
+            for b in word.to_le_bytes() {
+                hash ^= u64::from(b);
+                hash = hash.wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        for (u, v) in net.g().edges() {
+            eat(u as u64);
+            eat(v as u64);
         }
+        let layout = net.layout().expect("unit-disk networks carry a layout");
+        eat(layout.side.to_bits());
+        eat(layout.radius.to_bits());
+        for p in &layout.points {
+            eat(p.x.to_bits());
+            eat(p.y.to_bits());
+        }
+        for v in 0..net.n_vertices() {
+            eat(net.channels().mean(v).to_bits());
+            eat(net.channels().value(9, v).to_bits());
+        }
+        hash
+    }
 
-        let legacy = Network::random_connected(15, 3, 4.0, 0.1, 2);
-        let spec = Network::from_spec(
-            15,
-            3,
-            &TopologySpec::UnitDiskConnected { avg_degree: 4.0 },
-            &ChannelModelSpec::GaussianRateClasses { sigma_frac: 0.1 },
-            2,
-        );
-        assert_eq!(legacy.g(), spec.g());
-        assert_eq!(legacy.channels().means(), spec.channels().means());
+    #[test]
+    fn random_constructors_match_from_spec_over_a_grid() {
+        // Both random constructors equal their `from_spec` spelling, and
+        // the whole grid is pinned to a digest recorded when they were
+        // still separate code paths.
+        let mut hash = 0xcbf2_9ce4_8422_2325_u64;
+        for (n, d) in [(2, 0.5), (5, 1.5), (12, 3.0), (30, 4.0)] {
+            for m in [1, 3] {
+                for sigma_frac in [0.0, 0.1, 0.3] {
+                    for seed in [0, 5, 7] {
+                        let channel = ChannelModelSpec::GaussianRateClasses { sigma_frac };
+                        let pairs = [
+                            (
+                                Network::random(n, m, d, sigma_frac, seed),
+                                TopologySpec::UnitDisk { avg_degree: d },
+                            ),
+                            (
+                                Network::random_connected(n, m, d + 1.0, sigma_frac, seed),
+                                TopologySpec::UnitDiskConnected {
+                                    avg_degree: d + 1.0,
+                                },
+                            ),
+                        ];
+                        for (legacy, topology) in pairs {
+                            let spec = Network::from_spec(n, m, &topology, &channel, seed);
+                            let at = format!("{topology:?} n={n} m={m} σ={sigma_frac} s={seed}");
+                            assert_eq!(legacy.g(), spec.g(), "{at}");
+                            assert_eq!(legacy.layout(), spec.layout(), "{at}");
+                            assert_eq!(legacy.channels().means(), spec.channels().means(), "{at}");
+                            hash = network_digest(hash, &legacy);
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(format!("{hash:016x}"), "3c151e756aeaf8d5");
     }
 
     #[test]
