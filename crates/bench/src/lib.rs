@@ -2,8 +2,7 @@
 //!
 //! Each binary in `src/bin/` prints CSV on stdout plus a short commentary
 //! on the expected shape (the paper's figures and tables themselves are
-//! `mhca-campaign` registry scenarios). Pass `--full` to run at the
-//! paper's full scale where the default is reduced for quick turnaround.
+//! `mhca-campaign` registry scenarios).
 //!
 //! The presentation layer is shared: [`csv`] holds the one CSV
 //! formatting/escaping implementation and [`report`] the per-figure
@@ -19,11 +18,6 @@ pub mod report;
 /// [`csv::format_row`]).
 pub fn csv_row<T: std::fmt::Display>(cells: &[T]) {
     println!("{}", csv::format_row(cells));
-}
-
-/// `true` when the binary was invoked with `--full` (paper-scale run).
-pub fn full_scale() -> bool {
-    std::env::args().any(|a| a == "--full")
 }
 
 /// Evenly spaced sample indices covering `0..len` (always including the

@@ -52,6 +52,22 @@ pub fn registry() -> Vec<ScenarioSpec> {
             SeedRange::new(81, 3),
         )
         .with_observers(vec![ObserverKind::DecideTiming, ObserverKind::CommTotals]),
+        // Fig. 8 at a size that runs in well under a second: one seed, so
+        // `seed81.csv` is the figure itself.
+        ScenarioSpec::new(
+            "fig8-reduced",
+            "Fig. 8 on a reduced 40-node network",
+            ExperimentKind::Fig8(Fig8Config {
+                n: 40,
+                m: 5,
+                topology: TopologySpec::UnitDisk { avg_degree: 5.0 },
+                update_periods: vec![1, 5, 10, 20],
+                updates_per_run: 250,
+                r: 2,
+                ..Fig8Config::default()
+            }),
+            SeedRange::new(81, 1),
+        ),
         ScenarioSpec::new(
             "table2",
             "Table II: time model and derived quantities",

@@ -84,6 +84,7 @@ const SHOW_GOLDEN: &[(&str, &str, &str)] = &[
     ("fig6", "3b9531e2e051c649", "93b8fc1e80e527b4"),
     ("fig7", "e491ab294b9a3592", "7ac0795063ba7b7c"),
     ("fig8", "aa2713258278d49c", "e89a89a17532737b"),
+    ("fig8-reduced", "963a734d3d74332d", "3a6fdcac1161827d"),
     ("table2", "588ee1c8649a6bb2", "7bea81cab56bd219"),
     ("complexity", "49c8613e9bca3aec", "e80a62a5fdc988bd"),
     ("theorem3", "8361f1fbe364b5c4", "b54a3e2b925143c6"),

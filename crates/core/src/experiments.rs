@@ -241,7 +241,14 @@ pub struct Fig7Output {
 // Fig. 8 — throughput under periodic (stale-weight) updates.
 // ---------------------------------------------------------------------------
 
-/// Configuration of the Fig. 8 experiment.
+/// Configuration of the Fig. 8 experiment: estimated vs actual average
+/// effective throughput under periodic weight updates, Algorithm 2 vs LLR.
+///
+/// Expected shape (paper): actual throughput grows toward the ideal as
+/// the update period `y` grows — 1/2, 9/10, 19/20 and 39/40 of ideal at
+/// `y` = 1, 5, 10, 20 — while Algorithm 2's estimated and actual lines
+/// nearly coincide and LLR's estimate overshoots badly. The
+/// `fig8-reduced` registry scenario runs it on a 40-node network.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Fig8Config {
     /// Users (paper: 100).
