@@ -129,11 +129,6 @@ impl RegretTracker {
         &self.cumulative_regret
     }
 
-    /// Full cumulative β-regret series.
-    pub fn beta_regret_series(&self) -> &[f64] {
-        &self.cumulative_beta_regret
-    }
-
     /// The configured optimum `R_1`.
     pub fn optimal(&self) -> f64 {
         self.optimal

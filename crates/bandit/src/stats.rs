@@ -74,22 +74,9 @@ impl ArmStats {
         self.counts[arm] = m + 1;
     }
 
-    /// Records a batch of `(arm, value)` observations (semi-bandit
-    /// feedback of one round).
-    pub fn update_batch(&mut self, observations: &[(usize, f64)]) {
-        for &(arm, value) in observations {
-            self.update(arm, value);
-        }
-    }
-
     /// Arms never played so far.
     pub fn unplayed(&self) -> Vec<usize> {
         (0..self.k()).filter(|&a| self.counts[a] == 0).collect()
-    }
-
-    /// Total plays across all arms.
-    pub fn total_plays(&self) -> u64 {
-        self.counts.iter().sum()
     }
 }
 
@@ -125,19 +112,6 @@ mod tests {
         assert_eq!(s.mean(0), 0.0);
         assert_eq!(s.count(0), 0);
         assert_eq!(s.unplayed(), vec![0, 2]);
-    }
-
-    #[test]
-    fn batch_update_matches_sequential() {
-        let mut a = ArmStats::new(2);
-        let mut b = ArmStats::new(2);
-        let obs = [(0, 1.0), (1, 2.0), (0, 3.0)];
-        a.update_batch(&obs);
-        for &(arm, v) in &obs {
-            b.update(arm, v);
-        }
-        assert_eq!(a, b);
-        assert_eq!(a.total_plays(), 3);
     }
 
     #[test]

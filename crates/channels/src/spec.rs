@@ -213,17 +213,6 @@ impl ChannelModelSpec {
             ChannelModelSpec::Drifting { .. } => "drifting",
         }
     }
-
-    /// `true` for the oblivious-adversary families (non-stochastic rates).
-    pub fn is_adversarial(&self) -> bool {
-        matches!(
-            self,
-            ChannelModelSpec::AdversarialSinusoidal { .. }
-                | ChannelModelSpec::AdversarialSwitching { .. }
-                | ChannelModelSpec::AdversarialRamp { .. }
-                | ChannelModelSpec::Drifting { .. }
-        )
-    }
 }
 
 impl Default for ChannelModelSpec {
@@ -318,10 +307,8 @@ mod tests {
     }
 
     #[test]
-    fn labels_and_adversarial_flags() {
+    fn default_family_label_is_gaussian() {
         assert_eq!(ChannelModelSpec::default().label(), "gaussian");
-        assert!(!ChannelModelSpec::default().is_adversarial());
-        assert!(ChannelModelSpec::AdversarialRamp { horizon: 10 }.is_adversarial());
     }
 
     #[test]

@@ -254,14 +254,6 @@ impl DistributedPtasConfig {
         self.with_loss(loss.prob, loss.seed)
     }
 
-    /// The loss knobs as a [`LossSpec`].
-    pub fn loss_spec(&self) -> LossSpec {
-        LossSpec {
-            prob: self.loss_prob,
-            seed: self.loss_seed,
-        }
-    }
-
     /// Builder-style rescan override (diagnostics / differential tests).
     pub fn with_force_rescan(mut self, force: bool) -> Self {
         self.force_rescan = force;

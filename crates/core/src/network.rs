@@ -168,11 +168,6 @@ impl Network {
     pub fn strategy_from_is(&self, is_: &[usize]) -> Strategy {
         self.h.strategy_from_is(is_)
     }
-
-    /// Expected (true-mean) throughput of a vertex set, in kbps.
-    pub fn expected_throughput(&self, is_: &[usize]) -> f64 {
-        is_.iter().map(|&v| self.channels.mean(v)).sum()
-    }
 }
 
 #[cfg(test)]
@@ -307,11 +302,5 @@ mod tests {
     fn node_groups_label_masters() {
         let net = constant_net(topology::line(3), 2, &[1.0; 6]);
         assert_eq!(net.node_groups(), &[0, 0, 1, 1, 2, 2]);
-    }
-
-    #[test]
-    fn expected_throughput_sums_means() {
-        let net = constant_net(topology::independent(2), 2, &[1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(net.expected_throughput(&[1, 2]), 5.0);
     }
 }

@@ -18,31 +18,6 @@ pub fn std_dev(xs: &[f64]) -> f64 {
     (xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64).sqrt()
 }
 
-/// Downsamples a series to at most `max_points` evenly spaced points
-/// (always keeping the last point). Returns `(index, value)` pairs.
-pub fn downsample(xs: &[f64], max_points: usize) -> Vec<(usize, f64)> {
-    if xs.is_empty() || max_points == 0 {
-        return Vec::new();
-    }
-    if xs.len() <= max_points {
-        return xs.iter().copied().enumerate().collect();
-    }
-    let stride = xs.len() as f64 / max_points as f64;
-    let mut out: Vec<(usize, f64)> = (0..max_points)
-        .map(|i| {
-            let idx = ((i as f64 + 0.5) * stride) as usize;
-            let idx = idx.min(xs.len() - 1);
-            (idx, xs[idx])
-        })
-        .collect();
-    let last = xs.len() - 1;
-    if out.last().map(|&(i, _)| i) != Some(last) {
-        out.push((last, xs[last]));
-    }
-    out.dedup_by_key(|&mut (i, _)| i);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -53,28 +28,5 @@ mod tests {
         assert_eq!(mean(&[2.0, 4.0]), 3.0);
         assert_eq!(std_dev(&[5.0]), 0.0);
         assert!((std_dev(&[2.0, 4.0]) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn downsample_short_series_is_identity() {
-        let xs = [1.0, 2.0, 3.0];
-        assert_eq!(downsample(&xs, 10), vec![(0, 1.0), (1, 2.0), (2, 3.0)]);
-    }
-
-    #[test]
-    fn downsample_keeps_last_point_and_bounds_size() {
-        let xs: Vec<f64> = (0..1000).map(|i| i as f64).collect();
-        let ds = downsample(&xs, 10);
-        assert!(ds.len() <= 11);
-        assert_eq!(*ds.last().unwrap(), (999, 999.0));
-        for w in ds.windows(2) {
-            assert!(w[0].0 < w[1].0);
-        }
-    }
-
-    #[test]
-    fn downsample_degenerate_inputs() {
-        assert!(downsample(&[], 5).is_empty());
-        assert!(downsample(&[1.0], 0).is_empty());
     }
 }

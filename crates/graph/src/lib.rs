@@ -43,7 +43,6 @@ pub mod coloring;
 pub mod extended;
 pub mod geometry;
 pub mod graph;
-pub mod metrics;
 pub mod partition;
 pub mod strategy;
 pub mod topology;

@@ -170,15 +170,6 @@ impl TopologySpec {
             TopologySpec::Independent => "independent",
         }
     }
-
-    /// `true` for families whose construction consumes randomness (two
-    /// seeds give two different graphs).
-    pub fn is_random(&self) -> bool {
-        matches!(
-            self,
-            TopologySpec::UnitDisk { .. } | TopologySpec::UnitDiskConnected { .. }
-        )
-    }
 }
 
 #[cfg(test)]
@@ -268,7 +259,6 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(la, lb);
         assert!(la.is_some());
-        assert!(spec.is_random() && !TopologySpec::Ring.is_random());
     }
 
     #[test]

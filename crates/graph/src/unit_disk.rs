@@ -155,29 +155,6 @@ fn for_each_candidate_pair(points: &[Point], r2: f64, mut f: impl FnMut(usize, u
     }
 }
 
-/// Samples `n` points uniformly in a `side × side` square and connects
-/// pairs within `radius`.
-///
-/// Returns the conflict graph and its layout.
-///
-/// # Panics
-///
-/// Panics if `n == 0`, `side <= 0`, or `radius <= 0`.
-pub fn random_unit_disk<R: Rng>(n: usize, side: f64, radius: f64, rng: &mut R) -> (Graph, Layout) {
-    assert!(n > 0, "need at least one node");
-    assert!(side > 0.0, "side must be positive");
-    assert!(radius > 0.0, "radius must be positive");
-    let points: Vec<Point> = (0..n)
-        .map(|_| Point::new(rng.gen::<f64>() * side, rng.gen::<f64>() * side))
-        .collect();
-    let layout = Layout {
-        points,
-        radius,
-        side,
-    };
-    (layout.to_graph(), layout)
-}
-
 /// Samples a random unit-disk network targeting an average degree `d`.
 ///
 /// For `n` points uniform in a square of side `L` with conflict radius `ρ`,
@@ -201,7 +178,15 @@ pub fn random_with_average_degree<R: Rng>(
     );
     let radius = 1.0;
     let side = ((n as f64 - 1.0) * std::f64::consts::PI * radius * radius / target_degree).sqrt();
-    random_unit_disk(n, side, radius, rng)
+    let points: Vec<Point> = (0..n)
+        .map(|_| Point::new(rng.gen::<f64>() * side, rng.gen::<f64>() * side))
+        .collect();
+    let layout = Layout {
+        points,
+        radius,
+        side,
+    };
+    (layout.to_graph(), layout)
 }
 
 /// Repeatedly samples random unit-disk networks with target average degree
@@ -394,16 +379,6 @@ mod tests {
         assert!(g.has_edge(0, 1));
         assert!(!g.has_edge(0, 2));
         assert!(!g.has_edge(1, 2)); // distance 2 > 1.5
-    }
-
-    #[test]
-    fn random_unit_disk_is_deterministic_per_seed() {
-        let mut rng1 = StdRng::seed_from_u64(7);
-        let mut rng2 = StdRng::seed_from_u64(7);
-        let (g1, l1) = random_unit_disk(30, 5.0, 1.0, &mut rng1);
-        let (g2, l2) = random_unit_disk(30, 5.0, 1.0, &mut rng2);
-        assert_eq!(g1, g2);
-        assert_eq!(l1, l2);
     }
 
     #[test]

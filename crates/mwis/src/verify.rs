@@ -1,7 +1,5 @@
 //! Verification helpers for solver outputs.
 
-use mhca_graph::Graph;
-
 /// Total weight of a vertex set.
 ///
 /// # Panics
@@ -31,20 +29,9 @@ pub fn ratio(achieved: f64, optimal: f64) -> f64 {
     }
 }
 
-/// Asserts a set is independent, returning it for chaining.
-///
-/// # Panics
-///
-/// Panics if the set is not independent in `graph`.
-pub fn assert_independent<'a>(graph: &Graph, set: &'a [usize]) -> &'a [usize] {
-    assert!(graph.is_independent(set), "set is not independent");
-    set
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mhca_graph::topology;
 
     #[test]
     fn weight_of_sums() {
@@ -57,18 +44,5 @@ mod tests {
         assert_eq!(ratio(0.0, 0.0), 1.0);
         assert_eq!(ratio(1.0, 2.0), 0.5);
         assert_eq!(ratio(1.0, 0.0), f64::INFINITY);
-    }
-
-    #[test]
-    fn assert_independent_passes_through() {
-        let g = topology::line(3);
-        assert_eq!(assert_independent(&g, &[0, 2]), &[0, 2]);
-    }
-
-    #[test]
-    #[should_panic(expected = "not independent")]
-    fn assert_independent_panics_on_conflict() {
-        let g = topology::line(3);
-        let _ = assert_independent(&g, &[0, 1]);
     }
 }
