@@ -29,6 +29,18 @@ fn main() {
     let commit =
         probe("git", &["rev-parse", "--short=12", "HEAD"]).unwrap_or_else(|| "unknown".to_string());
     println!("cargo:rustc-env=MHCA_GIT_COMMIT={commit}");
-    // Re-stamp when HEAD moves (best-effort; .git may be absent).
-    println!("cargo:rerun-if-changed=../../.git/HEAD");
+    // Re-stamp when HEAD moves (best-effort; .git may be absent). On a
+    // branch HEAD only names a ref, and a commit rewrites that ref's file
+    // (or `packed-refs`) instead, so watch those too. Only existing files
+    // are watched: cargo reruns on every build for a missing one.
+    println!("cargo:rerun-if-changed=build.rs");
+    let mut watched = vec!["HEAD".to_string(), "packed-refs".to_string()];
+    watched.extend(probe("git", &["symbolic-ref", "-q", "HEAD"]));
+    for name in watched {
+        if let Some(path) = probe("git", &["rev-parse", "--git-path", &name]) {
+            if std::path::Path::new(&path).exists() {
+                println!("cargo:rerun-if-changed={path}");
+            }
+        }
+    }
 }
