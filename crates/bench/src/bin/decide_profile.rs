@@ -28,6 +28,9 @@
 //! cargo run --release -p mhca-bench --bin decide_profile -- --pr6     # large-N grid -> BENCH_PR6.json
 //! cargo run --release -p mhca-bench --bin decide_profile -- --pr6 --quick
 //! ```
+//!
+//! Any other argument prints usage and exits with status 2 before any
+//! work; `--help` prints usage and exits 0.
 
 use mhca_core::{DecidePhaseNs, DecisionOutcome, DistributedPtas, DistributedPtasConfig, Network};
 use mhca_telemetry::{LogHistogram, Provenance};
@@ -358,20 +361,36 @@ fn run_pr6(quick: bool, out_path: &str) {
     eprintln!("wrote {out_path}");
 }
 
+const USAGE: &str = "usage: decide_profile [--quick] [--pr6] [--out PATH]";
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let pr6 = args.iter().any(|a| a == "--pr6");
-    let out_path = match args.iter().position(|a| a == "--out") {
-        // A missing value must not silently fall back to clobbering the
-        // committed regression artifact.
-        Some(i) => args
-            .get(i + 1)
-            .expect("--out requires a path argument")
-            .clone(),
-        None if pr6 => "BENCH_PR6.json".to_string(),
-        None => "BENCH_PR4.json".to_string(),
-    };
+    // Parse everything before doing any work: a typo (or a bare `--out`)
+    // must not run the full grid and clobber a committed BENCH file.
+    let (mut quick, mut pr6, mut out_path) = (false, false, None);
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--quick" => quick = true,
+            "--pr6" => pr6 = true,
+            "--out" => match args.next() {
+                Some(path) => out_path = Some(path),
+                None => usage_error("--out requires a path argument"),
+            },
+            "--help" => {
+                println!("{USAGE}");
+                return;
+            }
+            other => usage_error(&format!("unexpected argument '{other}'")),
+        }
+    }
+    let out_path = out_path.unwrap_or_else(|| {
+        if pr6 {
+            "BENCH_PR6.json"
+        } else {
+            "BENCH_PR4.json"
+        }
+        .to_string()
+    });
 
     if pr6 {
         run_pr6(quick, &out_path);
@@ -462,4 +481,9 @@ fn main() {
     json.push_str("  ]\n}\n");
     std::fs::write(&out_path, &json).expect("write profile JSON");
     eprintln!("wrote {out_path}");
+}
+
+fn usage_error(message: &str) -> ! {
+    eprintln!("decide_profile: {message}\n{USAGE}");
+    std::process::exit(2);
 }
