@@ -1078,6 +1078,44 @@ mod tests {
     }
 
     #[test]
+    fn restore_rejects_a_packet_of_an_unknown_flow() {
+        // A tampered checkpoint must fail at restore, not panic in the
+        // next step_period when the packet's flow indexes the path table.
+        let net = line_net(6);
+        let cfg = Algorithm2Config::default()
+            .with_horizon(80)
+            .with_seed(3)
+            .with_traffic(line_traffic());
+        let observers = ObserverSet::new();
+        let mut obs = ObserverSet::new();
+        let mut policy = CsUcb::new(2.0);
+        let mut runner = PolicyRunner::new(&net, &cfg, &observers);
+        // Checkpoint at the first period boundary with packets in flight.
+        let (good, in_flight) = loop {
+            assert!(!runner.done(), "no period boundary had packets in flight");
+            runner.step_period(&mut policy, &mut obs);
+            let snap = runner.snapshot(&policy);
+            let in_flight = snap.get_u64_slice("traffic.pkt_flow").unwrap().len();
+            if in_flight > 0 {
+                break (snap, in_flight);
+            }
+        };
+
+        let mut bad = StateMap::new();
+        for (k, v) in good.iter() {
+            if k == "traffic.pkt_flow" {
+                bad.put_u64_vec(k, vec![7; in_flight]);
+            } else {
+                bad.put(k.to_string(), v.clone());
+            }
+        }
+        let mut policy2 = CsUcb::new(2.0);
+        let mut fresh = PolicyRunner::new(&net, &cfg, &observers);
+        let err = fresh.restore(&mut policy2, &bad).unwrap_err();
+        assert_eq!(err.key, "traffic.pkt_flow", "{err}");
+    }
+
+    #[test]
     fn snapshot_with_the_retired_fallback_key_still_restores() {
         // Snapshots written before the flood engine lost its BFS fallback
         // also carry `wb.fallback_floods`; restore ignores the key.

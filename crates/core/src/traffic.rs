@@ -512,7 +512,11 @@ impl QueueEngine {
     }
 
     /// Restores the state written by [`QueueEngine::snapshot_into`],
-    /// validating every length against this engine's configuration.
+    /// validating every length against this engine's configuration and
+    /// every packet against the flow paths: its flow must be routed, its
+    /// hop before the path's last node, its queue `paths[flow][hop]`, and
+    /// `born <= available_from`. On error the engine must be discarded
+    /// (it may be partially restored).
     pub fn restore_from(
         &mut self,
         state: &mhca_bandit::StateMap,
@@ -533,11 +537,49 @@ impl QueueEngine {
         let ontime = state.get_u64_vec_exact(&format!("{prefix}.flow_ontime"), n_flows)?;
         let delay_sum = state.get_u64_vec_exact(&format!("{prefix}.flow_delay_sum"), n_flows)?;
         let max_delay = state.get_u64_vec_exact(&format!("{prefix}.flow_max_delay"), n_flows)?;
+        let invalid = |key: &str, message: String| {
+            mhca_bandit::StateError::invalid(&format!("{prefix}.{key}"), message)
+        };
         let mut k = 0usize;
         for (v, q) in self.queues.iter_mut().enumerate() {
             q.clear();
             self.backlogs[v] = lens[v];
             for _ in 0..lens[v] {
+                let (f, h) = (flow[k], hop[k]);
+                let path = usize::try_from(f)
+                    .ok()
+                    .and_then(|f| self.paths.get(f))
+                    .filter(|path| !path.is_empty())
+                    .ok_or_else(|| {
+                        invalid("pkt_flow", format!("packet {k}: no routed flow {f}"))
+                    })?;
+                let at = usize::try_from(h)
+                    .ok()
+                    .filter(|&h| h + 1 < path.len())
+                    .ok_or_else(|| {
+                        invalid(
+                            "pkt_hop",
+                            format!("packet {k}: hop {h} is not before flow {f}'s last node"),
+                        )
+                    })?;
+                if path[at] != v {
+                    return Err(invalid(
+                        "queue_lens",
+                        format!(
+                            "packet {k}: flow {f} hop {h} queues at node {}, found at node {v}",
+                            path[at]
+                        ),
+                    ));
+                }
+                if born[k] > avail[k] {
+                    return Err(invalid(
+                        "pkt_born",
+                        format!(
+                            "packet {k}: born at slot {} after it became available at slot {}",
+                            born[k], avail[k]
+                        ),
+                    ));
+                }
                 q.push_back(Packet {
                     flow: flow[k] as u32,
                     hop: hop[k] as u32,
@@ -800,6 +842,80 @@ mod tests {
         assert!(
             bigger.restore_from(&wrong, "traffic").is_err(),
             "queue_lens length mismatch must be rejected"
+        );
+    }
+
+    #[test]
+    fn restore_rejects_inconsistent_packets() {
+        // Flow 0 runs 0 → 3 on a line; flow 1 targets the isolated node 4
+        // and is unrouted.
+        let spec = TrafficSpec {
+            arrivals: ArrivalProcess::Poisson { rate: 0.8 },
+            flows: vec![
+                FlowSpec {
+                    src: 0,
+                    dst: 3,
+                    deadline: None,
+                },
+                FlowSpec {
+                    src: 0,
+                    dst: 4,
+                    deadline: None,
+                },
+            ],
+            packet_kbps: 100.0,
+            seed: 7,
+        };
+        let g = Graph::from_edges(5, &[(0, 1), (1, 2), (2, 3)]);
+        let served = vec![(0usize, 80.0), (2usize, 120.0)];
+        let mut a = QueueEngine::new(&spec, &g, 1);
+        for slot in 0..100 {
+            a.begin_period();
+            a.step_slot(slot, &served);
+        }
+        let mut good = mhca_bandit::StateMap::new();
+        a.snapshot_into(&mut good, "traffic");
+        let hops = good.get_u64_slice("traffic.pkt_hop").unwrap().to_vec();
+        assert!(hops.contains(&0) && hops.iter().any(|&h| h > 0));
+        QueueEngine::new(&spec, &g, 1)
+            .restore_from(&good, "traffic")
+            .unwrap();
+
+        let tampered = |key: &str, edit: &dyn Fn(&mut Vec<u64>)| {
+            let mut bad = mhca_bandit::StateMap::new();
+            for (k, v) in good.iter() {
+                if k == key {
+                    let mut words = good.get_u64_slice(k).unwrap().to_vec();
+                    edit(&mut words);
+                    bad.put_u64_vec(k, words);
+                } else {
+                    bad.put(k.to_string(), v.clone());
+                }
+            }
+            QueueEngine::new(&spec, &g, 1)
+                .restore_from(&bad, "traffic")
+                .unwrap_err()
+                .key
+        };
+        let set_all = |value: u64| move |w: &mut Vec<u64>| w.iter_mut().for_each(|x| *x = value);
+        // Out-of-range flow, and an unrouted one.
+        assert_eq!(
+            tampered("traffic.pkt_flow", &set_all(2)),
+            "traffic.pkt_flow"
+        );
+        assert_eq!(
+            tampered("traffic.pkt_flow", &set_all(1)),
+            "traffic.pkt_flow"
+        );
+        // Hop 3 is flow 0's destination: nothing queues there.
+        assert_eq!(tampered("traffic.pkt_hop", &set_all(3)), "traffic.pkt_hop");
+        // A valid hop in the wrong node's queue.
+        let shift = |w: &mut Vec<u64>| w.iter_mut().for_each(|h| *h = (*h + 1) % 3);
+        assert_eq!(tampered("traffic.pkt_hop", &shift), "traffic.queue_lens");
+        // Born after it became available.
+        assert_eq!(
+            tampered("traffic.pkt_born", &set_all(u64::MAX)),
+            "traffic.pkt_born"
         );
     }
 }
