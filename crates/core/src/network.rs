@@ -1,7 +1,7 @@
 //! The simulated multi-hop cognitive-radio network: `G`, `H`, and channels.
 
 use mhca_channels::{ChannelMatrix, ChannelModelSpec};
-use mhca_graph::{unit_disk, ExtendedConflictGraph, Graph, Layout, Strategy, TopologySpec};
+use mhca_graph::{ExtendedConflictGraph, Graph, Layout, Strategy, TopologySpec};
 use mhca_mwis::{exact, WeightedSet};
 
 /// A complete network instance: conflict graph `G` on `N` users, extended
@@ -54,11 +54,9 @@ impl Network {
     /// `sigma = sigma_frac · mean` drawn from the paper's rate classes.
     /// Everything is determined by `seed`.
     pub fn random(n: usize, m: usize, avg_degree: f64, sigma_frac: f64, seed: u64) -> Self {
-        use rand::{rngs::StdRng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(seed);
-        let (g, layout) = unit_disk::random_with_average_degree(n, avg_degree, &mut rng);
-        let channels = ChannelMatrix::gaussian_from_rate_classes(n, m, sigma_frac, seed);
-        Network::from_parts(g, channels, Some(layout))
+        let topology = TopologySpec::UnitDisk { avg_degree };
+        let channel = ChannelModelSpec::GaussianRateClasses { sigma_frac };
+        Network::from_spec(n, m, &topology, &channel, seed)
     }
 
     /// Like [`Network::random`] but retries until the conflict graph is
@@ -75,21 +73,16 @@ impl Network {
         sigma_frac: f64,
         seed: u64,
     ) -> Self {
-        use rand::{rngs::StdRng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(seed);
-        let (g, layout) =
-            unit_disk::random_connected_with_average_degree(n, avg_degree, 1000, &mut rng)
-                .expect("no connected instance found in 1000 tries");
-        let channels = ChannelMatrix::gaussian_from_rate_classes(n, m, sigma_frac, seed);
-        Network::from_parts(g, channels, Some(layout))
+        let topology = TopologySpec::UnitDiskConnected { avg_degree };
+        let channel = ChannelModelSpec::GaussianRateClasses { sigma_frac };
+        Network::from_spec(n, m, &topology, &channel, seed)
     }
 
     /// Spec-driven construction: builds the conflict graph from a
     /// [`TopologySpec`] and the channel matrix from a [`ChannelModelSpec`],
-    /// both derived from the same seed. With the default specs
-    /// (`UnitDisk` + `GaussianRateClasses`) this reproduces
-    /// [`Network::random`] bit-for-bit, so registry scenarios and the
-    /// historical harnesses agree on every instance.
+    /// both derived from the same seed. [`Network::random`] and
+    /// [`Network::random_connected`] are this with the `UnitDisk` /
+    /// `UnitDiskConnected` topology and `GaussianRateClasses` channels.
     ///
     /// # Panics
     ///
