@@ -5,8 +5,7 @@
 //! and is `N` otherwise": with enough channels to properly color the
 //! conflict graph, every user can transmit simultaneously. A greedy
 //! coloring gives a cheap upper bound on the chromatic number, which the
-//! experiment harness uses to pick channel counts and which tests use to
-//! verify that remark on concrete instances.
+//! tests use to verify that remark on concrete instances.
 
 use crate::graph::Graph;
 
