@@ -524,9 +524,15 @@ impl QueueEngine {
     ) -> Result<(), mhca_bandit::StateError> {
         let n = self.queues.len();
         let n_flows = self.totals.len();
+        let invalid = |key: &str, message: String| {
+            mhca_bandit::StateError::invalid(&format!("{prefix}.{key}"), message)
+        };
         let lens = state.get_u64_vec_exact(&format!("{prefix}.queue_lens"), n)?;
-        let total: u64 = lens.iter().sum();
-        let total = total as usize;
+        let total = lens
+            .iter()
+            .try_fold(0u64, |sum, &len| sum.checked_add(len))
+            .and_then(|total| usize::try_from(total).ok())
+            .ok_or_else(|| invalid("queue_lens", "packet count overflows".to_string()))?;
         let flow = state.get_u64_vec_exact(&format!("{prefix}.pkt_flow"), total)?;
         let hop = state.get_u64_vec_exact(&format!("{prefix}.pkt_hop"), total)?;
         let born = state.get_u64_vec_exact(&format!("{prefix}.pkt_born"), total)?;
@@ -537,9 +543,6 @@ impl QueueEngine {
         let ontime = state.get_u64_vec_exact(&format!("{prefix}.flow_ontime"), n_flows)?;
         let delay_sum = state.get_u64_vec_exact(&format!("{prefix}.flow_delay_sum"), n_flows)?;
         let max_delay = state.get_u64_vec_exact(&format!("{prefix}.flow_max_delay"), n_flows)?;
-        let invalid = |key: &str, message: String| {
-            mhca_bandit::StateError::invalid(&format!("{prefix}.{key}"), message)
-        };
         let mut k = 0usize;
         for (v, q) in self.queues.iter_mut().enumerate() {
             q.clear();
@@ -917,5 +920,13 @@ mod tests {
             tampered("traffic.pkt_born", &set_all(u64::MAX)),
             "traffic.pkt_born"
         );
+        // Two empty queues (nodes 3 and 4) whose lengths sum to 2^64, so
+        // the total wraps around to the real packet count.
+        let wrap = |w: &mut Vec<u64>| {
+            assert_eq!(&w[3..], &[0, 0]);
+            w[3] = 1 << 63;
+            w[4] = 1 << 63;
+        };
+        assert_eq!(tampered("traffic.queue_lens", &wrap), "traffic.queue_lens");
     }
 }
