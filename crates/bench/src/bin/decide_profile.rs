@@ -373,8 +373,8 @@ fn main() {
             "--quick" => quick = true,
             "--pr6" => pr6 = true,
             "--out" => match args.next() {
-                Some(path) => out_path = Some(path),
-                None => usage_error("--out requires a path argument"),
+                Some(path) if !path.starts_with("--") => out_path = Some(path),
+                _ => usage_error("--out requires a path argument"),
             },
             "--help" => {
                 println!("{USAGE}");

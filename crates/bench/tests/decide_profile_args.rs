@@ -34,6 +34,7 @@ fn unknown_flags_print_usage_and_fail_without_writing() {
         ("bogus-after-quick", &["--quick", "--bogus"][..]),
         ("positional", &["--quick", "out.json"][..]),
         ("bare-out", &["--quick", "--out"][..]),
+        ("flag-as-out", &["--out", "--quick"][..]),
         ("short-help", &["-h"][..]),
     ] {
         let (out, files) = run_in_empty_dir(tag, args);
