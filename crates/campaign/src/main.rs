@@ -44,7 +44,8 @@
 
 use mhca_campaign::ingest::{self, nearest};
 use mhca_campaign::{
-    registry, runner, tail as tail_mod, CampaignConfig, ScenarioSpec, ServiceExecutor,
+    registry, runner, tail as tail_mod, CampaignConfig, CampaignOutcome, ScenarioSpec,
+    ServiceExecutor,
 };
 use mhca_service::json::Json;
 use mhca_service::{protocol, Endpoint, Request, Supervisor};
@@ -416,20 +417,35 @@ fn run(args: &[String]) -> Result<(), CliError> {
     };
 
     let outcome = runner::run(&cfg).map_err(|e| CliError::new(e.to_string()))?;
+    // The results are committed by now, so a reader that has gone away
+    // (`run … | grep -q`) only loses the summary: end quietly.
+    match print_run_summary(&outcome) {
+        Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => {
+            Err(CliError::new(format!("writing the run summary: {e}")))
+        }
+        _ => Ok(()),
+    }
+}
+
+/// Prints `run`'s summary lines through one stdout lock.
+fn print_run_summary(outcome: &CampaignOutcome) -> std::io::Result<()> {
+    let mut out = std::io::stdout().lock();
     let (done, pending) = outcome.manifest.progress();
-    println!(
+    writeln!(
+        out,
         "executed {} job(s), skipped {} (manifest: {done} done, {pending} pending)",
         outcome.executed, outcome.skipped
-    );
+    )?;
     for summary in &outcome.summaries {
         if let Some((metric, agg)) = summary.aggregates.first() {
-            println!(
+            writeln!(
+                out,
                 "  {:<18} {} = {:.2} ± {:.2} over {} seed(s)",
                 summary.name, metric, agg.mean, agg.std_dev, agg.runs
-            );
+            )?;
         }
     }
-    Ok(())
+    out.flush()
 }
 
 /// Parsed `--socket PATH` / `--tcp ADDR` endpoint selection, shared by
