@@ -1135,10 +1135,7 @@ impl RoundObserver for FlowDelayObserver {
         out.put_u64_vec("delivered", self.delivered.clone());
         out.put_u64_vec("ontime", self.ontime.clone());
         for (f, h) in self.hists.iter().enumerate() {
-            let (idx, n): (Vec<u64>, Vec<u64>) =
-                h.nonzero_buckets().map(|(i, c)| (i as u64, c)).unzip();
-            out.put_u64_vec(format!("f{f}_bucket_idx"), idx);
-            out.put_u64_vec(format!("f{f}_bucket_n"), n);
+            put_hist(out, &format!("f{f}_"), h);
         }
     }
 
@@ -1146,21 +1143,33 @@ impl RoundObserver for FlowDelayObserver {
         let flows = state.get_u64("flows")? as usize;
         let delivered = state.get_u64_vec_exact("delivered", flows)?;
         let ontime = state.get_u64_vec_exact("ontime", flows)?;
-        let mut hists = Vec::with_capacity(flows);
-        for f in 0..flows {
-            let idx = state.get_u64_slice(&format!("f{f}_bucket_idx"))?.to_vec();
-            let counts = state.get_u64_vec_exact(&format!("f{f}_bucket_n"), idx.len())?;
-            let mut h = LogHistogram::new();
-            for (&i, &c) in idx.iter().zip(&counts) {
-                h.merge_bucket(i as usize, c);
-            }
-            hists.push(h);
-        }
-        self.hists = hists;
+        self.hists = (0..flows)
+            .map(|f| get_hist(state, &format!("f{f}_")))
+            .collect::<Result<_, _>>()?;
         self.delivered = delivered;
         self.ontime = ontime;
         Ok(())
     }
+}
+
+/// Checkpoints a histogram as its sparse bucket dump: the nonzero bucket
+/// indices under `{prefix}bucket_idx` and their counts under
+/// `{prefix}bucket_n`.
+fn put_hist(out: &mut StateMap, prefix: &str, h: &LogHistogram) {
+    let (idx, n): (Vec<u64>, Vec<u64>) = h.nonzero_buckets().map(|(i, c)| (i as u64, c)).unzip();
+    out.put_u64_vec(format!("{prefix}bucket_idx"), idx);
+    out.put_u64_vec(format!("{prefix}bucket_n"), n);
+}
+
+/// Restores a histogram written by [`put_hist`] under the same prefix.
+fn get_hist(state: &StateMap, prefix: &str) -> Result<LogHistogram, StateError> {
+    let idx = state.get_u64_slice(&format!("{prefix}bucket_idx"))?;
+    let counts = state.get_u64_vec_exact(&format!("{prefix}bucket_n"), idx.len())?;
+    let mut h = LogHistogram::new();
+    for (&i, &c) in idx.iter().zip(&counts) {
+        h.merge_bucket(i as usize, c);
+    }
+    Ok(h)
 }
 
 /// Per-node queue-backlog distribution over the run: every period, every
@@ -1229,25 +1238,13 @@ impl RoundObserver for QueueTailObserver {
 
     fn snapshot_state(&self, out: &mut StateMap) {
         // `bound` is configuration, not state.
-        let (idx, n): (Vec<u64>, Vec<u64>) = self
-            .hist
-            .nonzero_buckets()
-            .map(|(i, c)| (i as u64, c))
-            .unzip();
-        out.put_u64_vec("bucket_idx", idx);
-        out.put_u64_vec("bucket_n", n);
+        put_hist(out, "", &self.hist);
         out.put_u64("overflows", self.overflows);
         out.put_u64("max_backlog", self.max_backlog);
     }
 
     fn restore_state(&mut self, state: &StateMap) -> Result<(), StateError> {
-        let idx = state.get_u64_slice("bucket_idx")?.to_vec();
-        let counts = state.get_u64_vec_exact("bucket_n", idx.len())?;
-        let mut h = LogHistogram::new();
-        for (&i, &c) in idx.iter().zip(&counts) {
-            h.merge_bucket(i as usize, c);
-        }
-        self.hist = h;
+        self.hist = get_hist(state, "")?;
         self.overflows = state.get_u64("overflows")?;
         self.max_backlog = state.get_u64("max_backlog")?;
         Ok(())

@@ -13,8 +13,8 @@
 //! the flow's destination.
 //!
 //! Determinism contract: arrival draws come from a **dedicated
-//! counter-based stream** (the same SplitMix64 construction as the
-//! `mhca_sim` loss stream), a pure function of `(traffic seed, flow,
+//! counter-based stream** ([`mhca_sim::counter_uniform`], the construction
+//! the loss stream uses), a pure function of `(traffic seed, flow,
 //! slot)`. The main run RNG is never touched, so enabling traffic leaves
 //! every existing artifact byte-identical — pinned by
 //! `traffic_leaves_the_untraced_run_byte_identical` in `runner.rs`.
@@ -29,33 +29,8 @@
 //! destination.
 
 use mhca_graph::Graph;
+use mhca_sim::counter_uniform;
 use std::collections::VecDeque;
-
-/// SplitMix64 finalizer — the same bijective avalanche mix the loss
-/// stream uses (`mhca_sim::loss`), replicated here so the arrival stream
-/// is a private, documented construction rather than a cross-crate
-/// dependency on a sampler internal.
-#[inline]
-fn mix(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// Weyl increment of SplitMix64 (odd, so every counter maps to a distinct
-/// pre-mix state).
-const GOLDEN: u64 = 0x9e37_79b9_7f4a_7c15;
-
-/// Uniform value in the open interval `(0, 1)` for slot `slot` of flow
-/// `flow` — one draw per (flow, slot), independent of every other stream
-/// in the run.
-#[inline]
-fn unit(seed: u64, flow: u64, slot: u64) -> f64 {
-    let x = mix(seed
-        .wrapping_add(flow.wrapping_mul(GOLDEN))
-        .wrapping_add(mix(slot.wrapping_mul(GOLDEN))));
-    ((x >> 11) as f64 + 0.5) * (1.0 / (1u64 << 53) as f64)
-}
 
 /// Packet-arrival process shared by every flow of a [`TrafficSpec`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -91,7 +66,7 @@ impl ArrivalProcess {
     pub fn arrivals_at(&self, seed: u64, flow: u64, slot: u64) -> u64 {
         match *self {
             ArrivalProcess::Poisson { rate } => {
-                let u = unit(seed, flow, slot);
+                let u = counter_uniform(seed, flow, slot);
                 // Inverse-CDF walk; for per-slot rates well under the
                 // ~700 where exp(-rate) underflows, this terminates in
                 // O(rate) steps.
@@ -111,7 +86,7 @@ impl ArrivalProcess {
             ArrivalProcess::Bursty { rate, burst } => {
                 let burst = burst.max(1);
                 let p = (rate / burst as f64).min(1.0);
-                if unit(seed, flow, slot) < p {
+                if counter_uniform(seed, flow, slot) < p {
                     burst
                 } else {
                     0

@@ -9,6 +9,7 @@
 //! keep insertion order so emitted documents are deterministic and
 //! hash-stable.
 
+use mhca_telemetry::push_json_str;
 use std::fmt::Write as _;
 
 /// A JSON value. Objects preserve key order (deterministic emission).
@@ -101,7 +102,7 @@ impl Json {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Json::Num(x) => write_number(out, *x),
-            Json::Str(s) => write_string(out, s),
+            Json::Str(s) => push_json_str(out, s),
             Json::Arr(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
@@ -118,7 +119,7 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    write_string(out, k);
+                    push_json_str(out, k);
                     out.push(':');
                     v.write_compact(out);
                 }
@@ -149,7 +150,7 @@ impl Json {
                         out.push_str(",\n");
                     }
                     push_indent(out, indent + 1);
-                    write_string(out, k);
+                    push_json_str(out, k);
                     out.push_str(": ");
                     v.write_pretty(out, indent + 1);
                 }
@@ -179,24 +180,6 @@ fn write_number(out: &mut String, x: f64) {
         // Rust's shortest-roundtrip float formatting is valid JSON.
         let _ = write!(out, "{x}");
     }
-}
-
-fn write_string(out: &mut String, s: &str) {
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// A parse failure: byte offset plus message.

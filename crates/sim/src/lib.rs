@@ -48,4 +48,4 @@ pub mod loss;
 
 pub use counters::Counters;
 pub use engine::{Flood, FloodEngine, FloodReceivers, LossSpec};
-pub use loss::SkipSampler;
+pub use loss::{counter_uniform, SkipSampler};

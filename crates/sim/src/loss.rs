@@ -40,11 +40,16 @@ fn mix(mut z: u64) -> u64 {
 /// pre-mix state).
 const GOLDEN: u64 = 0x9e37_79b9_7f4a_7c15;
 
-/// Uniform value in the open interval `(0, 1)` for draw `k` of flood `f`.
+/// Counter-based uniform: a value in the open interval `(0, 1)` for draw
+/// `draw` of stream `stream` under `seed`, a pure function of the three
+/// (SplitMix64-style hashing, no state). Every stream is independent of
+/// every other, so streams can be sampled in any order. The loss sampler
+/// keys its streams by flood; the traffic arrival process by flow, with
+/// the slot as the draw.
 #[inline]
-fn unit(seed: u64, flood: u64, draw: u64) -> f64 {
+pub fn counter_uniform(seed: u64, stream: u64, draw: u64) -> f64 {
     let x = mix(seed
-        .wrapping_add(flood.wrapping_mul(GOLDEN))
+        .wrapping_add(stream.wrapping_mul(GOLDEN))
         .wrapping_add(mix(draw.wrapping_mul(GOLDEN))));
     // 53 mantissa bits, offset by half an ulp so 0 is unreachable (ln(0)
     // would be -inf) and 1 is unreachable too.
@@ -144,7 +149,7 @@ impl SkipSampler {
         if self.prob <= 0.0 {
             return u64::MAX;
         }
-        let g = unit(self.seed, self.flood, k).ln() / self.ln_q;
+        let g = counter_uniform(self.seed, self.flood, k).ln() / self.ln_q;
         // `as` saturates, so gaps beyond any real relay count are fine.
         g as u64
     }

@@ -76,8 +76,10 @@ pub struct Event<'a> {
     pub fields: &'a [(&'a str, FieldValue<'a>)],
 }
 
-/// Appends `s` to `out` as a JSON string literal (with quotes).
-fn push_json_str(out: &mut String, s: &str) {
+/// Appends `s` to `out` as a JSON string literal (with quotes), escaped
+/// per RFC 8259: `"`, `\\` and the control characters, with `\n`, `\r`
+/// and `\t` in their short forms and the rest as `\u00XX`.
+pub fn push_json_str(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {

@@ -38,7 +38,7 @@ mod hist;
 mod progress;
 mod sink;
 
-pub use event::{Event, EventKind, FieldValue};
+pub use event::{push_json_str, Event, EventKind, FieldValue};
 pub use hist::LogHistogram;
 pub use progress::{ProgressSnapshot, ProgressTracker};
 pub use sink::{FanoutSink, JsonlSink, MemorySink, NoopSink, Span, Telemetry, TraceSink};
