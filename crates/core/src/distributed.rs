@@ -119,12 +119,29 @@
 //! intra-sweep and blocked counts can never reach the `DETERMINED`
 //! sentinel, so verdicts are insensitive to write timing), and (b)
 //! precomputing the ranks of changed vertices serially so the decrement
-//! sweep touches only its own stripe. Status application, flood
-//! accounting, and the Fig. 6 summation stay serial — they are
-//! `O(determinations)` per round, not `O(n · ball)`.
+//! sweep touches only its own stripe. Status application and flood
+//! accounting stay serial — they are `O(determinations)` per round, not
+//! `O(n · ball)` — and so does the Fig. 6 summation, which walks all `n`
+//! statuses once per mini-round.
+//!
+//! # Shared steps
+//!
+//! The two paths differ only in their elections (the rank and
+//! blocked-count sweeps above versus the per-view scan with witness
+//! cursors) and in how determinations reach the statuses (the global
+//! array versus the receivers' views). Every other step of the
+//! mini-round is written once and called by both: the outcome prologue
+//! (`begin_decision`), the payload-free flood batches (`flood_batch`,
+//! with `declare` recording the leaders and charging their
+//! declarations), the LocalLeader step (`LeaderStep`, generic over how a
+//! leader reads a status and run on the per-tile scratch — the rescan
+//! path uses tile 0's), the Fig. 6 summation (`record_weight`) and the
+//! outcome epilogue (`finish_outcome`). The protocol TTLs come from
+//! [`DistributedPtasConfig::declaration_ttl`] and
+//! [`DistributedPtasConfig::determination_ttl`].
 
 use mhca_graph::{BallScan, ExtendedConflictGraph, Partition};
-use mhca_mwis::{exact, greedy};
+use mhca_mwis::{exact, greedy, local_search};
 use mhca_sim::{Counters, Flood, FloodEngine, FloodReceivers, LossSpec};
 use std::time::Instant;
 
@@ -273,6 +290,17 @@ impl DistributedPtasConfig {
         self.threads = threads;
         self
     }
+
+    /// Hop limit of the LocalLeader declarations, `2r+1` — also the
+    /// radius of the election ball and of the WB flood.
+    pub fn declaration_ttl(&self) -> usize {
+        2 * self.r + 1
+    }
+
+    /// Hop limit of the determination floods, `3r+1`.
+    pub fn determination_ttl(&self) -> usize {
+        3 * self.r + 1
+    }
 }
 
 /// Result of one distributed strategy decision (one round's `t_s` part).
@@ -371,24 +399,6 @@ impl DecidePhaseNs {
     }
 }
 
-/// Protocol messages carried by the control-channel floods.
-///
-/// Payloads are `Copy`: the determination *content* — the `(vertex,
-/// is_winner)` list a leader computed — lives in the round's pooled
-/// determination lists ([`DistributedPtas::det_lists`]), and the flood
-/// carries the leader's slot index into that pool (which is also the
-/// flood's index in its batch). A receiver only ever reads the list of a
-/// flood the engine reports it received ([`FloodReceivers`]), so locality
-/// is preserved exactly as if the list travelled in the payload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Msg {
-    /// `LocalLeader` declaration (Algorithm 3 line 4).
-    LeaderDeclare,
-    /// Status determinations from a leader (Algorithm 3 lines 9–10):
-    /// the payload indexes the mini-round's determination-list pool.
-    Determination(u32),
-}
-
 /// The distributed strategy-decision engine (Algorithm 3), reusable across
 /// rounds: neighborhood tables are precomputed once per network and **all
 /// per-decision scratch is pooled**, so steady-state calls through
@@ -421,12 +431,12 @@ pub struct DistributedPtas<'h> {
     /// in `w`'s row — so a determination of `u` reaches every view that
     /// holds `u` by walking `u`'s own row. Built lazily with the views.
     ball_rev: Vec<u32>,
-    node_groups: Vec<usize>,
     // ---- pooled per-decision scratch ----
     own: Vec<Status>,
     leaders: Vec<usize>,
-    declare_floods: Vec<Flood<Msg>>,
-    det_floods: Vec<Flood<Msg>>,
+    /// The flood batch being charged: the declarations, then the
+    /// determinations, one payload-free flood per leader slot.
+    floods: Vec<Flood<()>>,
     /// Who received each determination flood of the mini-round (rescan
     /// path only).
     receivers: FloodReceivers,
@@ -436,12 +446,13 @@ pub struct DistributedPtas<'h> {
     /// Per-vertex resume position of the rescan election: the first
     /// entry of the vertex's row not yet known to be non-blocking.
     witness: Vec<usize>,
-    /// Determination lists per leader slot of the current mini-round; the
-    /// `Msg::Determination` payload indexes into this pool.
+    /// Determination lists per leader slot of the current mini-round.
+    /// Floods carry no payload: the `(vertex, is_winner)` list a leader
+    /// computed lives here, at its slot, which is also its flood's index
+    /// in the batch. A receiver only ever reads the list of a flood the
+    /// engine reports it received ([`FloodReceivers`]), so locality is
+    /// preserved exactly as if the list travelled in the payload.
     det_lists: Vec<Vec<(usize, bool)>>,
-    cand: Vec<usize>,
-    selectable: Vec<usize>,
-    solver: SolverScratch,
     cache: LocalMaxCache,
     scan_stats: DecideScanStats,
     // ---- tile state ----
@@ -460,9 +471,9 @@ pub struct DistributedPtas<'h> {
     phase_ns: DecidePhaseNs,
 }
 
-/// Per-tile worker scratch of the dirty-ball decide: everything a
-/// tile-local phase writes besides its own stripe of the packed election
-/// state, merged serially at phase boundaries.
+/// Per-tile worker scratch: everything a tile-local phase writes besides
+/// its own stripe of the packed election state, merged serially at phase
+/// boundaries. The rescan path runs its leader steps on tile 0's set.
 #[derive(Debug, Default)]
 struct TileScratch {
     /// Leaders found by this tile's mini-round 0 probe (core order, i.e.
@@ -579,6 +590,7 @@ struct SolverScratch {
     /// Reusable branch-and-bound workspace.
     mwis_ws: exact::Workspace,
     greedy: greedy::Scratch,
+    local_search: local_search::Scratch,
     masters: Vec<usize>,
     /// Winners of the current leader's local MWIS, sorted ascending.
     local_mwis: Vec<usize>,
@@ -628,6 +640,192 @@ fn reverse_slots(offsets: &[usize], entries: &[u32]) -> Vec<u32> {
     rev
 }
 
+/// Fills `floods` with one payload-free flood per leader, in slot order:
+/// the declaration batch (`ttl = 2r+1`) and the determination batch
+/// (`ttl = 3r+1`) of a mini-round.
+fn flood_batch(floods: &mut Vec<Flood<()>>, leaders: &[usize], ttl: usize) {
+    floods.clear();
+    floods.extend(leaders.iter().map(|&origin| Flood {
+        origin,
+        ttl,
+        payload: (),
+    }));
+}
+
+/// Records the mini-round's leaders in the outcome and charges their
+/// declaration floods (Algorithm 3 line 4; `2r+1` hops). Declarations only
+/// need to have been broadcast — leadership is evaluated from the shared
+/// weight/status knowledge — so no reception is materialized.
+fn declare(
+    engine: &mut FloodEngine<'_>,
+    floods: &mut Vec<Flood<()>>,
+    leaders: &[usize],
+    ttl: usize,
+    out: &mut DecisionOutcome,
+) {
+    out.leaders_per_miniround.push(leaders.len());
+    out.leaders_flat.extend_from_slice(leaders);
+    flood_batch(floods, leaders, ttl);
+    engine.broadcast_only(floods);
+}
+
+/// Appends the cumulative winner weight to the Fig. 6 series. The sum
+/// runs in ascending vertex order on both paths, so the series is
+/// bit-identical between them; it walks all `n` statuses every
+/// mini-round.
+fn record_weight(own: &[Status], weights: &[f64], out: &mut DecisionOutcome) {
+    let cum: f64 = (0..own.len())
+        .filter(|&v| own[v] == Status::Winner)
+        .map(|v| weights[v])
+        .sum();
+    out.per_miniround_weight.push(cum);
+}
+
+/// The read-only inputs of the LocalLeader step, shared by both decide
+/// paths.
+#[derive(Clone, Copy)]
+struct LeaderStep<'a> {
+    h: &'a ExtendedConflictGraph,
+    solver: LocalSolver,
+    balls_r: &'a [Vec<usize>],
+    weights: &'a [f64],
+}
+
+impl LeaderStep<'_> {
+    /// Runs the step for every leader, writing slot `i`'s determination
+    /// list into `det_lists[i]`. The leader slots are chunked over
+    /// `scratch`, one chunk per set (one worker each when `parallel`), so
+    /// each worker owns its slots' lists outright. `status_of(leader)`
+    /// says how that leader reads a status (see [`LeaderStep::run`]).
+    fn run_all<F, S>(
+        &self,
+        leaders: &[usize],
+        det_lists: &mut Vec<Vec<(usize, bool)>>,
+        scratch: &mut [TileScratch],
+        parallel: bool,
+        status_of: F,
+    ) where
+        F: Fn(usize) -> S + Sync,
+        S: Fn(usize) -> Option<Status>,
+    {
+        let nl = leaders.len();
+        if det_lists.len() < nl {
+            det_lists.resize_with(nl, Vec::new);
+        }
+        let chunk = nl.div_ceil(scratch.len()).max(1);
+        run_tiles(
+            parallel,
+            det_lists[..nl]
+                .chunks_mut(chunk)
+                .zip(scratch.iter_mut())
+                .enumerate(),
+            |(ci, (lists, ts))| {
+                for (off, list) in lists.iter_mut().enumerate() {
+                    let leader = leaders[ci * chunk + off];
+                    self.run(leader, status_of(leader), ts, list);
+                }
+            },
+        );
+    }
+
+    /// One LocalLeader's step (Algorithm 3 lines 8–9): its determination
+    /// list holds every Candidate of its `r`-ball, ascending, marked
+    /// Winner iff the local MWIS chose it. `status(u)` is what the leader
+    /// knows about `u` (`None` outside its view): the global status on
+    /// the lossless path, equal to every view there, and the leader's
+    /// view row on the rescan path.
+    fn run(
+        &self,
+        leader: usize,
+        status: impl Fn(usize) -> Option<Status>,
+        ts: &mut TileScratch,
+        list: &mut Vec<(usize, bool)>,
+    ) {
+        ts.cand.clear();
+        ts.cand.extend(
+            self.balls_r[leader]
+                .iter()
+                .copied()
+                .filter(|&u| status(u) == Some(Status::Candidate)),
+        );
+        // Derived exclusion: candidates adjacent to a known Winner can
+        // never join the output; they are Losers.
+        ts.selectable.clear();
+        ts.selectable.extend(ts.cand.iter().copied().filter(|&u| {
+            self.h
+                .graph()
+                .neighbors(u)
+                .iter()
+                .all(|&x| status(x) != Some(Status::Winner))
+        }));
+        self.solve_local(&mut ts.solver, &ts.selectable);
+        list.clear();
+        list.extend(
+            ts.cand
+                .iter()
+                .map(|&u| (u, ts.solver.local_mwis.binary_search(&u).is_ok())),
+        );
+    }
+
+    /// Local MWIS over the selectable candidates (grouped by master node),
+    /// written sorted-ascending into `scratch.local_mwis`. Every solver
+    /// runs entirely on the pooled scratch, allocation-free when warm.
+    fn solve_local(&self, scratch: &mut SolverScratch, selectable: &[usize]) {
+        let (graph, node_groups, weights) = (self.h.graph(), self.h.node_groups(), self.weights);
+        let out = &mut scratch.local_mwis;
+        match self.solver {
+            LocalSolver::Exact => {
+                scratch
+                    .mwis_ws
+                    .solve_grouped_into(graph, weights, selectable, node_groups, out);
+            }
+            LocalSolver::Greedy => {
+                greedy::max_weight_subset_into(
+                    graph,
+                    weights,
+                    selectable,
+                    &mut scratch.greedy,
+                    out,
+                );
+            }
+            LocalSolver::LocalSearch { max_passes } => {
+                local_search::solve_subset_into(
+                    graph,
+                    weights,
+                    selectable,
+                    max_passes,
+                    &mut scratch.local_search,
+                    out,
+                );
+            }
+            LocalSolver::Auto { max_exact_groups } => {
+                let masters = &mut scratch.masters;
+                masters.clear();
+                masters.extend(selectable.iter().map(|&v| node_groups[v]));
+                masters.sort_unstable();
+                masters.dedup();
+                if masters.len() <= max_exact_groups {
+                    scratch.mwis_ws.solve_grouped_into(
+                        graph,
+                        weights,
+                        selectable,
+                        node_groups,
+                        out,
+                    );
+                } else {
+                    greedy::max_weight_subset_into(
+                        graph,
+                        weights,
+                        selectable,
+                        &mut scratch.greedy,
+                        out,
+                    );
+                }
+            }
+        }
+    }
+}
+
 impl<'h> DistributedPtas<'h> {
     /// Precomputes the `r`- and `(2r+1)`-hop neighborhood tables of `H`.
     ///
@@ -649,7 +847,7 @@ impl<'h> DistributedPtas<'h> {
             members.clear();
             members.push(v);
             let mut within_r = 1;
-            scan.for_each(g, v, 2 * config.r + 1, |u, d| {
+            scan.for_each(g, v, config.declaration_ttl(), |u, d| {
                 members.push(u);
                 within_r += usize::from(d as usize <= config.r);
             });
@@ -660,15 +858,14 @@ impl<'h> DistributedPtas<'h> {
             ball_entries.extend(members.iter().map(|&u| u as u32));
             ball_offsets.push(ball_entries.len());
         }
-        let node_groups = (0..n).map(|v| v / h.n_channels()).collect();
         let mut engine = if config.loss_prob > 0.0 {
             FloodEngine::with_loss(g, config.loss_prob, config.loss_seed)
         } else {
             FloodEngine::new(g)
         };
-        engine.prewarm(2 * config.r + 1);
-        engine.prewarm(3 * config.r + 1);
-        let partition = Partition::stripes(g, config.partitions.max(1), 2 * config.r + 1);
+        engine.prewarm(config.declaration_ttl());
+        engine.prewarm(config.determination_ttl());
+        let partition = Partition::stripes(g, config.partitions.max(1), config.declaration_ttl());
         DistributedPtas {
             h,
             config,
@@ -678,18 +875,13 @@ impl<'h> DistributedPtas<'h> {
             ball_entries,
             view_status: Vec::new(),
             ball_rev: Vec::new(),
-            node_groups,
             own: Vec::new(),
             leaders: Vec::new(),
-            declare_floods: Vec::new(),
-            det_floods: Vec::new(),
+            floods: Vec::new(),
             receivers: FloodReceivers::default(),
             received: Vec::new(),
             witness: Vec::new(),
             det_lists: Vec::new(),
-            cand: Vec::new(),
-            selectable: Vec::new(),
-            solver: SolverScratch::default(),
             cache: LocalMaxCache::default(),
             scan_stats: DecideScanStats::default(),
             partition,
@@ -839,6 +1031,25 @@ impl<'h> DistributedPtas<'h> {
         );
     }
 
+    /// Shared outcome prologue of both decide paths: zeroes the engine
+    /// counters, scan stats and phase stamps, resets every status to
+    /// Candidate and clears the outcome's series. Returns the mini-round
+    /// budget.
+    fn begin_decision(&mut self, out: &mut DecisionOutcome) -> usize {
+        let n = self.h.n_vertices();
+        self.engine.reset_counters();
+        self.scan_stats = DecideScanStats::default();
+        self.phase_ns = DecidePhaseNs::default();
+        self.own.clear();
+        self.own.resize(n, Status::Candidate);
+        out.winners.clear();
+        out.per_miniround_weight.clear();
+        out.leaders_per_miniround.clear();
+        out.leaders_flat.clear();
+        out.all_marked = false;
+        self.config.max_minirounds.unwrap_or(n.max(1))
+    }
+
     /// The dirty-ball decide phase (lossless only; the module docs give
     /// its invariants and the tiling's byte-identity argument). Reads and
     /// writes global status directly — under lossless delivery every local
@@ -846,6 +1057,7 @@ impl<'h> DistributedPtas<'h> {
     /// counters-only delivery, so no inbox is ever materialized.
     fn tiled_impl(&mut self, weights: &[f64], out: &mut DecisionOutcome) {
         debug_assert_eq!(self.config.loss_prob, 0.0);
+        let cap = self.begin_decision(out);
         let profiling = self.profile_phases;
         let Self {
             h,
@@ -854,11 +1066,9 @@ impl<'h> DistributedPtas<'h> {
             balls_r,
             ball_offsets,
             ball_entries,
-            node_groups,
             own,
             leaders,
-            declare_floods,
-            det_floods,
+            floods,
             det_lists,
             cache,
             scan_stats,
@@ -869,6 +1079,7 @@ impl<'h> DistributedPtas<'h> {
             phase_ns,
             ..
         } = self;
+        let h: &ExtendedConflictGraph = h;
         let cuts: &[usize] = partition.cuts();
         let tiles = partition.tile_count();
         // The tile count is derived from the input, so one tile never
@@ -879,16 +1090,15 @@ impl<'h> DistributedPtas<'h> {
         }
         // Shared-read shadows of the pooled tables, so the Fn worker
         // closures capture plain `&` references.
-        let balls_r: &[Vec<usize>] = balls_r;
         let ball_offsets: &[usize] = ball_offsets;
         let ball_entries: &[u32] = ball_entries;
-        let node_groups: &[usize] = node_groups;
-        let cfg: &DistributedPtasConfig = config;
+        let step = LeaderStep {
+            h,
+            solver: config.local_solver,
+            balls_r,
+            weights,
+        };
         let n = h.n_vertices();
-        let graph = h.graph();
-        let r = cfg.r;
-        engine.reset_counters();
-        *scan_stats = DecideScanStats::default();
         let mut phases = DecidePhaseNs::default();
         let mut stamp = profiling.then(Instant::now);
         let mut lap = |slot: &mut u64| {
@@ -899,16 +1109,8 @@ impl<'h> DistributedPtas<'h> {
             }
         };
 
-        own.clear();
-        own.resize(n, Status::Candidate);
         cache.begin(n, weights);
         let mut remaining = n;
-        out.winners.clear();
-        out.per_miniround_weight.clear();
-        out.leaders_per_miniround.clear();
-        out.leaders_flat.clear();
-        out.all_marked = false;
-        let cap = cfg.max_minirounds.unwrap_or(n.max(1));
 
         for tau in 0..cap {
             // ---- 1. LocalLeader selection. Mini-round 0 probes each
@@ -961,80 +1163,25 @@ impl<'h> DistributedPtas<'h> {
                 out.all_marked = remaining == 0;
                 break;
             }
-            out.leaders_per_miniround.push(leaders.len());
-            out.leaders_flat.extend_from_slice(leaders);
 
-            // ---- 2. Leader declaration floods ((2r+1) hops, accounting
-            // only — same as the reference path).
-            declare_floods.clear();
-            declare_floods.extend(leaders.iter().map(|&v| Flood {
-                origin: v,
-                ttl: 2 * r + 1,
-                payload: Msg::LeaderDeclare,
-            }));
-            engine.broadcast_only(declare_floods);
+            // ---- 2. Leader declaration floods, accounting only.
+            declare(engine, floods, leaders, config.declaration_ttl(), out);
             lap(&mut phases.broadcast_ns);
 
             // ---- 3. Local MWIS per leader, reading global status (equal
             // to the leader's view under lossless delivery), leader slots
-            // chunked over the tiles; each worker owns its slots'
-            // `det_lists` outright.
-            if det_lists.len() < leaders.len() {
-                det_lists.resize_with(leaders.len(), Vec::new);
-            }
-            let nl = leaders.len();
-            let chunk = nl.div_ceil(tiles).max(1);
+            // chunked over the tiles.
             {
-                let own_ref: &[Status] = own;
-                let leaders_ref: &[usize] = leaders;
-                run_tiles(
+                let own: &[Status] = own;
+                step.run_all(
+                    leaders,
+                    det_lists,
+                    &mut tile_scratch[..tiles],
                     parallel,
-                    det_lists[..nl]
-                        .chunks_mut(chunk)
-                        .zip(tile_scratch.iter_mut())
-                        .enumerate(),
-                    |(ci, (lists, ts))| {
-                        let base = ci * chunk;
-                        for (off, list) in lists.iter_mut().enumerate() {
-                            let leader = leaders_ref[base + off];
-                            ts.cand.clear();
-                            ts.cand.extend(
-                                balls_r[leader]
-                                    .iter()
-                                    .copied()
-                                    .filter(|&u| own_ref[u] == Status::Candidate),
-                            );
-                            ts.selectable.clear();
-                            ts.selectable.extend(ts.cand.iter().copied().filter(|&u| {
-                                graph
-                                    .neighbors(u)
-                                    .iter()
-                                    .all(|&x| own_ref[x] != Status::Winner)
-                            }));
-                            Self::solve_local(
-                                graph,
-                                cfg,
-                                node_groups,
-                                &mut ts.solver,
-                                weights,
-                                &ts.selectable,
-                            );
-                            list.clear();
-                            list.extend(
-                                ts.cand
-                                    .iter()
-                                    .map(|&u| (u, ts.solver.local_mwis.binary_search(&u).is_ok())),
-                            );
-                        }
-                    },
+                    |_| move |u| Some(own[u]),
                 );
             }
-            det_floods.clear();
-            det_floods.extend(leaders.iter().enumerate().map(|(slot, &leader)| Flood {
-                origin: leader,
-                ttl: 3 * r + 1,
-                payload: Msg::Determination(slot as u32),
-            }));
+            flood_batch(floods, leaders, config.determination_ttl());
             lap(&mut phases.mwis_ns);
 
             // ---- 4. Determination floods, accounting only: lossless
@@ -1042,7 +1189,7 @@ impl<'h> DistributedPtas<'h> {
             // to the global status array is what every receiver's view
             // update would compute. Same-mini-round lists are disjoint
             // (leaders are ≥ 2r+2 apart), so order is immaterial.
-            engine.broadcast_only(det_floods);
+            engine.broadcast_only(floods);
             cache.changed.clear();
             for list in det_lists.iter().take(leaders.len()) {
                 for &(u, is_winner) in list {
@@ -1055,13 +1202,8 @@ impl<'h> DistributedPtas<'h> {
             }
             lap(&mut phases.broadcast_ns);
 
-            // ---- 5. Bookkeeping (same summation order as the reference
-            // path, so the Fig. 6 series is bit-identical).
-            let cum: f64 = (0..n)
-                .filter(|&v| own[v] == Status::Winner)
-                .map(|v| weights[v])
-                .sum();
-            out.per_miniround_weight.push(cum);
+            // ---- 5. Fig. 6 bookkeeping.
+            record_weight(own, weights, out);
             if remaining == 0 {
                 out.all_marked = true;
                 lap(&mut phases.sweep_ns);
@@ -1171,7 +1313,7 @@ impl<'h> DistributedPtas<'h> {
         }
         *phase_ns = phases;
 
-        Self::finish_outcome(graph, own, engine, out);
+        Self::finish_outcome(h.graph(), own, engine, out);
     }
 
     /// Shared outcome epilogue: winners, conflict audit, counters.
@@ -1203,20 +1345,19 @@ impl<'h> DistributedPtas<'h> {
     }
 
     fn rescan_impl(&mut self, weights: &[f64], out: &mut DecisionOutcome) {
+        let cap = self.begin_decision(out);
         let n = self.h.n_vertices();
-        let graph = self.h.graph();
-        let r = self.config.r;
-        self.engine.reset_counters();
-        self.scan_stats = DecideScanStats::default();
-        self.phase_ns = DecidePhaseNs::default();
-
         // The reverse slots are built on the rescan path's first use (the
         // dirty-ball path never reads them, so lossless runs never pay).
         if self.ball_rev.len() != self.ball_entries.len() {
             self.ball_rev = reverse_slots(&self.ball_offsets, &self.ball_entries);
             self.received = vec![false; n];
         }
+        if self.tile_scratch.is_empty() {
+            self.tile_scratch.push(TileScratch::default());
+        }
         let Self {
+            h,
             config,
             engine,
             balls_r,
@@ -1224,33 +1365,29 @@ impl<'h> DistributedPtas<'h> {
             ball_entries: ent,
             view_status,
             ball_rev: rev,
-            node_groups,
             own,
             leaders,
-            declare_floods,
-            det_floods,
+            floods,
             receivers,
             received,
             witness,
             det_lists,
-            cand,
-            selectable,
-            solver,
             scan_stats,
+            tile_scratch,
             ..
         } = self;
+        let h: &ExtendedConflictGraph = h;
+        let graph = h.graph();
+        let step = LeaderStep {
+            h,
+            solver: config.local_solver,
+            balls_r,
+            weights,
+        };
         view_status.clear();
         view_status.resize(ent.len(), Status::Candidate);
         witness.clear();
         witness.extend_from_slice(&off[..n]);
-        own.clear();
-        own.resize(n, Status::Candidate);
-        out.winners.clear();
-        out.per_miniround_weight.clear();
-        out.leaders_per_miniround.clear();
-        out.leaders_flat.clear();
-        out.all_marked = false;
-        let cap = config.max_minirounds.unwrap_or(n.max(1));
 
         for _tau in 0..cap {
             // ---- 1. LocalLeader selection (Algorithm 3 lines 2–6).
@@ -1289,60 +1426,28 @@ impl<'h> DistributedPtas<'h> {
                 out.all_marked = own.iter().all(|&s| s != Status::Candidate);
                 break;
             }
-            out.leaders_per_miniround.push(leaders.len());
-            out.leaders_flat.extend_from_slice(leaders);
 
-            // ---- 2. Leader declaration floods (line 4; (2r+1) hops).
-            // Declarations only need to have been broadcast (leadership is
-            // evaluated from the shared weight/status knowledge); charge
-            // the communication without materializing receptions.
-            declare_floods.clear();
-            declare_floods.extend(leaders.iter().map(|&v| Flood {
-                origin: v,
-                ttl: 2 * r + 1,
-                payload: Msg::LeaderDeclare,
-            }));
-            engine.broadcast_only(declare_floods);
+            // ---- 2. Leader declaration floods.
+            declare(engine, floods, leaders, config.declaration_ttl(), out);
 
-            // ---- 3. Local MWIS per leader (lines 8–9), reading only the
-            // leader's own view.
-            if det_lists.len() < leaders.len() {
-                det_lists.resize_with(leaders.len(), Vec::new);
-            }
-            det_floods.clear();
-            for (slot, &leader) in leaders.iter().enumerate() {
-                let row = off[leader]..off[leader + 1];
-                let (ball, status) = (&ent[row.clone()], &view_status[row]);
-                // Candidates of the r-ball, per the leader's knowledge.
-                cand.clear();
-                cand.extend(
-                    balls_r[leader]
-                        .iter()
-                        .copied()
-                        .filter(|&u| view_of(ball, status, u) == Some(Status::Candidate)),
+            // ---- 3. Local MWIS per leader, reading only the leader's
+            // own view row.
+            {
+                let (off, ent, view_status): (&[usize], &[u32], &[Status]) =
+                    (off, ent, view_status);
+                step.run_all(
+                    leaders,
+                    det_lists,
+                    &mut tile_scratch[..1],
+                    false,
+                    |leader| {
+                        let row = off[leader]..off[leader + 1];
+                        let (ball, status) = (&ent[row.clone()], &view_status[row]);
+                        move |u| view_of(ball, status, u)
+                    },
                 );
-                // Derived exclusion: candidates adjacent to a known Winner
-                // can never join the output; they are Losers.
-                selectable.clear();
-                selectable.extend(cand.iter().copied().filter(|&u| {
-                    graph
-                        .neighbors(u)
-                        .iter()
-                        .all(|&x| view_of(ball, status, x) != Some(Status::Winner))
-                }));
-                Self::solve_local(graph, config, node_groups, solver, weights, selectable);
-                let list = &mut det_lists[slot];
-                list.clear();
-                list.extend(
-                    cand.iter()
-                        .map(|&u| (u, solver.local_mwis.binary_search(&u).is_ok())),
-                );
-                det_floods.push(Flood {
-                    origin: leader,
-                    ttl: 3 * r + 1,
-                    payload: Msg::Determination(slot as u32),
-                });
             }
+            flood_batch(floods, leaders, config.determination_ttl());
 
             // ---- 4. Determination floods (line 10; (3r+1) hops) and
             // local processing (lines 11–15). Each vertex applies, in
@@ -1351,7 +1456,7 @@ impl<'h> DistributedPtas<'h> {
             // order; the last write to a view slot wins. Every write lands
             // in the receiver's own view, so running the receivers in any
             // interleaving gives the same views.
-            engine.deliver_receivers_into(det_floods, receivers);
+            engine.deliver_receivers_into(floods, receivers);
             for (list, &leader) in det_lists.iter().zip(leaders.iter()) {
                 // The list is an ascending subset of the leader's row
                 // (its r-ball), so one merge walk finds every slot.
@@ -1411,12 +1516,8 @@ impl<'h> DistributedPtas<'h> {
                 }
             }
 
-            // ---- 5. Bookkeeping for the Fig. 6 series.
-            let cum: f64 = (0..n)
-                .filter(|&v| own[v] == Status::Winner)
-                .map(|v| weights[v])
-                .sum();
-            out.per_miniround_weight.push(cum);
+            // ---- 5. Fig. 6 bookkeeping.
+            record_weight(own, weights, out);
             if own.iter().all(|&s| s != Status::Candidate) {
                 out.all_marked = true;
                 break;
@@ -1424,69 +1525,6 @@ impl<'h> DistributedPtas<'h> {
         }
 
         Self::finish_outcome(graph, own, engine, out);
-    }
-
-    /// Local MWIS over the selectable candidates (grouped by master node),
-    /// written sorted-ascending into `scratch.local_mwis`.
-    ///
-    /// The exact and greedy paths run entirely on the pooled scratch
-    /// (allocation-free when warm); the local-search fallback allocates
-    /// its result set — it is the cold, quality-ablation configuration.
-    fn solve_local(
-        graph: &mhca_graph::Graph,
-        config: &DistributedPtasConfig,
-        node_groups: &[usize],
-        scratch: &mut SolverScratch,
-        weights: &[f64],
-        selectable: &[usize],
-    ) {
-        let out = &mut scratch.local_mwis;
-        match config.local_solver {
-            LocalSolver::Exact => {
-                scratch
-                    .mwis_ws
-                    .solve_grouped_into(graph, weights, selectable, node_groups, out);
-            }
-            LocalSolver::Greedy => {
-                greedy::max_weight_subset_into(
-                    graph,
-                    weights,
-                    selectable,
-                    &mut scratch.greedy,
-                    out,
-                );
-            }
-            LocalSolver::LocalSearch { max_passes } => {
-                let s =
-                    mhca_mwis::local_search::solve_subset(graph, weights, selectable, max_passes);
-                out.clear();
-                out.extend_from_slice(&s.vertices);
-            }
-            LocalSolver::Auto { max_exact_groups } => {
-                let masters = &mut scratch.masters;
-                masters.clear();
-                masters.extend(selectable.iter().map(|&v| node_groups[v]));
-                masters.sort_unstable();
-                masters.dedup();
-                if masters.len() <= max_exact_groups {
-                    scratch.mwis_ws.solve_grouped_into(
-                        graph,
-                        weights,
-                        selectable,
-                        node_groups,
-                        out,
-                    );
-                } else {
-                    greedy::max_weight_subset_into(
-                        graph,
-                        weights,
-                        selectable,
-                        &mut scratch.greedy,
-                        out,
-                    );
-                }
-            }
-        }
     }
 }
 

@@ -26,7 +26,6 @@ pub struct Network {
     h: ExtendedConflictGraph,
     channels: ChannelMatrix,
     layout: Option<Layout>,
-    node_groups: Vec<usize>,
 }
 
 impl Network {
@@ -39,13 +38,11 @@ impl Network {
         assert_eq!(channels.n_nodes(), g.n(), "channel matrix nodes");
         let m = channels.n_channels();
         let h = ExtendedConflictGraph::new(&g, m);
-        let node_groups = (0..h.n_vertices()).map(|v| v / m).collect();
         Network {
             g,
             h,
             channels,
             layout,
-            node_groups,
         }
     }
 
@@ -138,7 +135,7 @@ impl Network {
     /// Master-node labels for the grouped MWIS solvers
     /// (`group_of[vertex] = vertex / M`).
     pub fn node_groups(&self) -> &[usize] {
-        &self.node_groups
+        self.h.node_groups()
     }
 
     /// The static optimum: exact MWIS of `H` under the true means —
@@ -150,7 +147,7 @@ impl Network {
     pub fn optimal(&self) -> WeightedSet {
         let means = self.channels.means();
         let allowed: Vec<usize> = (0..self.h.n_vertices()).collect();
-        exact::solve_grouped(self.h.graph(), &means, &allowed, &self.node_groups)
+        exact::solve_grouped(self.h.graph(), &means, &allowed, self.h.node_groups())
     }
 
     /// Converts a vertex set of `H` into a [`Strategy`].

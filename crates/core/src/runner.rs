@@ -344,7 +344,7 @@ impl<'n> PolicyRunner<'n> {
         // ---- Long-lived engine and per-round scratch, hoisted out of the
         // loop: the steady-state round performs no heap allocation on the
         // lossless path (see `tests/alloc_free.rs`).
-        let wb_ttl = 2 * cfg.decision.r + 1;
+        let wb_ttl = cfg.decision.declaration_ttl();
         let mut wb_engine = FloodEngine::new(net.h().graph());
         // The decision engine already prewarmed the (2r+1)-hop table on
         // this graph; adopt it instead of building a second copy. The

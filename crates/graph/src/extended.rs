@@ -41,6 +41,9 @@ pub struct ExtendedConflictGraph {
     graph: Graph,
     n_nodes: usize,
     n_channels: usize,
+    /// Master node of every vertex (`v ↦ v / M`), the grouping the
+    /// grouped MWIS solvers take.
+    node_groups: Vec<usize>,
 }
 
 impl ExtendedConflictGraph {
@@ -76,6 +79,7 @@ impl ExtendedConflictGraph {
             graph: h.build(),
             n_nodes: n,
             n_channels: m,
+            node_groups: (0..n * m).map(|v| v / m).collect(),
         }
     }
 
@@ -92,6 +96,12 @@ impl ExtendedConflictGraph {
     /// Number of channels `M`.
     pub fn n_channels(&self) -> usize {
         self.n_channels
+    }
+
+    /// The master node index of every vertex (`v ↦ v / M`), as one slice
+    /// for the grouped MWIS solvers.
+    pub fn node_groups(&self) -> &[usize] {
+        &self.node_groups
     }
 
     /// Number of virtual vertices `N·M` (the paper's arm count `K`).

@@ -34,33 +34,95 @@ pub fn solve_subset(
     allowed: &[usize],
     max_passes: usize,
 ) -> WeightedSet {
+    let mut out = Vec::new();
+    solve_subset_into(
+        graph,
+        weights,
+        allowed,
+        max_passes,
+        &mut Scratch::default(),
+        &mut out,
+    );
+    WeightedSet::from_vertices(out, weights)
+}
+
+/// Reusable buffers for [`solve_subset_into`].
+#[derive(Debug, Default)]
+pub struct Scratch {
+    /// The call's allowed set, sorted and deduplicated.
+    allowed: Vec<usize>,
+    /// Per-vertex tables, sized once per graph. A call writes only the
+    /// entries of its allowed set and of their neighbors, and resets
+    /// exactly those before it returns, so no call pays `O(n)`.
+    selectable: Vec<bool>,
+    in_set: Vec<bool>,
+    /// Number of selected neighbors of each vertex.
+    blocked: Vec<usize>,
+    /// The (1,2)-swap candidates around the vertex being dropped.
+    cands: Vec<usize>,
+    greedy: greedy::Scratch,
+}
+
+/// As [`solve_subset`], writing the chosen set (sorted ascending) into
+/// `out`. Each call costs `O(Σ_{v ∈ allowed} deg(v) · max_passes)` plus
+/// the swap search, independent of `graph.n()`; with a warm `scratch` it
+/// performs no heap allocation — this is the distributed decision's
+/// `LocalSearch` local solver.
+///
+/// # Panics
+///
+/// As [`solve_subset`].
+pub fn solve_subset_into(
+    graph: &Graph,
+    weights: &[f64],
+    allowed: &[usize],
+    max_passes: usize,
+    scratch: &mut Scratch,
+    out: &mut Vec<usize>,
+) {
     assert_eq!(weights.len(), graph.n(), "weight vector length");
     let n = graph.n();
-    let mut allowed_mask = vec![false; n];
-    for &v in allowed {
+    let Scratch {
+        allowed: order,
+        selectable,
+        in_set,
+        blocked,
+        cands,
+        greedy,
+    } = scratch;
+    if in_set.len() != n {
+        for table in [&mut *selectable, &mut *in_set] {
+            table.clear();
+            table.resize(n, false);
+        }
+        blocked.clear();
+        blocked.resize(n, 0);
+    }
+    order.clear();
+    order.extend_from_slice(allowed);
+    order.sort_unstable();
+    order.dedup();
+    for &v in order.iter() {
         assert!(v < n, "vertex out of range");
-        allowed_mask[v] = weights[v] > 0.0;
+        selectable[v] = weights[v] > 0.0;
     }
 
-    let start = greedy::max_weight_subset(graph, weights, allowed);
-    let mut in_set = vec![false; n];
-    for &v in &start.vertices {
+    greedy::max_weight_subset_into(graph, weights, order, greedy, out);
+    for &v in out.iter() {
         in_set[v] = true;
-    }
-    // blocked[v] = number of selected neighbors of v.
-    let mut blocked = vec![0usize; n];
-    for &v in &start.vertices {
         for &u in graph.neighbors(v) {
             blocked[u] += 1;
         }
     }
 
+    // Every selected vertex is allowed, so the sweeps below visit the
+    // sorted allowed set in place of `0..n`.
     for _ in 0..max_passes {
         let mut improved = false;
 
         // Free insertions: any allowed, unblocked, unselected vertex.
-        for v in 0..n {
-            if allowed_mask[v] && !in_set[v] && blocked[v] == 0 {
+        for &v in order.iter() {
+            if selectable[v] && !in_set[v] && blocked[v] == 0 {
                 in_set[v] = true;
                 for &u in graph.neighbors(v) {
                     blocked[u] += 1;
@@ -70,17 +132,19 @@ pub fn solve_subset(
         }
 
         // (1,2)-swaps: drop w, insert two of its neighbors.
-        for w in 0..n {
+        for &w in order.iter() {
             if !in_set[w] {
                 continue;
             }
             // Candidates become unblocked only by removing w.
-            let cands: Vec<usize> = graph
-                .neighbors(w)
-                .iter()
-                .copied()
-                .filter(|&v| allowed_mask[v] && !in_set[v] && blocked[v] == 1)
-                .collect();
+            cands.clear();
+            cands.extend(
+                graph
+                    .neighbors(w)
+                    .iter()
+                    .copied()
+                    .filter(|&v| selectable[v] && !in_set[v] && blocked[v] == 1),
+            );
             let mut best: Option<(f64, usize, usize)> = None;
             for (i, &a) in cands.iter().enumerate() {
                 for &b in &cands[i + 1..] {
@@ -112,9 +176,19 @@ pub fn solve_subset(
         }
     }
 
-    let chosen: Vec<usize> = (0..n).filter(|&v| in_set[v]).collect();
-    debug_assert!(graph.is_independent(&chosen));
-    WeightedSet::from_vertices(chosen, weights)
+    out.clear();
+    out.extend(order.iter().copied().filter(|&v| in_set[v]));
+    debug_assert!(graph.is_independent(out));
+    // Only the chosen vertices' neighbors hold nonzero counts.
+    for &v in out.iter() {
+        for &u in graph.neighbors(v) {
+            blocked[u] = 0;
+        }
+    }
+    for &v in order.iter() {
+        selectable[v] = false;
+        in_set[v] = false;
+    }
 }
 
 #[cfg(test)]

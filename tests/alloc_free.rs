@@ -243,6 +243,46 @@ fn rescan_decide_into_is_allocation_free_with_varying_weights() {
 }
 
 #[test]
+fn local_search_decide_into_is_allocation_free_with_varying_weights() {
+    // The `LocalSearch` local solver's marks, counters and swap
+    // candidates live in the pooled solver scratch, so once warm its
+    // leader steps allocate nothing on either decide path.
+    use mhca::core::LocalSolver;
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+    let net = Network::random(50, 3, 4.5, 0.1, 13);
+    let mut rng = StdRng::seed_from_u64(37);
+    let cycle: Vec<Vec<f64>> = (0..6)
+        .map(|_| {
+            (0..net.n_vertices())
+                .map(|_| rng.gen_range(0.05..1.0))
+                .collect()
+        })
+        .collect();
+    let base = DistributedPtasConfig::default()
+        .with_max_minirounds(None)
+        .with_local_solver(LocalSolver::LocalSearch { max_passes: 5 });
+    for cfg in [base, base.with_force_rescan(true)] {
+        let mut ptas = DistributedPtas::new(net.h(), cfg);
+        let mut outcome = Default::default();
+        for w in cycle.iter().chain(cycle.iter()) {
+            ptas.decide_into(w, &mut outcome);
+        }
+
+        let allocs = min_allocs(3, || {
+            for w in &cycle {
+                ptas.decide_into(w, &mut outcome);
+            }
+        });
+        assert_eq!(
+            allocs, 0,
+            "steady-state LocalSearch decide_into must not allocate \
+             (force_rescan = {}, counted {allocs})",
+            cfg.force_rescan
+        );
+    }
+}
+
+#[test]
 fn policy_indices_into_is_allocation_free() {
     use mhca::bandit::ArmStats;
     use rand::{rngs::StdRng, SeedableRng};
