@@ -126,18 +126,14 @@
 //!
 //! # Shared steps
 //!
-//! The two paths differ only in their elections (the rank and
-//! blocked-count sweeps above versus the per-view scan with witness
-//! cursors) and in how determinations reach the statuses (the global
-//! array versus the receivers' views). Every other step of the
-//! mini-round is written once and called by both: the outcome prologue
-//! (`begin_decision`), the payload-free flood batches (`flood_batch`,
-//! with `declare` recording the leaders and charging their
-//! declarations), the LocalLeader step (`LeaderStep`, generic over how a
-//! leader reads a status and run on the per-tile scratch — the rescan
-//! path uses tile 0's), the Fig. 6 summation (`record_weight`) and the
-//! outcome epilogue (`finish_outcome`). The protocol TTLs come from
-//! [`DistributedPtasConfig::declaration_ttl`] and
+//! Only the elections and the status application differ between the
+//! two paths. The rest of the mini-round is written once: the outcome
+//! prologue (`begin_decision`), the payload-free flood batches
+//! (`flood_batch`; `declare` also records the leaders), the LocalLeader
+//! step (`LeaderStep`, generic over how a leader reads a status; the
+//! rescan path runs it on tile 0's scratch), the Fig. 6 summation
+//! (`record_weight`) and the epilogue (`finish_outcome`). The TTLs come
+//! from [`DistributedPtasConfig::declaration_ttl`] and
 //! [`DistributedPtasConfig::determination_ttl`].
 
 use mhca_graph::{BallScan, ExtendedConflictGraph, Partition};

@@ -50,7 +50,7 @@ pub fn solve_subset(
 #[derive(Debug, Default)]
 pub struct Scratch {
     /// The call's allowed set, sorted and deduplicated.
-    allowed: Vec<usize>,
+    sorted: Vec<usize>,
     /// Per-vertex tables, sized once per graph. A call writes only the
     /// entries of its allowed set and of their neighbors, and resets
     /// exactly those before it returns, so no call pays `O(n)`.
@@ -83,7 +83,7 @@ pub fn solve_subset_into(
     assert_eq!(weights.len(), graph.n(), "weight vector length");
     let n = graph.n();
     let Scratch {
-        allowed: order,
+        sorted,
         selectable,
         in_set,
         blocked,
@@ -98,16 +98,17 @@ pub fn solve_subset_into(
         blocked.clear();
         blocked.resize(n, 0);
     }
-    order.clear();
-    order.extend_from_slice(allowed);
-    order.sort_unstable();
-    order.dedup();
-    for &v in order.iter() {
-        assert!(v < n, "vertex out of range");
+    sorted.clear();
+    sorted.extend_from_slice(allowed);
+    sorted.sort_unstable();
+    sorted.dedup();
+    // Checked before any write, so a rejected call leaves `scratch` clean.
+    assert!(sorted.last().is_none_or(|&v| v < n), "vertex out of range");
+    for &v in sorted.iter() {
         selectable[v] = weights[v] > 0.0;
     }
 
-    greedy::max_weight_subset_into(graph, weights, order, greedy, out);
+    greedy::max_weight_subset_into(graph, weights, sorted, greedy, out);
     for &v in out.iter() {
         in_set[v] = true;
         for &u in graph.neighbors(v) {
@@ -121,7 +122,7 @@ pub fn solve_subset_into(
         let mut improved = false;
 
         // Free insertions: any allowed, unblocked, unselected vertex.
-        for &v in order.iter() {
+        for &v in sorted.iter() {
             if selectable[v] && !in_set[v] && blocked[v] == 0 {
                 in_set[v] = true;
                 for &u in graph.neighbors(v) {
@@ -132,7 +133,7 @@ pub fn solve_subset_into(
         }
 
         // (1,2)-swaps: drop w, insert two of its neighbors.
-        for &w in order.iter() {
+        for &w in sorted.iter() {
             if !in_set[w] {
                 continue;
             }
@@ -177,7 +178,7 @@ pub fn solve_subset_into(
     }
 
     out.clear();
-    out.extend(order.iter().copied().filter(|&v| in_set[v]));
+    out.extend(sorted.iter().copied().filter(|&v| in_set[v]));
     debug_assert!(graph.is_independent(out));
     // Only the chosen vertices' neighbors hold nonzero counts.
     for &v in out.iter() {
@@ -185,7 +186,7 @@ pub fn solve_subset_into(
             blocked[u] = 0;
         }
     }
-    for &v in order.iter() {
+    for &v in sorted.iter() {
         selectable[v] = false;
         in_set[v] = false;
     }
