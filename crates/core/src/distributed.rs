@@ -110,7 +110,15 @@
 //! merging per-tile results at phase boundaries.
 //! [`DistributedPtasConfig::partitions`] sets the tile count; the default
 //! single tile *is* the serial sweep, and at `n = 10⁴–5×10⁴` more tiles
-//! split the memory-bound sweeps over threads. Tiling is an **execution
+//! split the memory-bound sweeps over threads. The threads are the
+//! decider's own parked [`TilePool`]: created on the first threaded
+//! decide, joined when the decider is dropped, asleep in between. The
+//! caller runs tile 0 and worker `t` always runs tile `t`, so a stripe
+//! stays warm in one core's cache, and no thread is created per phase
+//! or per decision. A tile job reaches its scratch set and its stripe of
+//! the packed election state by tile index (a per-tile `Mutex` and
+//! `Relaxed` atomic words), so a warm hand-off allocates nothing.
+//! Tiling is an **execution
 //! strategy, not a semantics knob**: every phase is engineered so the
 //! merged result is *byte-identical* for every tile count (and hence to
 //! the rescan oracle), pinned by `tests/partition_parity.rs`. The key
@@ -121,8 +129,11 @@
 //! precomputing the ranks of changed vertices serially so the decrement
 //! sweep touches only its own stripe. Status application and flood
 //! accounting stay serial — they are `O(determinations)` per round, not
-//! `O(n · ball)` — and so does the Fig. 6 summation, which walks all `n`
-//! statuses once per mini-round.
+//! `O(n · ball)` — and so does the Fig. 6 summation, which runs over the
+//! ascending list of winners so far (each mini-round's new winners are
+//! merged into it) rather than over all `n` statuses. The priority ranks
+//! come from one sort of packed `(weight key, id)` words per decision
+//! (`LocalMaxCache::begin`).
 //!
 //! # Shared steps
 //!
@@ -131,14 +142,18 @@
 //! prologue (`begin_decision`), the payload-free flood batches
 //! (`flood_batch`; `declare` also records the leaders), the LocalLeader
 //! step (`LeaderStep`, generic over how a leader reads a status; the
-//! rescan path runs it on tile 0's scratch), the Fig. 6 summation
-//! (`record_weight`) and the epilogue (`finish_outcome`). The TTLs come
+//! rescan path runs it on tile 0's scratch), the winners list and the
+//! Fig. 6 summation (`WinnerList`, `record_weight`) and the epilogue
+//! (`finish_outcome`). The TTLs come
 //! from [`DistributedPtasConfig::declaration_ttl`] and
 //! [`DistributedPtasConfig::determination_ttl`].
 
 use mhca_graph::{BallScan, ExtendedConflictGraph, Partition};
 use mhca_mwis::{exact, greedy, local_search};
+use mhca_pool::TilePool;
 use mhca_sim::{Counters, Flood, FloodEngine, FloodReceivers, LossSpec};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// Per-vertex protocol status.
@@ -209,10 +224,12 @@ pub struct DistributedPtasConfig {
     /// every value — pinned by `tests/partition_parity.rs`.
     pub partitions: usize,
     /// Worker threading of the tile phases: `1` runs the tile loop inline
-    /// on the calling thread (deterministic single-thread execution — the
-    /// allocation-free configuration pinned by `tests/alloc_free.rs`); any
-    /// other value (`0` is the conventional spelling) spawns one scoped OS
-    /// thread per tile. A single tile always runs inline.
+    /// on the calling thread (deterministic single-thread execution); any
+    /// other value (`0` is the conventional spelling) runs tile 0 on the
+    /// calling thread and tile `i` on worker `i` of the decider's own
+    /// parked pool, created on the first threaded decide and joined when
+    /// the decider is dropped. A single tile always runs inline. Both
+    /// spellings are allocation-free once warm (`tests/alloc_free.rs`).
     pub threads: usize,
 }
 
@@ -281,7 +298,8 @@ impl DistributedPtasConfig {
     }
 
     /// Builder-style threading override for the tile phases (`1` =
-    /// inline serial tile loop, anything else = one worker per tile).
+    /// inline serial tile loop, anything else = one pooled worker per
+    /// tile beyond the first).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self
@@ -442,21 +460,19 @@ pub struct DistributedPtas<'h> {
     /// Per-vertex resume position of the rescan election: the first
     /// entry of the vertex's row not yet known to be non-blocking.
     witness: Vec<usize>,
-    /// Determination lists per leader slot of the current mini-round.
-    /// Floods carry no payload: the `(vertex, is_winner)` list a leader
-    /// computed lives here, at its slot, which is also its flood's index
-    /// in the batch. A receiver only ever reads the list of a flood the
-    /// engine reports it received ([`FloodReceivers`]), so locality is
-    /// preserved exactly as if the list travelled in the payload.
-    det_lists: Vec<Vec<(usize, bool)>>,
+    winners: WinnerList,
     cache: LocalMaxCache,
     scan_stats: DecideScanStats,
     // ---- tile state ----
     /// Core+halo tiling of the vertex range (one tile when
     /// `config.partitions <= 1`).
     partition: Partition,
-    /// One scratch set per tile worker (leaders, pending, solver, …).
-    tile_scratch: Vec<TileScratch>,
+    /// One scratch set per tile (leaders, pending, solver, …). Tile `t`
+    /// locks its own set (uncontended); serial code reaches it through
+    /// [`tile_mut`].
+    tile_scratch: Vec<Mutex<TileScratch>>,
+    /// Parked workers of the threaded tile phases ([`run_tiles`]).
+    pool: TilePool,
     /// Read-only copy of the packed election state for the seeding
     /// sweep (workers read the snapshot, write their own stripe).
     state_snap: Vec<u64>,
@@ -477,49 +493,68 @@ struct TileScratch {
     leaders: Vec<usize>,
     /// Zero-blocked vertices this tile's sweeps produced.
     pending: Vec<usize>,
-    cand: Vec<usize>,
-    selectable: Vec<usize>,
-    solver: SolverScratch,
+    /// Determination lists of this tile's chunk of leader slots
+    /// ([`LeaderStep::run_all`]), stored flat: list `i` ends at
+    /// `det_ends[i]` and starts where list `i − 1` ends. Two buffers per
+    /// tile rather than one per slot, so they stop growing after a few
+    /// decisions. Floods carry no payload: the `(vertex, is_winner)` list
+    /// a leader computed lives here, and [`det_lists`] yields the lists in
+    /// slot order, which is also their floods' order in the batch. A
+    /// receiver only ever reads the list of a flood the engine reports it
+    /// received ([`FloodReceivers`]), so locality is preserved exactly as
+    /// if the list travelled in the payload.
+    det: Vec<(usize, bool)>,
+    det_ends: Vec<usize>,
+    step: StepScratch,
     scanned: u64,
     decrements: u64,
 }
 
-/// Runs one unit of tile work per iterator item: inline on the calling
-/// thread when `parallel` is false, else one scoped OS thread per item
-/// (tiles are the unit of work, so the partition count is the
-/// parallelism knob).
-fn run_tiles<I, F>(parallel: bool, work: I, f: F)
-where
-    I: Iterator,
-    I::Item: Send,
-    F: Fn(I::Item) + Sync,
-{
-    if parallel {
-        std::thread::scope(|s| {
-            for item in work {
-                let f = &f;
-                s.spawn(move || f(item));
-            }
-        });
-    } else {
-        for item in work {
-            f(item);
-        }
+/// Scratch of one LocalLeader step.
+#[derive(Debug, Default)]
+struct StepScratch {
+    cand: Vec<usize>,
+    selectable: Vec<usize>,
+    solver: SolverScratch,
+}
+
+/// Tile `t`'s scratch, locked from inside a tile job. Each tile locks only
+/// its own set, so the lock is never contended; a panicked tile's
+/// poisoned set is reused as is, since every phase resets what it reads.
+fn lock_tile(m: &Mutex<TileScratch>) -> MutexGuard<'_, TileScratch> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// A tile's scratch from serial code, without locking.
+fn tile_mut(m: &mut Mutex<TileScratch>) -> &mut TileScratch {
+    m.get_mut().unwrap_or_else(PoisonError::into_inner)
+}
+
+impl TileScratch {
+    /// This tile's determination lists, in slot order.
+    fn lists(&self) -> impl Iterator<Item = &[(usize, bool)]> {
+        let starts = std::iter::once(0).chain(self.det_ends.iter().copied());
+        starts
+            .zip(&self.det_ends)
+            .map(|(start, &end)| &self.det[start..end])
     }
 }
 
-/// Splits `data` into the stripes delimited by `cuts` (the
-/// [`Partition::cuts`] vector), yielding one disjoint `&mut` chunk per
-/// tile without allocating.
-fn split_by_cuts<'a, T>(
-    mut data: &'a mut [T],
-    cuts: &'a [usize],
-) -> impl Iterator<Item = &'a mut [T]> + 'a {
-    cuts.windows(2).map(move |w| {
-        let (chunk, rest) = std::mem::take(&mut data).split_at_mut(w[1] - w[0]);
-        data = rest;
-        chunk
-    })
+/// The current determination lists of all tiles, in leader-slot order.
+fn det_lists(scratch: &mut [Mutex<TileScratch>]) -> impl Iterator<Item = &[(usize, bool)]> {
+    scratch.iter_mut().flat_map(|m| tile_mut(m).lists())
+}
+
+/// Runs `f(t)` for every tile `t` in `0..tiles`: on the decider's parked
+/// pool when one is given (tile 0 on the calling thread, tile `t` on
+/// worker `t`, so a tile's stripe stays warm in one core's cache), else
+/// inline in tile order. Tiles are the unit of work, so the partition
+/// count is the parallelism knob. No thread is created per call.
+fn run_tiles(pool: Option<&mut TilePool>, tiles: usize, f: impl Fn(usize) + Sync) {
+    match pool {
+        Some(pool) => pool.run(tiles, f),
+        None => (0..tiles).for_each(f),
+    }
 }
 
 /// Reusable state of the dirty-ball leader election (see the
@@ -537,7 +572,12 @@ struct LocalMaxCache {
     /// * high 32 bits — its *blocked count*: undetermined members of its
     ///   closed `(2r+1)`-ball ranked above it ([`DETERMINED`] once the
     ///   vertex itself is determined). A Candidate leads iff zero.
-    state: Vec<u64>,
+    ///
+    /// Atomic only so that tile jobs can write their own stripe through a
+    /// shared reference: every access is `Relaxed` (a plain load or
+    /// store), each word has one writer per phase, and the pool's
+    /// hand-off orders the phases. Serial code uses `get_mut`.
+    state: Vec<AtomicU64>,
     /// Vertices whose blocked count hit zero during the current
     /// mini-round's dirty expansion — the next mini-round's leaders
     /// (those still Candidate by then). A count hits zero at most once,
@@ -545,9 +585,8 @@ struct LocalMaxCache {
     pending: Vec<usize>,
     /// Vertices whose status changed in the current mini-round.
     changed: Vec<usize>,
-    /// Vertices sorted by descending `(weight, id)` — sort scratch for
-    /// the rank build.
-    order: Vec<u32>,
+    /// Sort scratch for the rank build ([`rank_order`]).
+    order: Vec<u128>,
 }
 
 /// High-half sentinel of [`LocalMaxCache::state`] marking a determined
@@ -562,21 +601,48 @@ impl LocalMaxCache {
     /// mini-round 0 sweep fills them).
     fn begin(&mut self, n: usize, weights: &[f64]) {
         if self.state.len() != n {
-            self.state = vec![0; n];
+            self.state = (0..n).map(|_| AtomicU64::new(0)).collect();
         }
         self.pending.clear();
         self.changed.clear();
-        self.order.clear();
-        self.order.extend(0..n as u32);
-        self.order.sort_unstable_by(|&a, &b| {
-            (weights[b as usize], b)
-                .partial_cmp(&(weights[a as usize], a))
-                .expect("finite weights")
-        });
-        for (i, &v) in self.order.iter().enumerate() {
-            self.state[v as usize] = i as u64;
+        rank_order(weights, &mut self.order);
+        for (i, &key) in self.order.iter().enumerate() {
+            *self.state[rank_sort_id(key)].get_mut() = i as u64;
         }
     }
+}
+
+/// Order-preserving `u64` key of a finite weight: `weight_key(a) <
+/// weight_key(b) ⟺ a < b`. `-0.0` is keyed as `+0.0`, because the two
+/// zeros compare equal and the id must break their tie.
+fn weight_key(w: f64) -> u64 {
+    let bits = if w == 0.0 { 0 } else { w.to_bits() };
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
+}
+
+/// Fills `order` with one packed `(!weight_key(w), !id)` word per vertex,
+/// sorted ascending, which is descending `(weight, id)`, the election's
+/// priority order: position `i` holds the vertex of rank `i`
+/// ([`rank_sort_id`]). One direct sort, with no comparator reaching back
+/// into `weights`.
+fn rank_order(weights: &[f64], order: &mut Vec<u128>) {
+    order.clear();
+    order.extend(
+        weights
+            .iter()
+            .enumerate()
+            .map(|(v, &w)| u128::from(!weight_key(w)) << 32 | u128::from(!(v as u32))),
+    );
+    order.sort_unstable();
+}
+
+/// The vertex of a [`rank_order`] word.
+fn rank_sort_id(key: u128) -> usize {
+    !(key as u32) as usize
 }
 
 /// Pooled scratch for the LocalLeader MWIS, grouped so the solver can be
@@ -665,15 +731,84 @@ fn declare(
     engine.broadcast_only(floods);
 }
 
-/// Appends the cumulative winner weight to the Fig. 6 series. The sum
-/// runs in ascending vertex order on both paths, so the series is
-/// bit-identical between them; it walks all `n` statuses every
-/// mini-round.
-fn record_weight(own: &[Status], weights: &[f64], out: &mut DecisionOutcome) {
-    let cum: f64 = (0..own.len())
-        .filter(|&v| own[v] == Status::Winner)
-        .map(|v| weights[v])
-        .sum();
+/// Bookkeeping of the ascending winners-so-far list (`out.winners`),
+/// which the Fig. 6 summation walks instead of all `n` statuses.
+#[derive(Debug, Default)]
+struct WinnerList {
+    /// `listed[v]`: `v` is in the list.
+    listed: Vec<bool>,
+    /// Vertices whose status the current mini-round wrote, any order,
+    /// repeats allowed (the tiled path lists only its new Winners).
+    touched: Vec<usize>,
+}
+
+impl WinnerList {
+    /// Empties the bookkeeping for a decision over `n` vertices.
+    fn begin(&mut self, n: usize) {
+        self.listed.clear();
+        self.listed.resize(n, false);
+        self.touched.clear();
+    }
+
+    /// Brings `winners` up to date after a mini-round. A touched vertex
+    /// flips in when it is now a Winner and was not listed, and out (the
+    /// lossy path only: a late determination can overwrite a Winner) in
+    /// the opposite case. The cost is `O(touched)`, a sort of the new
+    /// Winners and at most one pass over the list, never `O(n)`.
+    fn update(&mut self, winners: &mut Vec<usize>, own: &[Status]) {
+        let Self { listed, touched } = self;
+        let mut dropped = false;
+        touched.retain(|&x| {
+            let win = own[x] == Status::Winner;
+            let flips = win != listed[x];
+            listed[x] = win;
+            dropped |= flips && !win;
+            flips && win
+        });
+        if dropped {
+            winners.retain(|&x| listed[x]);
+        }
+        touched.sort_unstable();
+        // Merge the new Winners from the back, in place.
+        let (mut i, mut j) = (winners.len(), touched.len());
+        winners.resize(i + j, 0);
+        for k in (0..winners.len()).rev() {
+            if j == 0 {
+                break;
+            }
+            if i > 0 && winners[i - 1] > touched[j - 1] {
+                i -= 1;
+                winners[k] = winners[i];
+            } else {
+                j -= 1;
+                winners[k] = touched[j];
+            }
+        }
+        touched.clear();
+    }
+}
+
+/// A status write on the rescan path, where a determined vertex can be
+/// determined again: keeps `remaining` (the Candidate count) and lists
+/// `u` for [`WinnerList::update`].
+fn set_status(
+    own: &mut [Status],
+    remaining: &mut usize,
+    winners: &mut WinnerList,
+    u: usize,
+    s: Status,
+) {
+    *remaining -= usize::from(own[u] == Status::Candidate);
+    own[u] = s;
+    winners.touched.push(u);
+}
+
+/// Appends the cumulative winner weight to the Fig. 6 series, summing over
+/// the ascending winners list. The sum runs in ascending vertex order on
+/// both paths, so the series is bit-identical between them, and it costs
+/// one pass over the winners so far rather than over all `n` statuses.
+fn record_weight(weights: &[f64], out: &mut DecisionOutcome) {
+    let cum: f64 = out.winners.iter().map(|&v| weights[v]).sum();
     out.per_miniround_weight.push(cum);
 }
 
@@ -688,45 +823,42 @@ struct LeaderStep<'a> {
 }
 
 impl LeaderStep<'_> {
-    /// Runs the step for every leader, writing slot `i`'s determination
-    /// list into `det_lists[i]`. The leader slots are chunked over
-    /// `scratch`, one chunk per set (one worker each when `parallel`), so
-    /// each worker owns its slots' lists outright. `status_of(leader)`
-    /// says how that leader reads a status (see [`LeaderStep::run`]).
+    /// Runs the step for every leader. The leader slots are chunked over
+    /// `scratch`, one chunk per set (tile `c` runs chunk `c`, on the pool
+    /// when one is given), and each set keeps its chunk's determination
+    /// lists, so [`det_lists`] yields them in slot order.
+    /// `status_of(leader)` says how that leader reads a status (see
+    /// [`LeaderStep::run`]).
     fn run_all<F, S>(
         &self,
         leaders: &[usize],
-        det_lists: &mut Vec<Vec<(usize, bool)>>,
-        scratch: &mut [TileScratch],
-        parallel: bool,
+        scratch: &mut [Mutex<TileScratch>],
+        pool: Option<&mut TilePool>,
         status_of: F,
     ) where
         F: Fn(usize) -> S + Sync,
         S: Fn(usize) -> Option<Status>,
     {
         let nl = leaders.len();
-        if det_lists.len() < nl {
-            det_lists.resize_with(nl, Vec::new);
-        }
         let chunk = nl.div_ceil(scratch.len()).max(1);
-        run_tiles(
-            parallel,
-            det_lists[..nl]
-                .chunks_mut(chunk)
-                .zip(scratch.iter_mut())
-                .enumerate(),
-            |(ci, (lists, ts))| {
-                for (off, list) in lists.iter_mut().enumerate() {
-                    let leader = leaders[ci * chunk + off];
-                    self.run(leader, status_of(leader), ts, list);
-                }
-            },
-        );
+        for m in scratch.iter_mut() {
+            let ts = tile_mut(m);
+            ts.det.clear();
+            ts.det_ends.clear();
+        }
+        let scratch: &[Mutex<TileScratch>] = scratch;
+        run_tiles(pool, nl.div_ceil(chunk), |c| {
+            let ts = &mut *lock_tile(&scratch[c]);
+            for &leader in &leaders[c * chunk..nl.min((c + 1) * chunk)] {
+                self.run(leader, status_of(leader), &mut ts.step, &mut ts.det);
+                ts.det_ends.push(ts.det.len());
+            }
+        });
     }
 
-    /// One LocalLeader's step (Algorithm 3 lines 8–9): its determination
-    /// list holds every Candidate of its `r`-ball, ascending, marked
-    /// Winner iff the local MWIS chose it. `status(u)` is what the leader
+    /// One LocalLeader's step (Algorithm 3 lines 8–9), appending its
+    /// determination list to `list`: every Candidate of its `r`-ball,
+    /// ascending, marked Winner iff the local MWIS chose it. `status(u)` is what the leader
     /// knows about `u` (`None` outside its view): the global status on
     /// the lossless path, equal to every view there, and the leader's
     /// view row on the rescan path.
@@ -734,7 +866,7 @@ impl LeaderStep<'_> {
         &self,
         leader: usize,
         status: impl Fn(usize) -> Option<Status>,
-        ts: &mut TileScratch,
+        ts: &mut StepScratch,
         list: &mut Vec<(usize, bool)>,
     ) {
         ts.cand.clear();
@@ -755,7 +887,6 @@ impl LeaderStep<'_> {
                 .all(|&x| status(x) != Some(Status::Winner))
         }));
         self.solve_local(&mut ts.solver, &ts.selectable);
-        list.clear();
         list.extend(
             ts.cand
                 .iter()
@@ -877,11 +1008,12 @@ impl<'h> DistributedPtas<'h> {
             receivers: FloodReceivers::default(),
             received: Vec::new(),
             witness: Vec::new(),
-            det_lists: Vec::new(),
+            winners: WinnerList::default(),
             cache: LocalMaxCache::default(),
             scan_stats: DecideScanStats::default(),
             partition,
             tile_scratch: Vec::new(),
+            pool: TilePool::new(),
             state_snap: Vec::new(),
             changed_ranks: Vec::new(),
             profile_phases: false,
@@ -1038,6 +1170,7 @@ impl<'h> DistributedPtas<'h> {
         self.phase_ns = DecidePhaseNs::default();
         self.own.clear();
         self.own.resize(n, Status::Candidate);
+        self.winners.begin(n);
         out.winners.clear();
         out.per_miniround_weight.clear();
         out.leaders_per_miniround.clear();
@@ -1065,11 +1198,12 @@ impl<'h> DistributedPtas<'h> {
             own,
             leaders,
             floods,
-            det_lists,
+            winners,
             cache,
             scan_stats,
             partition,
             tile_scratch,
+            pool,
             state_snap,
             changed_ranks,
             phase_ns,
@@ -1079,11 +1213,13 @@ impl<'h> DistributedPtas<'h> {
         let cuts: &[usize] = partition.cuts();
         let tiles = partition.tile_count();
         // The tile count is derived from the input, so one tile never
-        // spawns a thread.
+        // wakes a worker.
         let parallel = config.threads != 1 && tiles > 1;
+        let mut pool = parallel.then_some(pool);
         if tile_scratch.len() < tiles {
-            tile_scratch.resize_with(tiles, TileScratch::default);
+            tile_scratch.resize_with(tiles, Mutex::default);
         }
+        let tile_scratch = &mut tile_scratch[..tiles];
         // Shared-read shadows of the pooled tables, so the Fn worker
         // closures capture plain `&` references.
         let ball_offsets: &[usize] = ball_offsets;
@@ -1118,26 +1254,25 @@ impl<'h> DistributedPtas<'h> {
             // order.
             leaders.clear();
             if tau == 0 {
-                let state: &[u64] = &cache.state;
-                run_tiles(
-                    parallel,
-                    tile_scratch[..tiles].iter_mut().enumerate(),
-                    |(t, ts)| {
-                        ts.leaders.clear();
-                        ts.scanned = 0;
-                        for v in cuts[t]..cuts[t + 1] {
-                            ts.scanned += 1;
-                            let rv = state[v] as u32;
-                            let leads = ball_entries[ball_offsets[v]..ball_offsets[v + 1]]
-                                .iter()
-                                .all(|&u| (state[u as usize] as u32) >= rv);
-                            if leads {
-                                ts.leaders.push(v);
-                            }
+                let state: &[AtomicU64] = &cache.state;
+                let scratch: &[Mutex<TileScratch>] = tile_scratch;
+                run_tiles(pool.as_deref_mut(), tiles, |t| {
+                    let ts = &mut *lock_tile(&scratch[t]);
+                    ts.leaders.clear();
+                    ts.scanned = 0;
+                    for v in cuts[t]..cuts[t + 1] {
+                        ts.scanned += 1;
+                        let rv = state[v].load(Relaxed) as u32;
+                        let leads = ball_entries[ball_offsets[v]..ball_offsets[v + 1]]
+                            .iter()
+                            .all(|&u| (state[u as usize].load(Relaxed) as u32) >= rv);
+                        if leads {
+                            ts.leaders.push(v);
                         }
-                    },
-                );
-                for ts in tile_scratch[..tiles].iter_mut() {
+                    }
+                });
+                for ts in tile_scratch.iter_mut() {
+                    let ts = tile_mut(ts);
                     scan_stats.candidates_scanned += ts.scanned;
                     leaders.extend_from_slice(&ts.leaders);
                 }
@@ -1169,13 +1304,9 @@ impl<'h> DistributedPtas<'h> {
             // chunked over the tiles.
             {
                 let own: &[Status] = own;
-                step.run_all(
-                    leaders,
-                    det_lists,
-                    &mut tile_scratch[..tiles],
-                    parallel,
-                    |_| move |u| Some(own[u]),
-                );
+                step.run_all(leaders, tile_scratch, pool.as_deref_mut(), |_| {
+                    move |u| Some(own[u])
+                });
             }
             flood_batch(floods, leaders, config.determination_ttl());
             lap(&mut phases.mwis_ns);
@@ -1187,19 +1318,23 @@ impl<'h> DistributedPtas<'h> {
             // (leaders are ≥ 2r+2 apart), so order is immaterial.
             engine.broadcast_only(floods);
             cache.changed.clear();
-            for list in det_lists.iter().take(leaders.len()) {
+            for list in det_lists(tile_scratch) {
                 for &(u, is_winner) in list {
                     debug_assert_eq!(own[u], Status::Candidate);
                     own[u] = determined(is_winner);
-                    cache.state[u] |= DETERMINED;
+                    *cache.state[u].get_mut() |= DETERMINED;
                     remaining -= 1;
                     cache.changed.push(u);
+                    if is_winner {
+                        winners.touched.push(u);
+                    }
                 }
             }
             lap(&mut phases.broadcast_ns);
 
             // ---- 5. Fig. 6 bookkeeping.
-            record_weight(own, weights, out);
+            winners.update(&mut out.winners, own);
+            record_weight(weights, out);
             if remaining == 0 {
                 out.all_marked = true;
                 lap(&mut phases.sweep_ns);
@@ -1220,38 +1355,35 @@ impl<'h> DistributedPtas<'h> {
                 // write only their stripe: the probe reads immutable ranks
                 // and the `< DETERMINED` test, which no in-sweep write can
                 // flip. Pending lists concatenate in tile order = ascending.
-                state_snap.clone_from(&cache.state);
+                state_snap.clear();
+                state_snap.extend(cache.state.iter_mut().map(|s| *s.get_mut()));
                 let snap: &[u64] = state_snap;
                 let own_ref: &[Status] = own;
-                run_tiles(
-                    parallel,
-                    split_by_cuts(&mut cache.state, cuts)
-                        .zip(tile_scratch.iter_mut())
-                        .enumerate(),
-                    |(t, (stripe, ts))| {
-                        ts.pending.clear();
-                        ts.scanned = 0;
-                        let base = cuts[t];
-                        for (i, slot) in stripe.iter_mut().enumerate() {
-                            let v = base + i;
-                            if own_ref[v] != Status::Candidate {
-                                continue;
-                            }
-                            ts.scanned += 1;
-                            let rv = snap[v] as u32;
-                            let mut blocked = 0u64;
-                            for &u in &ball_entries[ball_offsets[v]..ball_offsets[v + 1]] {
-                                let s = snap[u as usize];
-                                blocked += u64::from((s as u32) < rv) & u64::from(s < DETERMINED);
-                            }
-                            *slot |= blocked << 32;
-                            if blocked == 0 {
-                                ts.pending.push(v);
-                            }
+                let state: &[AtomicU64] = &cache.state;
+                let scratch: &[Mutex<TileScratch>] = tile_scratch;
+                run_tiles(pool.as_deref_mut(), tiles, |t| {
+                    let ts = &mut *lock_tile(&scratch[t]);
+                    ts.pending.clear();
+                    ts.scanned = 0;
+                    for v in cuts[t]..cuts[t + 1] {
+                        if own_ref[v] != Status::Candidate {
+                            continue;
                         }
-                    },
-                );
-                for ts in tile_scratch[..tiles].iter_mut() {
+                        ts.scanned += 1;
+                        let rv = snap[v] as u32;
+                        let mut blocked = 0u64;
+                        for &u in &ball_entries[ball_offsets[v]..ball_offsets[v + 1]] {
+                            let s = snap[u as usize];
+                            blocked += u64::from((s as u32) < rv) & u64::from(s < DETERMINED);
+                        }
+                        state[v].store(snap[v] | blocked << 32, Relaxed);
+                        if blocked == 0 {
+                            ts.pending.push(v);
+                        }
+                    }
+                });
+                for ts in tile_scratch.iter_mut() {
+                    let ts = tile_mut(ts);
                     scan_stats.candidates_scanned += ts.scanned;
                     cache.pending.extend_from_slice(&ts.pending);
                 }
@@ -1265,42 +1397,45 @@ impl<'h> DistributedPtas<'h> {
                 // serially. Hit-zero moments are the same for every tile
                 // count; the next election's sort normalizes the order.
                 changed_ranks.clear();
-                changed_ranks.extend(cache.changed.iter().map(|&u| cache.state[u] as u32));
+                changed_ranks.extend(
+                    cache
+                        .changed
+                        .iter()
+                        .map(|&u| cache.state[u].load(Relaxed) as u32),
+                );
                 let changed: &[usize] = &cache.changed;
                 let ranks: &[u32] = changed_ranks;
-                run_tiles(
-                    parallel,
-                    split_by_cuts(&mut cache.state, cuts)
-                        .zip(tile_scratch.iter_mut())
-                        .enumerate(),
-                    |(t, (stripe, ts))| {
-                        ts.pending.clear();
-                        ts.decrements = 0;
-                        let lo = cuts[t] as u32;
-                        let hi = cuts[t + 1] as u32;
-                        for (i, &u) in changed.iter().enumerate() {
-                            let ru = ranks[i];
-                            let ball = &ball_entries[ball_offsets[u]..ball_offsets[u + 1]];
-                            let a = ball.partition_point(|&x| x < lo);
-                            let b = ball.partition_point(|&x| x < hi);
-                            for &x in &ball[a..b] {
-                                let xi = (x - lo) as usize;
-                                // The rank test is unpredictable, so the
-                                // decrement is branchless; only the rare
-                                // hit-zero push branches.
-                                let s = stripe[xi];
-                                let dec = u64::from((s as u32) > ru) & u64::from(s < DETERMINED);
-                                ts.decrements += dec;
-                                let s = s - (dec << 32);
-                                stripe[xi] = s;
-                                if dec != 0 && s >> 32 == 0 {
-                                    ts.pending.push(x as usize);
-                                }
+                let state: &[AtomicU64] = &cache.state;
+                let scratch: &[Mutex<TileScratch>] = tile_scratch;
+                run_tiles(pool.as_deref_mut(), tiles, |t| {
+                    let ts = &mut *lock_tile(&scratch[t]);
+                    ts.pending.clear();
+                    ts.decrements = 0;
+                    let lo = cuts[t] as u32;
+                    let hi = cuts[t + 1] as u32;
+                    for (i, &u) in changed.iter().enumerate() {
+                        let ru = ranks[i];
+                        let ball = &ball_entries[ball_offsets[u]..ball_offsets[u + 1]];
+                        let a = ball.partition_point(|&x| x < lo);
+                        let b = ball.partition_point(|&x| x < hi);
+                        for &x in &ball[a..b] {
+                            // The rank test is unpredictable, so the
+                            // decrement is branchless; only the rare
+                            // hit-zero push branches.
+                            let slot = &state[x as usize];
+                            let s = slot.load(Relaxed);
+                            let dec = u64::from((s as u32) > ru) & u64::from(s < DETERMINED);
+                            ts.decrements += dec;
+                            let s = s - (dec << 32);
+                            slot.store(s, Relaxed);
+                            if dec != 0 && s >> 32 == 0 {
+                                ts.pending.push(x as usize);
                             }
                         }
-                    },
-                );
-                for ts in tile_scratch[..tiles].iter_mut() {
+                    }
+                });
+                for ts in tile_scratch.iter_mut() {
+                    let ts = tile_mut(ts);
                     scan_stats.dirty_decrements += ts.decrements;
                     cache.pending.extend_from_slice(&ts.pending);
                 }
@@ -1312,15 +1447,15 @@ impl<'h> DistributedPtas<'h> {
         Self::finish_outcome(h.graph(), own, engine, out);
     }
 
-    /// Shared outcome epilogue: winners, conflict audit, counters.
+    /// Shared outcome epilogue: conflict audit and counters. The winners
+    /// list is already complete ([`WinnerList::update`] after every
+    /// mini-round).
     fn finish_outcome(
         graph: &mhca_graph::Graph,
         own: &[Status],
         engine: &FloodEngine<'_>,
         out: &mut DecisionOutcome,
     ) {
-        out.winners
-            .extend((0..own.len()).filter(|&v| own[v] == Status::Winner));
         // Adjacent Winner pairs, each counted once via its lower endpoint.
         // Adjacency-list sweep, not all-pairs `has_edge`: at n = 5×10^4
         // the quadratic audit costs more than the decision it audits.
@@ -1350,7 +1485,7 @@ impl<'h> DistributedPtas<'h> {
             self.received = vec![false; n];
         }
         if self.tile_scratch.is_empty() {
-            self.tile_scratch.push(TileScratch::default());
+            self.tile_scratch.push(Mutex::default());
         }
         let Self {
             h,
@@ -1367,7 +1502,7 @@ impl<'h> DistributedPtas<'h> {
             receivers,
             received,
             witness,
-            det_lists,
+            winners,
             scan_stats,
             tile_scratch,
             ..
@@ -1384,6 +1519,7 @@ impl<'h> DistributedPtas<'h> {
         view_status.resize(ent.len(), Status::Candidate);
         witness.clear();
         witness.extend_from_slice(&off[..n]);
+        let mut remaining = n;
 
         for _tau in 0..cap {
             // ---- 1. LocalLeader selection (Algorithm 3 lines 2–6).
@@ -1419,7 +1555,7 @@ impl<'h> DistributedPtas<'h> {
                 }
             }
             if leaders.is_empty() {
-                out.all_marked = own.iter().all(|&s| s != Status::Candidate);
+                out.all_marked = remaining == 0;
                 break;
             }
 
@@ -1431,18 +1567,13 @@ impl<'h> DistributedPtas<'h> {
             {
                 let (off, ent, view_status): (&[usize], &[u32], &[Status]) =
                     (off, ent, view_status);
-                step.run_all(
-                    leaders,
-                    det_lists,
-                    &mut tile_scratch[..1],
-                    false,
-                    |leader| {
-                        let row = off[leader]..off[leader + 1];
-                        let (ball, status) = (&ent[row.clone()], &view_status[row]);
-                        move |u| view_of(ball, status, u)
-                    },
-                );
+                step.run_all(leaders, &mut tile_scratch[..1], None, |leader| {
+                    let row = off[leader]..off[leader + 1];
+                    let (ball, status) = (&ent[row.clone()], &view_status[row]);
+                    move |u| view_of(ball, status, u)
+                });
             }
+            let tile0: &TileScratch = tile_mut(&mut tile_scratch[0]);
             flood_batch(floods, leaders, config.determination_ttl());
 
             // ---- 4. Determination floods (line 10; (3r+1) hops) and
@@ -1453,7 +1584,7 @@ impl<'h> DistributedPtas<'h> {
             // in the receiver's own view, so running the receivers in any
             // interleaving gives the same views.
             engine.deliver_receivers_into(floods, receivers);
-            for (list, &leader) in det_lists.iter().zip(leaders.iter()) {
+            for (list, &leader) in tile0.lists().zip(leaders.iter()) {
                 // The list is an ascending subset of the leader's row
                 // (its r-ball), so one merge walk finds every slot.
                 let base = off[leader];
@@ -1465,12 +1596,12 @@ impl<'h> DistributedPtas<'h> {
                     debug_assert_eq!(ent[p] as usize, u);
                     let s = determined(is_winner);
                     if u == leader {
-                        own[leader] = s;
+                        set_status(own, &mut remaining, winners, leader, s);
                     }
                     view_status[p] = s;
                 }
             }
-            for (slot, list) in det_lists.iter().take(leaders.len()).enumerate() {
+            for (slot, list) in tile0.lists().enumerate() {
                 let got = receivers.of(slot);
                 for &w in got {
                     received[w as usize] = true;
@@ -1498,11 +1629,11 @@ impl<'h> DistributedPtas<'h> {
                                     .iter()
                                     .any(|&x| view_of(ball, status, x) == Some(Status::Winner))
                             {
-                                own[u] = Status::Loser;
+                                set_status(own, &mut remaining, winners, u, Status::Loser);
                                 view_status[q] = Status::Loser;
                                 continue;
                             }
-                            own[u] = s;
+                            set_status(own, &mut remaining, winners, u, s);
                         }
                         view_status[q] = s;
                     }
@@ -1513,8 +1644,9 @@ impl<'h> DistributedPtas<'h> {
             }
 
             // ---- 5. Fig. 6 bookkeeping.
-            record_weight(own, weights, out);
-            if own.iter().all(|&s| s != Status::Candidate) {
+            winners.update(&mut out.winners, own);
+            record_weight(weights, out);
+            if remaining == 0 {
                 out.all_marked = true;
                 break;
             }
@@ -2088,6 +2220,97 @@ mod tests {
                 small_h.n_vertices(),
                 "per-vertex counters kept the old network's size"
             );
+        }
+    }
+
+    #[test]
+    fn rank_sort_matches_the_indirect_comparator() {
+        // The comparator the rank build used before the direct key sort:
+        // descending `(weight, id)` under `partial_cmp`, where the two
+        // zeros tie and the id breaks the tie.
+        fn indirect(weights: &[f64]) -> Vec<usize> {
+            let mut order: Vec<usize> = (0..weights.len()).collect();
+            order.sort_unstable_by(|&a, &b| {
+                (weights[b], b)
+                    .partial_cmp(&(weights[a], a))
+                    .expect("finite weights")
+            });
+            order
+        }
+        fn check(weights: &[f64], label: &str) {
+            let mut keys = Vec::new();
+            rank_order(weights, &mut keys);
+            let got: Vec<usize> = keys.iter().map(|&k| rank_sort_id(k)).collect();
+            assert_eq!(got, indirect(weights), "{label}: {weights:?}");
+        }
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(83);
+        for len in [0usize, 1, 2, 17, 300] {
+            for _ in 0..8 {
+                let w: Vec<f64> = (0..len).map(|_| rng.gen_range(0.05..1.0)).collect();
+                check(&w, "uniform");
+                let w: Vec<f64> = (0..len).map(|_| rng.gen_range(-1e6..1e6)).collect();
+                check(&w, "signed");
+            }
+        }
+        let tiny = f64::MIN_POSITIVE;
+        let adversarial = [
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            0.5,
+            -0.5,
+            tiny,
+            -tiny,
+            tiny / 2.0,
+            -tiny / 2.0,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            f64::MAX,
+            f64::MIN,
+            1.0 + f64::EPSILON,
+            1.0 - f64::EPSILON / 2.0,
+        ];
+        check(&adversarial, "the values once each");
+        for pool in [&adversarial[..], &adversarial[..2], &adversarial[6..12]] {
+            for _ in 0..40 {
+                let len = rng.gen_range(1..60);
+                let w: Vec<f64> = (0..len)
+                    .map(|_| pool[rng.gen_range(0..pool.len())])
+                    .collect();
+                check(&w, "ties over adversarial values");
+            }
+        }
+        check(&[0.25; 9], "all tied");
+    }
+
+    #[test]
+    fn winners_list_tracks_status_flips_in_both_directions() {
+        // The lossy path can overwrite a Winner; the list must equal the
+        // full scan after every mini-round, whatever the write pattern.
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(89);
+        for _ in 0..200 {
+            let n = rng.gen_range(1..40);
+            let mut own = vec![Status::Candidate; n];
+            let (mut winners, mut list) = (Vec::new(), WinnerList::default());
+            list.begin(n);
+            for _round in 0..6 {
+                for _ in 0..rng.gen_range(0..2 * n) {
+                    let u = rng.gen_range(0..n);
+                    own[u] = if rng.gen_bool(0.5) {
+                        Status::Winner
+                    } else {
+                        Status::Loser
+                    };
+                    list.touched.push(u);
+                }
+                list.update(&mut winners, &own);
+                let scan: Vec<usize> = (0..n).filter(|&v| own[v] == Status::Winner).collect();
+                assert_eq!(winners, scan);
+                assert!(list.touched.is_empty());
+            }
         }
     }
 }

@@ -166,8 +166,9 @@ fn incremental_decide_into_is_allocation_free_with_varying_weights() {
 #[test]
 fn tiled_decide_into_is_allocation_free_with_varying_weights() {
     // The partition-parallel decide in its deterministic single-thread
-    // configuration (`threads: 1` — the inline tile loop; spawning scoped
-    // threads allocates by nature, so the threaded spelling is exempt).
+    // configuration (`threads: 1` — the inline tile loop; the threaded
+    // spelling on the decider's parked tile pool is pinned separately
+    // below).
     // Per-tile scratch (leader/pending/candidate pools, solver
     // workspaces), the seeding-sweep snapshot, and the changed-rank
     // buffer must all reach steady state during warm-up and be reused
@@ -202,6 +203,46 @@ fn tiled_decide_into_is_allocation_free_with_varying_weights() {
     assert_eq!(
         allocs, 0,
         "steady-state tiled decide_into must not allocate (counted {allocs})"
+    );
+}
+
+#[test]
+fn threaded_tiled_decide_into_is_allocation_free_with_varying_weights() {
+    // The threaded spelling (`threads: 0`) runs tile 0 on the calling
+    // thread and tile 1 on the decider's parked worker, created by the
+    // first threaded decide and reused after. A warm decide hands each
+    // tile phase to the worker by reference, so the calling thread
+    // allocates nothing; a thread spawned per phase would allocate on
+    // every call.
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+    let net = Network::random(50, 3, 4.5, 0.1, 13);
+    let mut rng = StdRng::seed_from_u64(37);
+    let cycle: Vec<Vec<f64>> = (0..6)
+        .map(|_| {
+            (0..net.n_vertices())
+                .map(|_| rng.gen_range(0.05..1.0))
+                .collect()
+        })
+        .collect();
+    let cfg = DistributedPtasConfig::default()
+        .with_max_minirounds(None)
+        .with_partitions(2)
+        .with_threads(0);
+    let mut ptas = DistributedPtas::new(net.h(), cfg);
+    assert!(ptas.partition().is_some(), "must exercise the tiled path");
+    let mut outcome = Default::default();
+    for w in cycle.iter().chain(cycle.iter()) {
+        ptas.decide_into(w, &mut outcome);
+    }
+
+    let allocs = min_allocs(3, || {
+        for w in &cycle {
+            ptas.decide_into(w, &mut outcome);
+        }
+    });
+    assert_eq!(
+        allocs, 0,
+        "steady-state threaded tiled decide_into must not allocate on the calling thread (counted {allocs})"
     );
 }
 
