@@ -1,8 +1,9 @@
 //! Shared helpers for the analysis binaries.
 //!
-//! Each binary in `src/bin/` prints CSV on stdout plus a short commentary
-//! on the expected shape (the paper's figures and tables themselves are
-//! `mhca-campaign` registry scenarios).
+//! The binaries in `src/bin/` print CSV on stdout plus a short commentary
+//! on the expected shape, except `decide_profile`, which writes a JSON
+//! report (the paper's figures and tables themselves are `mhca-campaign`
+//! registry scenarios).
 //!
 //! The presentation layer is shared: [`csv`] holds the one CSV
 //! formatting/escaping implementation and [`report`] the per-figure

@@ -1,11 +1,11 @@
-//! Per-figure CSV renderers — the presentation layer shared by the
-//! `src/bin/*` figure binaries (stdout) and the campaign runner (artifact
-//! files).
+//! Per-figure CSV renderers — the presentation layer of the job
+//! artifacts that the campaign runner and the service executor write
+//! (both through [`render_job_artifact`]).
 //!
 //! Each function renders one experiment output in the same rows/series the
 //! paper plots, with `# `-prefixed commentary on the expected shape. The
-//! binaries are thin wrappers: pick a config, run the harness from
-//! `mhca_core::experiments`, hand the output here.
+//! callers run the harness from `mhca_core::experiments` and hand the
+//! output here.
 
 use crate::{csv::CsvWriter, sample_indices};
 use mhca_core::experiments::{
@@ -16,8 +16,8 @@ use mhca_core::{ExperimentData, RunResult};
 use std::io::{self, Write};
 
 /// Renders the typed payload of any unified-engine experiment run — the
-/// single presentation entry point shared by the figure binaries and the
-/// campaign artifact writer.
+/// single presentation entry point of the campaign runner's and the
+/// service executor's artifacts.
 pub fn render_experiment(data: &ExperimentData, out: &mut dyn Write) -> io::Result<()> {
     match data {
         ExperimentData::Fig5(points) => render_fig5(points, out),

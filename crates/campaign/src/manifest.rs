@@ -229,13 +229,12 @@ impl Manifest {
         })
     }
 
-    /// Atomically writes the manifest into `out_dir` (write temp file,
-    /// then rename — a kill mid-write never leaves a torn manifest).
+    /// Durably writes the manifest into `out_dir`
+    /// ([`mhca_service::replace_file`]), so neither a kill nor a power
+    /// loss leaves a torn manifest.
     pub fn save(&self, out_dir: &Path) -> io::Result<()> {
-        let path = Self::path_in(out_dir);
-        let tmp = out_dir.join(format!("{}.tmp", Self::FILE_NAME));
-        fs::write(&tmp, self.to_json().to_string_pretty())?;
-        fs::rename(&tmp, &path)
+        let text = self.to_json().to_string_pretty();
+        mhca_service::replace_file(&Self::path_in(out_dir), text.as_bytes())
     }
 
     /// Loads the manifest from `out_dir`; `Ok(None)` when absent.

@@ -377,67 +377,39 @@ fn scenario_observers_feed_campaign_aggregates() {
 }
 
 #[test]
-fn incremental_decide_scans_less_and_leaves_throughput_byte_identical() {
-    // The observer pipeline under the new decide path: the same scenario
-    // run with the incremental dirty-ball election and with the forced
-    // full-rescan reference must stream *identical* communication and
-    // throughput metrics — the protocols are bit-equal — while the
-    // scanned-candidate work counter is strictly smaller incrementally.
+fn incremental_decide_streams_scan_and_timing_metrics() {
+    // The observer pipeline on the dirty-ball decide path (a lossless
+    // config): the communication, throughput and scanned-candidate
+    // counters and the decide wall time all reach the metric table. That
+    // the path's outcomes equal the rescan path's, with fewer scans, is
+    // checked at the decide level (`decide_incremental_matches_rescan_reference`,
+    // `decide_scan_stats_near_one_sweep_on_incremental_path`).
     use mhca_bandit::policies::CsUcb;
     use mhca_core::runner::run_policy_observed;
-    use mhca_core::{
-        Algorithm2Config, DistributedPtasConfig, MetricTable, Network, ObserverKind, ObserverSet,
-    };
+    use mhca_core::{Algorithm2Config, MetricTable, Network, ObserverKind, ObserverSet};
 
     let net = Network::random(30, 3, 4.0, 0.1, 17);
-    let run_with = |force_rescan: bool| {
-        let dcfg = DistributedPtasConfig::default().with_force_rescan(force_rescan);
-        let cfg = Algorithm2Config::default()
-            .with_horizon(60)
-            .with_decision(dcfg);
-        let mut observers = ObserverSet::from_kinds(&[
-            ObserverKind::CommTotals,
-            ObserverKind::Throughput,
-            ObserverKind::DecideTiming,
-        ]);
-        let run = run_policy_observed(&net, &cfg, &mut CsUcb::new(2.0), &mut observers);
-        let mut metrics = MetricTable::new();
-        observers.finish_into(&mut metrics);
-        (run, metrics)
-    };
-    let (run_inc, m_inc) = run_with(false);
-    let (run_ref, m_ref) = run_with(true);
-
-    // The runs themselves are byte-identical (same winners, same comm
-    // totals, same throughput series) — only the work differs.
-    assert_eq!(run_inc, run_ref);
+    let cfg = Algorithm2Config::default().with_horizon(60);
+    assert!(cfg.decision.loss.is_lossless());
+    let mut observers = ObserverSet::from_kinds(&[
+        ObserverKind::CommTotals,
+        ObserverKind::Throughput,
+        ObserverKind::DecideTiming,
+    ]);
+    run_policy_observed(&net, &cfg, &mut CsUcb::new(2.0), &mut observers);
+    let mut metrics = MetricTable::new();
+    observers.finish_into(&mut metrics);
     for metric in [
         "throughput:avg_observed_kbps",
-        "throughput:slots",
         "comm-totals:decide_transmissions",
-        "comm-totals:decide_delivered",
-        "comm-totals:decide_timeslots",
-        "comm-totals:decisions",
+        "comm-totals:decide_candidates_scanned",
     ] {
-        assert_eq!(
-            m_inc.get(metric),
-            m_ref.get(metric),
-            "{metric} must be identical across decide paths"
-        );
+        assert!(metrics.get(metric).unwrap() > 0.0, "{metric}");
     }
-    let scanned_inc = m_inc.get("comm-totals:decide_candidates_scanned").unwrap();
-    let scanned_ref = m_ref.get("comm-totals:decide_candidates_scanned").unwrap();
-    assert!(
-        scanned_inc < scanned_ref,
-        "incremental path must scan strictly fewer candidates \
-         ({scanned_inc} vs {scanned_ref})"
-    );
-    // DecideTiming streamed something sane on both paths (wall time is
-    // machine-dependent, so only shape is asserted).
-    for m in [&m_inc, &m_ref] {
-        let ms = m.get("decide-timing:decide_ms_total").unwrap();
-        assert!(ms.is_finite() && ms >= 0.0);
-    }
+    assert_eq!(metrics.get("throughput:slots"), Some(60.0));
+    // Wall time is machine-dependent, so only its shape is asserted.
+    let ms = metrics.get("decide-timing:decide_ms_total").unwrap();
+    assert!(ms.is_finite() && ms >= 0.0);
 }
 
 #[test]

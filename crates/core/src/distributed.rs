@@ -71,11 +71,13 @@
 //! engine's counters-only delivery — bit-identical outcomes and counters
 //! at a fraction of the work. Under message loss views can diverge from
 //! global state (a vertex may learn of a determination its subject never
-//! received), so the engine runs the **full-rescan path**
-//! ([`DistributedPtas::decide_into_rescan`]) whenever `loss_prob > 0`
-//! (or when `force_rescan` is set); it doubles as the oracle of the
-//! differential test battery (`tests/decide_parity.rs`), and its lossy
-//! outcomes are pinned to recorded digests there. The dirty expansion
+//! received), so the loss model alone chooses the path: a lossy
+//! [`DistributedPtasConfig::loss`] runs the **full-rescan path**, a
+//! lossless one the dirty-ball election. Tests reach the rescan path on
+//! any config through [`DistributedPtas::decide_into_rescan`]; it is the
+//! oracle of the differential test battery (`tests/decide_parity.rs`),
+//! and its lossy and lossless outcomes are pinned to recorded digests
+//! there. The dirty expansion
 //! walks the per-vertex `(2r+1)`-ball tables precomputed at construction,
 //! so it needs no flood-engine relay table.
 //!
@@ -118,17 +120,19 @@
 //! or per decision. A tile job reaches its scratch set and its stripe of
 //! the packed election state by tile index (a per-tile `Mutex` and
 //! `Relaxed` atomic words), so a warm hand-off allocates nothing.
-//! Tiling is an **execution
-//! strategy, not a semantics knob**: every phase is engineered so the
-//! merged result is *byte-identical* for every tile count (and hence to
-//! the rescan oracle), pinned by `tests/partition_parity.rs`. The key
-//! devices are (a) reading a snapshot of the packed election state while
-//! writing only the tile's own stripe (legal because ranks are immutable
-//! intra-sweep and blocked counts can never reach the `DETERMINED`
-//! sentinel, so verdicts are insensitive to write timing), and (b)
-//! precomputing the ranks of changed vertices serially so the decrement
-//! sweep touches only its own stripe. Status application and flood
-//! accounting stay serial — they are `O(determinations)` per round, not
+//! Tiling is an **execution strategy, not a semantics knob**: every
+//! phase is engineered so the merged result is *byte-identical* for every
+//! tile count (and hence to the rescan oracle), pinned by
+//! `tests/partition_parity.rs`. The key device is that a tile writes only
+//! its own stripe of the packed election state yet reads its neighbours'
+//! stripes live, while they write. That is legal because a sweep never
+//! changes a rank, never changes the word of a vertex determined before
+//! it, and never raises a blocked count to the `DETERMINED` sentinel: the
+//! rank comparisons and `< DETERMINED` tests of the seeding probe, and
+//! the changed vertices' ranks the decrement sweep reads, come out the
+//! same as from a copy taken before the sweep, whenever a neighbour's
+//! write lands. Status application and flood accounting stay serial —
+//! they are `O(determinations)` per round, not
 //! `O(n · ball)` — and so does the Fig. 6 summation, which runs over the
 //! ascending list of winners so far (each mini-round's new winners are
 //! merged into it) rather than over all `n` statuses. The priority ranks
@@ -209,17 +213,14 @@ pub struct DistributedPtasConfig {
     pub max_minirounds: Option<usize>,
     /// Local MWIS solver choice.
     pub local_solver: LocalSolver,
-    /// Per-relay message loss probability (failure injection; 0 = lossless).
-    pub loss_prob: f64,
-    /// RNG seed for the loss process.
-    pub loss_seed: u64,
-    /// Forces the full-rescan reference decide path even when delivery is
-    /// lossless (diagnostics / differential testing; the dirty-ball path
-    /// is bit-identical, just faster).
-    pub force_rescan: bool,
+    /// Control-channel loss model (failure injection; lossless by
+    /// default). It alone chooses the decide path: a lossy model runs the
+    /// full-rescan path, a lossless one the dirty-ball election
+    /// ([`DistributedPtas::decide_into`]).
+    pub loss: LossSpec,
     /// Number of core+halo tiles the lossless decide phase is split into
-    /// (`<= 1` = one tile, the serial sweep; the lossy / forced-rescan
-    /// reference path ignores this knob). Tiling is an execution strategy,
+    /// (`<= 1` = one tile, the serial sweep; the lossy rescan path
+    /// ignores this knob). Tiling is an execution strategy,
     /// not a semantic knob: the [`DecisionOutcome`] is byte-identical for
     /// every value — pinned by `tests/partition_parity.rs`.
     pub partitions: usize,
@@ -239,9 +240,7 @@ impl Default for DistributedPtasConfig {
             r: 2,
             max_minirounds: Some(4),
             local_solver: LocalSolver::default(),
-            loss_prob: 0.0,
-            loss_seed: 0,
-            force_rescan: false,
+            loss: LossSpec::lossless(),
             partitions: 1,
             threads: 0,
         }
@@ -272,21 +271,8 @@ impl DistributedPtasConfig {
     /// The seed initializes one loss stream per [`DistributedPtas`]; see
     /// [`DistributedPtas::decide`] for the cross-decision determinism
     /// semantics.
-    pub fn with_loss(mut self, prob: f64, seed: u64) -> Self {
-        self.loss_prob = prob;
-        self.loss_seed = seed;
-        self
-    }
-
-    /// Builder-style loss injection from a declarative [`LossSpec`]
-    /// (the spec-driven campaign path).
-    pub fn with_loss_spec(self, loss: LossSpec) -> Self {
-        self.with_loss(loss.prob, loss.seed)
-    }
-
-    /// Builder-style rescan override (diagnostics / differential tests).
-    pub fn with_force_rescan(mut self, force: bool) -> Self {
-        self.force_rescan = force;
+    pub fn with_loss_spec(mut self, loss: LossSpec) -> Self {
+        self.loss = loss;
         self
     }
 
@@ -425,7 +411,7 @@ pub struct DistributedPtas<'h> {
     /// Long-lived flood engine over `H` (relay tables prewarmed for the
     /// protocol's two TTLs). Under message loss the engine's RNG stream
     /// advances across decisions — runs are reproducible per
-    /// `(loss_seed, decision sequence)`, not per individual decision.
+    /// `(loss seed, decision sequence)`, not per individual decision.
     engine: FloodEngine<'h>,
     balls_r: Vec<Vec<usize>>,
     /// Flat `u32` CSR of the sorted `(2r+1)`-balls (`ball_offsets[v] ..
@@ -473,12 +459,6 @@ pub struct DistributedPtas<'h> {
     tile_scratch: Vec<Mutex<TileScratch>>,
     /// Parked workers of the threaded tile phases ([`run_tiles`]).
     pool: TilePool,
-    /// Read-only copy of the packed election state for the seeding
-    /// sweep (workers read the snapshot, write their own stripe).
-    state_snap: Vec<u64>,
-    /// Priority ranks of the mini-round's changed vertices, precomputed
-    /// serially so decrement workers never read another stripe.
-    changed_ranks: Vec<u32>,
     profile_phases: bool,
     phase_ns: DecidePhaseNs,
 }
@@ -559,8 +539,8 @@ fn run_tiles(pool: Option<&mut TilePool>, tiles: usize, f: impl Fn(usize) + Sync
 
 /// Reusable state of the dirty-ball leader election (see the
 /// module docs): per-vertex blocked counts plus the pending zero-count
-/// list. Only ever consulted on the lossless fast path; the lossy /
-/// forced-rescan path ignores it entirely.
+/// list. Only ever consulted on the lossless fast path; the rescan path
+/// ignores it entirely.
 #[derive(Debug, Default)]
 struct LocalMaxCache {
     /// Packed per-vertex election state, one word per vertex so the
@@ -985,11 +965,7 @@ impl<'h> DistributedPtas<'h> {
             ball_entries.extend(members.iter().map(|&u| u as u32));
             ball_offsets.push(ball_entries.len());
         }
-        let mut engine = if config.loss_prob > 0.0 {
-            FloodEngine::with_loss(g, config.loss_prob, config.loss_seed)
-        } else {
-            FloodEngine::new(g)
-        };
+        let mut engine = FloodEngine::from_spec(g, &config.loss);
         engine.prewarm(config.declaration_ttl());
         engine.prewarm(config.determination_ttl());
         let partition = Partition::stripes(g, config.partitions.max(1), config.declaration_ttl());
@@ -1014,8 +990,6 @@ impl<'h> DistributedPtas<'h> {
             partition,
             tile_scratch: Vec::new(),
             pool: TilePool::new(),
-            state_snap: Vec::new(),
-            changed_ranks: Vec::new(),
             profile_phases: false,
             phase_ns: DecidePhaseNs::default(),
         }
@@ -1032,12 +1006,13 @@ impl<'h> DistributedPtas<'h> {
     ///
     /// # Determinism under message loss
     ///
-    /// Lossless decisions are pure functions of the weights. With
-    /// `loss_prob > 0`, the persistent engine's loss RNG advances across
-    /// decisions: runs are reproducible per `(loss_seed, sequence of
-    /// decisions)`, but two decisions with identical weights within one
-    /// run see *different* loss realizations (construct a fresh
-    /// `DistributedPtas` to replay a stream from its seed).
+    /// Lossless decisions are pure functions of the weights. Under a
+    /// lossy [`DistributedPtasConfig::loss`], the persistent engine's loss
+    /// RNG advances across decisions: runs are reproducible per `(loss
+    /// seed, sequence of decisions)`, but two decisions with identical
+    /// weights within one run see *different* loss realizations
+    /// (construct a fresh `DistributedPtas` to replay a stream from its
+    /// seed).
     ///
     /// # Panics
     ///
@@ -1060,7 +1035,7 @@ impl<'h> DistributedPtas<'h> {
     /// Stream position of the persistent engine's loss sampler — the
     /// *only* semantic state this protocol carries across decisions
     /// (every `decide` resets counters and scratch; under loss, flood
-    /// realizations are keyed by `(loss_seed, flood index)`). Always `0`
+    /// realizations are keyed by `(loss seed, flood index)`). Always `0`
     /// on lossless configurations.
     pub fn loss_flood_index(&self) -> u64 {
         self.engine.loss_flood_index()
@@ -1115,23 +1090,22 @@ impl<'h> DistributedPtas<'h> {
     /// internal scratch pools this makes steady-state decisions
     /// allocation-free.
     ///
-    /// Dispatches to the dirty-ball election (module docs) on the lossless
-    /// path — tiled over [`DistributedPtasConfig::partitions`] stripes,
-    /// byte-identically for every tile count; under message loss — where
-    /// local views can diverge from global state — or when
-    /// [`DistributedPtasConfig::force_rescan`] is set, it runs the
-    /// full-rescan reference path
-    /// ([`DistributedPtas::decide_into_rescan`]).
+    /// The loss model alone chooses the path: a lossless
+    /// [`DistributedPtasConfig::loss`] runs the dirty-ball election
+    /// (module docs), tiled over [`DistributedPtasConfig::partitions`]
+    /// stripes, byte-identically for every tile count; a lossy one, where
+    /// local views can diverge from global state, runs the full-rescan
+    /// path ([`DistributedPtas::decide_into_rescan`]).
     ///
     /// # Panics
     ///
     /// As [`DistributedPtas::decide`].
     pub fn decide_into(&mut self, weights: &[f64], out: &mut DecisionOutcome) {
         self.check_weights(weights);
-        if self.config.loss_prob > 0.0 || self.config.force_rescan {
-            self.rescan_impl(weights, out);
-        } else {
+        if self.config.loss.is_lossless() {
             self.tiled_impl(weights, out);
+        } else {
+            self.rescan_impl(weights, out);
         }
     }
 
@@ -1185,7 +1159,7 @@ impl<'h> DistributedPtas<'h> {
     /// view agrees with it — and charges flood costs through the engine's
     /// counters-only delivery, so no inbox is ever materialized.
     fn tiled_impl(&mut self, weights: &[f64], out: &mut DecisionOutcome) {
-        debug_assert_eq!(self.config.loss_prob, 0.0);
+        debug_assert!(self.config.loss.is_lossless());
         let cap = self.begin_decision(out);
         let profiling = self.profile_phases;
         let Self {
@@ -1204,8 +1178,6 @@ impl<'h> DistributedPtas<'h> {
             partition,
             tile_scratch,
             pool,
-            state_snap,
-            changed_ranks,
             phase_ns,
             ..
         } = self;
@@ -1351,13 +1323,14 @@ impl<'h> DistributedPtas<'h> {
             if tau == 0 {
                 // Seed the blocked counts over the survivors only, which
                 // folds mini-round 0's (largest) determination wave into
-                // the seeding sweep. Workers read a pre-sweep snapshot and
-                // write only their stripe: the probe reads immutable ranks
-                // and the `< DETERMINED` test, which no in-sweep write can
-                // flip. Pending lists concatenate in tile order = ascending.
-                state_snap.clear();
-                state_snap.extend(cache.state.iter_mut().map(|s| *s.get_mut()));
-                let snap: &[u64] = state_snap;
+                // the seeding sweep. Workers read the live state and write
+                // only their stripe. The probe reads a rank, which no
+                // sweep changes, and the `< DETERMINED` test, which no
+                // in-sweep write flips: a Candidate's word stays below the
+                // sentinel, and a determined word is skipped. So every
+                // probe reaches the same verdict whenever a neighbour
+                // tile's write lands. Pending lists concatenate in tile
+                // order = ascending.
                 let own_ref: &[Status] = own;
                 let state: &[AtomicU64] = &cache.state;
                 let scratch: &[Mutex<TileScratch>] = tile_scratch;
@@ -1370,13 +1343,14 @@ impl<'h> DistributedPtas<'h> {
                             continue;
                         }
                         ts.scanned += 1;
-                        let rv = snap[v] as u32;
+                        let sv = state[v].load(Relaxed);
+                        let rv = sv as u32;
                         let mut blocked = 0u64;
                         for &u in &ball_entries[ball_offsets[v]..ball_offsets[v + 1]] {
-                            let s = snap[u as usize];
+                            let s = state[u as usize].load(Relaxed);
                             blocked += u64::from((s as u32) < rv) & u64::from(s < DETERMINED);
                         }
-                        state[v].store(snap[v] | blocked << 32, Relaxed);
+                        state[v].store(sv | blocked << 32, Relaxed);
                         if blocked == 0 {
                             ts.pending.push(v);
                         }
@@ -1393,18 +1367,11 @@ impl<'h> DistributedPtas<'h> {
                 // drops to zero leads next mini-round. The sweep splits by
                 // *target* stripe: every worker walks all changed vertices
                 // but touches only the (binary-searched) sub-range of each
-                // sorted ball in its stripe, with changed ranks precomputed
-                // serially. Hit-zero moments are the same for every tile
-                // count; the next election's sort normalizes the order.
-                changed_ranks.clear();
-                changed_ranks.extend(
-                    cache
-                        .changed
-                        .iter()
-                        .map(|&u| cache.state[u].load(Relaxed) as u32),
-                );
+                // sorted ball in its stripe. A changed vertex's rank is
+                // read live, since no sweep changes a rank. Hit-zero
+                // moments are the same for every tile count; the next
+                // election's sort normalizes the order.
                 let changed: &[usize] = &cache.changed;
-                let ranks: &[u32] = changed_ranks;
                 let state: &[AtomicU64] = &cache.state;
                 let scratch: &[Mutex<TileScratch>] = tile_scratch;
                 run_tiles(pool.as_deref_mut(), tiles, |t| {
@@ -1413,8 +1380,8 @@ impl<'h> DistributedPtas<'h> {
                     ts.decrements = 0;
                     let lo = cuts[t] as u32;
                     let hi = cuts[t + 1] as u32;
-                    for (i, &u) in changed.iter().enumerate() {
-                        let ru = ranks[i];
+                    for &u in changed {
+                        let ru = state[u].load(Relaxed) as u32;
                         let ball = &ball_entries[ball_offsets[u]..ball_offsets[u + 1]];
                         let a = ball.partition_point(|&x| x < lo);
                         let b = ball.partition_point(|&x| x < hi);
@@ -1995,7 +1962,7 @@ mod tests {
             DistributedPtasConfig::default()
                 .with_r(1)
                 .with_max_minirounds(Some(20))
-                .with_loss(0.2, 42),
+                .with_loss_spec(LossSpec::lossy(0.2, 42)),
         );
         let out = ptas.decide(&w);
         // Liveness degrades gracefully; the conflict counter quantifies
@@ -2042,7 +2009,7 @@ mod tests {
     }
 
     #[test]
-    fn decide_force_rescan_config_routes_to_reference_path() {
+    fn the_loss_model_alone_chooses_the_decide_path() {
         use rand::{rngs::StdRng, Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(31);
         let (g, _) = mhca_graph::unit_disk::random_with_average_degree(30, 4.0, &mut rng);
@@ -2050,18 +2017,28 @@ mod tests {
         let w: Vec<f64> = (0..h.n_vertices())
             .map(|_| rng.gen_range(0.1..1.0))
             .collect();
-        let mut forced = DistributedPtas::new(&h, run_to_completion(2).with_force_rescan(true));
-        let out = forced.decide(&w);
-        // The rescan path never writes dirty-set instrumentation.
-        assert_eq!(forced.scan_stats().fast_skips, 0);
-        assert_eq!(forced.scan_stats().dirty_decrements, 0);
-        let mut inc = DistributedPtas::new(&h, run_to_completion(2));
-        assert_eq!(inc.decide(&w), out);
-        if out.minirounds_used > 1 {
-            assert!(
-                inc.scan_stats().candidates_scanned < forced.scan_stats().candidates_scanned,
-                "incremental path must scan fewer candidates"
-            );
+        // A lossy config runs the rescan path, which never writes the
+        // dirty-set instrumentation, and equals the explicit rescan call
+        // on a twin engine (same loss stream).
+        let lossy = run_to_completion(2).with_loss_spec(LossSpec::lossy(0.2, 7));
+        let mut ptas = DistributedPtas::new(&h, lossy);
+        let out = ptas.decide(&w);
+        assert_eq!(ptas.scan_stats().fast_skips, 0);
+        assert_eq!(ptas.scan_stats().dirty_decrements, 0);
+        let mut twin = DistributedPtas::new(&h, lossy);
+        let mut reference = DecisionOutcome::default();
+        twin.decide_into_rescan(&w, &mut reference);
+        assert_eq!(out, reference);
+        assert_eq!(ptas.scan_stats(), twin.scan_stats());
+        // A lossless config, whatever its loss seed, runs the dirty-ball
+        // election: past mini-round 0 its leaders come off the pending
+        // list.
+        for loss in [LossSpec::lossless(), LossSpec::lossy(0.0, 7)] {
+            let mut ptas = DistributedPtas::new(&h, run_to_completion(2).with_loss_spec(loss));
+            let out = ptas.decide(&w);
+            assert!(out.minirounds_used > 1, "{loss:?}: one mini-round");
+            assert!(ptas.scan_stats().fast_skips > 0, "{loss:?}");
+            assert!(ptas.scan_stats().dirty_decrements > 0, "{loss:?}");
         }
     }
 

@@ -68,8 +68,32 @@ pub use bus::{BusSink, EventBus};
 pub(crate) fn relock<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
+
 pub use executor::{Directive, Executor, JobCtrl, JobOutput, JobPlan, JobProgress};
 pub use protocol::Request;
 pub use server::{serve, Endpoint};
 pub use session::{SessionInfo, SessionStatus};
 pub use supervisor::Supervisor;
+
+/// Durably replaces the file at `path` with `contents`: writes
+/// `<name>.tmp` beside it, syncs that file, renames it over `path` and
+/// syncs the directory. A kill at any point leaves the old file or the
+/// new one, and once this returns `Ok` a power loss cannot leave an
+/// empty or torn file after the rename. The session records and the
+/// campaign manifest are both saved this way.
+pub fn replace_file(path: &std::path::Path, contents: &[u8]) -> std::io::Result<()> {
+    use std::io::Write;
+    let mut name = path.file_name().unwrap_or_default().to_os_string();
+    name.push(".tmp");
+    let tmp = path.with_file_name(name);
+    let mut file = std::fs::File::create(&tmp)?;
+    file.write_all(contents)?;
+    file.sync_all()?;
+    drop(file);
+    std::fs::rename(&tmp, path)?;
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => std::path::Path::new("."),
+    };
+    std::fs::File::open(dir)?.sync_all()
+}

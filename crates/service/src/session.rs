@@ -259,14 +259,12 @@ impl SessionRecord {
         })
     }
 
-    /// Atomically rewrites `path` (temp file in the same directory +
-    /// rename), so a kill mid-write never leaves a torn record.
+    /// Durably rewrites `path` ([`crate::replace_file`]), so neither a
+    /// kill nor a power loss leaves a torn record.
     pub fn save(&self, path: &Path) -> std::io::Result<()> {
         let mut text = self.to_json().to_string_pretty();
         text.push('\n');
-        let tmp = path.with_extension("json.tmp");
-        std::fs::write(&tmp, text)?;
-        std::fs::rename(&tmp, path)
+        crate::replace_file(path, text.as_bytes())
     }
 
     /// Loads and validates a `session.json`.

@@ -12,7 +12,7 @@
 //!   [`Directive::Checkpoint`] so the pause point is durable, then parks
 //!   the worker inside `poll` until resume/cancel/shutdown;
 //! * **checkpoint** hands a reply channel to the worker, which answers
-//!   after `session.json` hits disk;
+//!   after `session.json` hits disk, or with the error that kept it off;
 //! * **shutdown** (command, SIGINT/SIGTERM, or a dropped control
 //!   channel) returns [`Directive::CheckpointAndStop`]: the executor
 //!   serializes its state and unwinds, leaving the session `paused` and
@@ -214,18 +214,25 @@ impl JobCtrl for WorkerCtrl<'_> {
     }
 
     fn save_checkpoint(&mut self, state: Json) {
-        {
+        let path = self.entry.path.display().to_string();
+        let saved = {
             let mut rec = relock(&self.entry.record);
             rec.checkpoint = Some(Checkpoint {
                 seed: self.seed,
                 state,
             });
-        }
-        self.entry.persist();
-        self.entry
-            .publish_event("checkpointed", vec![("seed", Json::Num(self.seed as f64))]);
-        if let Some(reply) = self.pending_reply.take() {
-            let _ = reply.send(Ok(self.entry.path.display().to_string()));
+            rec.save(&self.entry.path)
+        };
+        let reply = match saved {
+            Ok(()) => {
+                self.entry
+                    .publish_event("checkpointed", vec![("seed", Json::Num(self.seed as f64))]);
+                Ok(path)
+            }
+            Err(e) => Err(format!("checkpoint not saved: cannot write {path}: {e}")),
+        };
+        if let Some(pending) = self.pending_reply.take() {
+            let _ = pending.send(reply);
         }
     }
 }
@@ -426,7 +433,8 @@ impl Supervisor {
     }
 
     /// Checkpoints the in-flight seed; resolves once `session.json` is
-    /// on disk, returning its path.
+    /// on disk, returning its path, or with the error that kept it off
+    /// disk.
     pub fn checkpoint(&self, id: &str) -> Result<String, String> {
         let (tx, rx) = mpsc::sync_channel(1);
         self.send_ctrl(id, Ctrl::Checkpoint(tx))?;
@@ -864,6 +872,34 @@ mod tests {
             sup.status(Some(&id)).unwrap()[0].status == SessionStatus::Cancelled
         }));
         assert!(sup.resume(&id).is_err());
+        sup.shutdown();
+    }
+
+    #[test]
+    fn checkpoint_reports_a_record_that_did_not_reach_disk() {
+        let (state, out) = temp_dirs("ckpt_lost");
+        let sup = Supervisor::new(
+            Arc::new(MockExec {
+                steps: 100_000,
+                step_sleep: Duration::from_micros(100),
+            }),
+            state.clone(),
+        )
+        .unwrap();
+        let id = sup
+            .submit(scenario(&[9]), out.display().to_string(), None)
+            .unwrap();
+        assert!(wait_until(Duration::from_secs(10), || {
+            sup.status(Some(&id)).unwrap()[0].slots_done > 10
+        }));
+        // Removal rather than a permission change: root ignores
+        // directory permissions.
+        std::fs::remove_dir_all(&state).unwrap();
+        let err = sup.checkpoint(&id).unwrap_err();
+        assert!(err.contains("checkpoint not saved"), "{err}");
+        let info = &sup.status(Some(&id)).unwrap()[0];
+        assert_eq!(info.status, SessionStatus::Running, "the session runs on");
+        sup.cancel(&id).unwrap();
         sup.shutdown();
     }
 

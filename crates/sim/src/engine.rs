@@ -138,11 +138,11 @@ impl FloodReceivers {
 
 /// Synchronous flood-delivery engine over a fixed graph.
 ///
-/// Delivery is deterministic unless a loss model is installed with
-/// [`FloodEngine::with_loss`]; loss draws come from a seeded counter-based
-/// per-flood stream ([`SkipSampler`]) so even failure-injection runs are
-/// reproducible — and each flood's realization is independent of every
-/// other flood's relay count.
+/// Delivery is deterministic unless the engine is built with a lossy
+/// [`LossSpec`] ([`FloodEngine::from_spec`]); loss draws come from a
+/// seeded counter-based per-flood stream ([`SkipSampler`]) so even
+/// failure-injection runs are reproducible — and each flood's realization
+/// is independent of every other flood's relay count.
 ///
 /// # Reuse
 ///
@@ -157,11 +157,11 @@ impl FloodReceivers {
 pub struct FloodEngine<'g> {
     graph: &'g Graph,
     counters: Counters,
-    loss_prob: f64,
-    /// Per-flood geometric skip-sampler for the lossy path: each flood's
-    /// drop realization is a pure function of `(seed, flood index)`, so
-    /// floods sample independently of one another and per-relay queries
-    /// match batch materialization byte for byte.
+    /// Per-flood geometric skip-sampler, which also holds the drop
+    /// probability (`0` = lossless): each flood's drop realization is a
+    /// pure function of `(seed, flood index)`, so floods sample
+    /// independently of one another and per-relay queries match batch
+    /// materialization byte for byte.
     loss: SkipSampler,
     /// Lossless counters-only path: `tables[r]` holds the radius-`r` relay
     /// table once built.
@@ -181,50 +181,34 @@ pub struct FloodEngine<'g> {
 impl<'g> FloodEngine<'g> {
     /// Engine with perfect (lossless) delivery.
     pub fn new(graph: &'g Graph) -> Self {
-        Self::with_loss_internal(graph, 0.0, 0)
+        Self::from_spec(graph, &LossSpec::lossless())
     }
 
-    /// Engine that drops each relay broadcast independently with
-    /// probability `loss_prob`.
+    /// Engine with the loss model `loss`: lossless when `loss.prob == 0`,
+    /// else each relay broadcast is dropped independently with
+    /// probability `loss.prob`, drawn from the stream keyed by
+    /// `loss.seed`.
     ///
     /// # Panics
     ///
-    /// Panics if `loss_prob ∉ [0, 1)`.
-    pub fn with_loss(graph: &'g Graph, loss_prob: f64, seed: u64) -> Self {
-        assert!(
-            (0.0..1.0).contains(&loss_prob),
-            "loss probability must be in [0, 1)"
-        );
-        Self::with_loss_internal(graph, loss_prob, seed)
-    }
-
-    /// Engine built from a declarative [`LossSpec`] (the spec-driven
-    /// construction path of experiment campaigns).
-    ///
-    /// # Panics
-    ///
-    /// As [`FloodEngine::with_loss`] when the spec is lossy.
+    /// Panics if `loss.prob ∉ [0, 1)`.
     pub fn from_spec(graph: &'g Graph, loss: &LossSpec) -> Self {
-        if loss.is_lossless() {
-            Self::new(graph)
-        } else {
-            Self::with_loss(graph, loss.prob, loss.seed)
-        }
-    }
-
-    fn with_loss_internal(graph: &'g Graph, loss_prob: f64, seed: u64) -> Self {
         let n = graph.n();
         FloodEngine {
             graph,
             counters: Counters::new(n),
-            loss_prob,
-            loss: SkipSampler::new(loss_prob, seed),
+            loss: SkipSampler::new(loss.prob, loss.seed),
             tables: Vec::new(),
             stamp: vec![0; n],
             epoch: 0,
             dist: vec![0; n],
             queue: VecDeque::new(),
         }
+    }
+
+    /// Whether relay broadcasts can be dropped.
+    fn lossy(&self) -> bool {
+        self.loss.prob() > 0.0
     }
 
     /// Total relay-row entries currently cached across all radii (4 bytes
@@ -283,7 +267,7 @@ impl<'g> FloodEngine<'g> {
     /// [`FloodEngine::broadcast_only`] call is as fast as the rest. No-op
     /// for lossy engines (they always BFS) and for already-built tables.
     pub fn prewarm(&mut self, ttl: usize) {
-        if self.loss_prob == 0.0 && ttl > 0 {
+        if !self.lossy() && ttl > 0 {
             let eff = ttl.min(self.graph.n());
             Self::table_for(&mut self.tables, self.graph, eff);
         }
@@ -343,7 +327,7 @@ impl<'g> FloodEngine<'g> {
         for flood in floods {
             assert!(flood.origin < n, "flood origin out of range");
             max_ttl = max_ttl.max(flood.ttl);
-            if self.loss_prob > 0.0 {
+            if self.lossy() {
                 self.flood_bfs(flood.origin, flood.ttl, &mut |_| {});
             } else {
                 self.flood_table_counts(flood.origin, flood.ttl);
@@ -423,7 +407,7 @@ impl<'g> FloodEngine<'g> {
     /// delivering agree).
     fn flood_bfs(&mut self, origin: usize, ttl: usize, receive: &mut impl FnMut(usize)) {
         let graph = self.graph;
-        if self.loss_prob > 0.0 {
+        if self.lossy() {
             self.loss.begin_flood();
         }
         self.epoch = self.epoch.wrapping_add(1);
@@ -443,7 +427,7 @@ impl<'g> FloodEngine<'g> {
             // One wireless broadcast by u (possibly lost as a whole).
             self.counters.transmissions += 1;
             self.counters.per_vertex_tx[u] += 1;
-            if self.loss_prob > 0.0 && self.loss.should_drop() {
+            if self.lossy() && self.loss.should_drop() {
                 continue;
             }
             for &w in graph.neighbors(u) {
@@ -470,6 +454,10 @@ mod tests {
             ttl,
             payload,
         }
+    }
+
+    fn lossy(g: &Graph, prob: f64, seed: u64) -> FloodEngine<'_> {
+        FloodEngine::from_spec(g, &LossSpec::lossy(prob, seed))
     }
 
     /// Each flood's receivers, sorted.
@@ -546,9 +534,9 @@ mod tests {
 
         // Lossy path: identical seeds consume identical drop streams, so
         // the counters agree too.
-        let mut listing = FloodEngine::with_loss(&g, 0.3, 11);
+        let mut listing = lossy(&g, 0.3, 11);
         let _ = receivers(&mut listing, &floods);
-        let mut counting = FloodEngine::with_loss(&g, 0.3, 11);
+        let mut counting = lossy(&g, 0.3, 11);
         counting.broadcast_only(&floods);
         assert_eq!(listing.counters(), counting.counters());
     }
@@ -661,12 +649,12 @@ mod tests {
 
     #[test]
     fn lossy_path_matches_lossless_when_no_drop_fires() {
-        // loss_prob tiny enough that no draw fires in this run: the lossy
+        // Loss probability tiny enough that no draw fires in this run: the lossy
         // BFS must agree with the lossless table scan exactly.
         let g = topology::grid(3, 5);
         let floods = [flood(7, 3, ())];
         let mut lossless = FloodEngine::new(&g);
-        let mut nearly = FloodEngine::with_loss(&g, 1e-12, 5);
+        let mut nearly = lossy(&g, 1e-12, 5);
         assert_eq!(
             receivers(&mut lossless, &floods),
             receivers(&mut nearly, &floods)
@@ -683,7 +671,7 @@ mod tests {
         let g = topology::line(6);
         let floods = [flood(0, 5, ())];
         let full = receivers(&mut FloodEngine::new(&g), &floods);
-        let some = receivers(&mut FloodEngine::with_loss(&g, 0.9, 7), &floods);
+        let some = receivers(&mut lossy(&g, 0.9, 7), &floods);
         assert!(some[0].iter().all(|v| full[0].contains(v)));
     }
 
@@ -691,7 +679,7 @@ mod tests {
     fn lossy_delivery_is_reproducible_per_seed() {
         let g = topology::grid(4, 4);
         let run = |seed| {
-            let mut e = FloodEngine::with_loss(&g, 0.3, seed);
+            let mut e = lossy(&g, 0.3, seed);
             (receivers(&mut e, &[flood(0, 6, ())]), e.counters().clone())
         };
         assert_eq!(run(5), run(5));
@@ -708,7 +696,7 @@ mod tests {
         let g = topology::grid(5, 6);
         let probe = flood(14, 4, 1u32);
         let run_after = |warmup: &[Flood<u32>]| {
-            let mut e = FloodEngine::with_loss(&g, 0.35, 21);
+            let mut e = lossy(&g, 0.35, 21);
             let _ = receivers(&mut e, warmup);
             receivers(&mut e, std::slice::from_ref(&probe))
         };
@@ -749,7 +737,7 @@ mod tests {
         ];
         let make = |loss: f64| {
             if loss > 0.0 {
-                FloodEngine::with_loss(&g, loss, 23)
+                lossy(&g, loss, 23)
             } else {
                 FloodEngine::new(&g)
             }
@@ -785,26 +773,38 @@ mod tests {
     }
 
     #[test]
-    fn loss_spec_construction() {
-        let g = topology::line(5);
-        let floods = [flood(0, 4, ())];
+    fn zero_probability_spec_is_the_lossless_engine() {
+        // A zero-probability spec is lossless whatever its seed: the same
+        // counters, receivers and loss-stream position as `new`, batch
+        // after batch and on both delivery calls.
+        let g = topology::grid(4, 5);
+        let floods = [flood(0, 4, ()), flood(13, 2, ()), flood(19, 3, ())];
         assert!(LossSpec::lossless().is_lossless());
         assert!(!LossSpec::lossy(0.3, 9).is_lossless());
+        for seed in [0, 9, u64::MAX] {
+            let spec = LossSpec::lossy(0.0, seed);
+            assert!(spec.is_lossless());
+            let mut from_spec = FloodEngine::from_spec(&g, &spec);
+            let mut direct = FloodEngine::new(&g);
+            for _ in 0..2 {
+                assert_eq!(
+                    receivers(&mut from_spec, &floods),
+                    receivers(&mut direct, &floods)
+                );
+                from_spec.broadcast_only(&floods);
+                direct.broadcast_only(&floods);
+                assert_eq!(from_spec.counters(), direct.counters(), "seed {seed}");
+                assert_eq!(from_spec.loss_flood_index(), direct.loss_flood_index());
+            }
+            assert_eq!(direct.loss_flood_index(), 0);
+        }
+    }
 
-        let mut from_spec = FloodEngine::from_spec(&g, &LossSpec::lossless());
-        let mut direct = FloodEngine::new(&g);
-        assert_eq!(
-            receivers(&mut from_spec, &floods),
-            receivers(&mut direct, &floods)
-        );
-
-        let mut from_spec = FloodEngine::from_spec(&g, &LossSpec::lossy(0.4, 9));
-        let mut direct = FloodEngine::with_loss(&g, 0.4, 9);
-        assert_eq!(
-            receivers(&mut from_spec, &floods),
-            receivers(&mut direct, &floods)
-        );
-        assert_eq!(from_spec.counters(), direct.counters());
+    #[test]
+    #[should_panic(expected = "loss probability")]
+    fn out_of_range_loss_probability_panics() {
+        let g = topology::line(2);
+        let _ = lossy(&g, 1.0, 3);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property-based tests for the flooding engine.
 
 use mhca_graph::Graph;
-use mhca_sim::{Flood, FloodEngine, FloodReceivers};
+use mhca_sim::{Flood, FloodEngine, FloodReceivers, LossSpec};
 use proptest::prelude::*;
 
 fn arb_graph(max_n: usize) -> impl Strategy<Value = Graph> {
@@ -80,7 +80,7 @@ proptest! {
     fn loss_only_shrinks_reach(g in arb_graph(16), p in 0.0f64..0.9, seed in any::<u64>()) {
         let floods = [Flood { origin: 0, ttl: 4, payload: () }];
         let full = receivers(&mut FloodEngine::new(&g), &floods);
-        let run = || receivers(&mut FloodEngine::with_loss(&g, p, seed), &floods);
+        let run = || receivers(&mut FloodEngine::from_spec(&g, &LossSpec::lossy(p, seed)), &floods);
         let some = run();
         prop_assert!(some[0].iter().all(|v| full[0].contains(v)));
         // Reproducible per seed.
@@ -106,7 +106,7 @@ proptest! {
             .collect();
         let make = || {
             if lossy {
-                FloodEngine::with_loss(&g, p, seed)
+                FloodEngine::from_spec(&g, &LossSpec::lossy(p, seed))
             } else {
                 FloodEngine::new(&g)
             }

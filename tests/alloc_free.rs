@@ -15,7 +15,7 @@
 
 use mhca::bandit::policies::{CsUcb, IndexPolicy};
 use mhca::core::{DistributedPtas, DistributedPtasConfig, Network};
-use mhca::sim::{Flood, FloodEngine, FloodReceivers};
+use mhca::sim::{Flood, FloodEngine, FloodReceivers, LossSpec};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -145,7 +145,7 @@ fn incremental_decide_into_is_allocation_free_with_varying_weights() {
         })
         .collect();
     let cfg = DistributedPtasConfig::default().with_max_minirounds(None);
-    assert_eq!(cfg.loss_prob, 0.0, "must exercise the incremental path");
+    assert!(cfg.loss.is_lossless(), "must exercise the incremental path");
     let mut ptas = DistributedPtas::new(net.h(), cfg);
     let mut outcome = Default::default();
     for w in cycle.iter().chain(cycle.iter()) {
@@ -170,10 +170,9 @@ fn tiled_decide_into_is_allocation_free_with_varying_weights() {
     // spelling on the decider's parked tile pool is pinned separately
     // below).
     // Per-tile scratch (leader/pending/candidate pools, solver
-    // workspaces), the seeding-sweep snapshot, and the changed-rank
-    // buffer must all reach steady state during warm-up and be reused
-    // verbatim after, across weight changes that reshape every tile's
-    // leader sets and pending lists.
+    // workspaces) and the packed election state must reach steady state
+    // during warm-up and be reused verbatim after, across weight changes
+    // that reshape every tile's leader sets and pending lists.
     use rand::{rngs::StdRng, Rng, SeedableRng};
     let net = Network::random(50, 3, 4.5, 0.1, 13);
     let mut rng = StdRng::seed_from_u64(29);
@@ -248,11 +247,12 @@ fn threaded_tiled_decide_into_is_allocation_free_with_varying_weights() {
 
 #[test]
 fn rescan_decide_into_is_allocation_free_with_varying_weights() {
-    // The rescan decide is the lossy path; `force_rescan` runs the same
-    // code deterministically. The flat local views, the reverse slots,
-    // the receiver marks and the per-flood receiver lists are sized during
-    // warm-up and reused after, across the varying-weight cycle that
-    // reshapes leader sets and determination lists every decision.
+    // The rescan decide is the lossy path; `decide_into_rescan` runs the
+    // same code on a lossless config, deterministically. The flat local
+    // views, the reverse slots, the receiver marks and the per-flood
+    // receiver lists are sized during warm-up and reused after, across
+    // the varying-weight cycle that reshapes leader sets and
+    // determination lists every decision.
     use rand::{rngs::StdRng, Rng, SeedableRng};
     let net = Network::random(50, 3, 4.5, 0.1, 13);
     let mut rng = StdRng::seed_from_u64(31);
@@ -263,18 +263,16 @@ fn rescan_decide_into_is_allocation_free_with_varying_weights() {
                 .collect()
         })
         .collect();
-    let cfg = DistributedPtasConfig::default()
-        .with_max_minirounds(None)
-        .with_force_rescan(true);
+    let cfg = DistributedPtasConfig::default().with_max_minirounds(None);
     let mut ptas = DistributedPtas::new(net.h(), cfg);
     let mut outcome = Default::default();
     for w in cycle.iter().chain(cycle.iter()) {
-        ptas.decide_into(w, &mut outcome);
+        ptas.decide_into_rescan(w, &mut outcome);
     }
 
     let allocs = min_allocs(3, || {
         for w in &cycle {
-            ptas.decide_into(w, &mut outcome);
+            ptas.decide_into_rescan(w, &mut outcome);
         }
     });
     assert_eq!(
@@ -302,23 +300,29 @@ fn local_search_decide_into_is_allocation_free_with_varying_weights() {
     let base = DistributedPtasConfig::default()
         .with_max_minirounds(None)
         .with_local_solver(LocalSolver::LocalSearch { max_passes: 5 });
-    for cfg in [base, base.with_force_rescan(true)] {
-        let mut ptas = DistributedPtas::new(net.h(), cfg);
+    for rescan in [false, true] {
+        let mut ptas = DistributedPtas::new(net.h(), base);
         let mut outcome = Default::default();
+        let mut decide = |w: &[f64]| {
+            if rescan {
+                ptas.decide_into_rescan(w, &mut outcome);
+            } else {
+                ptas.decide_into(w, &mut outcome);
+            }
+        };
         for w in cycle.iter().chain(cycle.iter()) {
-            ptas.decide_into(w, &mut outcome);
+            decide(w);
         }
 
         let allocs = min_allocs(3, || {
             for w in &cycle {
-                ptas.decide_into(w, &mut outcome);
+                decide(w);
             }
         });
         assert_eq!(
             allocs, 0,
             "steady-state LocalSearch decide_into must not allocate \
-             (force_rescan = {}, counted {allocs})",
-            cfg.force_rescan
+             (rescan = {rescan}, counted {allocs})"
         );
     }
 }
@@ -455,7 +459,7 @@ fn run_policy_allocation_grows_sublinearly_with_horizon() {
         ],
     );
     let lossy = Algorithm2Config::default()
-        .with_decision(DistributedPtasConfig::default().with_loss(0.1, 17))
+        .with_decision(DistributedPtasConfig::default().with_loss_spec(LossSpec::lossy(0.1, 17)))
         .with_traffic(traffic);
     let observers = [
         ObserverKind::FlowDelay,

@@ -14,9 +14,10 @@
 //! Under message loss `decide_into` runs the reference path by design,
 //! so the lossy rows of the grid compare that path with itself: they
 //! check that it completes and is deterministic, not what it computes.
-//! `decide_parity_lossy_golden` pins the lossy and forced-rescan outcomes
-//! to recorded digests instead, so a changed lossy result (or loss-stream
-//! position) fails there.
+//! `decide_parity_lossy_golden` pins the lossy outcomes, and the
+//! lossless outcomes of `decide_into_rescan`, to recorded digests
+//! instead, so a changed lossy result (or loss-stream position) fails
+//! there.
 //!
 //! The topology zoo and the parity-sequence assertion live in
 //! `mhca_specgen::support`, shared with `tests/partition_parity.rs` and
@@ -26,6 +27,7 @@
 
 use mhca::core::{DecisionOutcome, DistributedPtas, DistributedPtasConfig, LocalSolver};
 use mhca::graph::{topology, ExtendedConflictGraph};
+use mhca::sim::LossSpec;
 use mhca_specgen::support::{assert_parity_sequence, topology_zoo};
 use rand::{rngs::StdRng, SeedableRng};
 
@@ -44,7 +46,7 @@ fn decide_parity_grid_lossless_and_lossy() {
                         let cfg = DistributedPtasConfig::default()
                             .with_r(r)
                             .with_max_minirounds(None)
-                            .with_loss(loss, loss_seed);
+                            .with_loss_spec(LossSpec::lossy(loss, loss_seed));
                         let label = format!("{name} m={m} r={r} loss={loss} instance={instance}");
                         let (n_decisions, inc, re) =
                             assert_parity_sequence(&h, cfg, 1000 * instance + r as u64, 2, &label);
@@ -159,29 +161,38 @@ fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
     hash
 }
 
-/// Digest of `decisions` fresh-weight decisions on one persistent engine:
-/// every outcome's `Debug` text (f64s print exactly) and scan stats, so
-/// the loss stream's carry-over between decisions is pinned too.
-fn decision_digest(h: &ExtendedConflictGraph, cfg: DistributedPtasConfig, seed: u64) -> u64 {
+/// Digest of three fresh-weight `decide` calls (`decide_into` or
+/// `decide_into_rescan`) on one persistent engine: every outcome's `Debug`
+/// text (f64s print exactly) and scan stats, so the loss stream's
+/// carry-over between decisions is pinned too.
+fn decision_digest<'h>(
+    h: &'h ExtendedConflictGraph,
+    cfg: DistributedPtasConfig,
+    seed: u64,
+    decide: fn(&mut DistributedPtas<'h>, &[f64], &mut DecisionOutcome),
+) -> u64 {
     let mut ptas = DistributedPtas::new(h, cfg);
     let mut rng = StdRng::seed_from_u64(seed);
     let mut out = DecisionOutcome::default();
     let mut hash = 0xcbf2_9ce4_8422_2325;
     for _ in 0..3 {
         let w = mhca_specgen::support::random_weights(h, &mut rng);
-        ptas.decide_into(&w, &mut out);
+        decide(&mut ptas, &w, &mut out);
         hash = fnv1a(hash, format!("{out:?}").as_bytes());
         hash = fnv1a(hash, format!("{:?}", ptas.scan_stats()).as_bytes());
     }
     hash
 }
 
-/// The lossy (and forced-rescan) decide pinned to recorded digests.
+/// The rescan decide pinned to recorded digests.
 ///
 /// Under message loss `decide_into` and `decide_into_rescan` run the same
 /// code, so the parity grids above compare that path with itself. These
 /// digests were recorded from the per-vertex-view implementation and pin
-/// every lossy outcome, counter and loss-stream position bit for bit.
+/// every lossy outcome, counter and loss-stream position bit for bit. The
+/// rows labelled `force_rescan` are lossless configs decided through
+/// `decide_into_rescan`; the label is the name of the config flag that
+/// once chose that path, kept so the table stays as recorded.
 const LOSSY_GOLDEN: &[(&str, u64)] = &[
     ("unit-disk-sparse m=1 r=1 loss=0.15", 0xca8ae1974c3ce3a6),
     ("unit-disk-sparse m=1 r=1 loss=0.3", 0x8656485bdfcd3f3d),
@@ -305,15 +316,15 @@ fn decide_parity_lossy_golden() {
                     .with_r(r)
                     .with_max_minirounds(None);
                 for &loss in &[0.15, 0.3] {
-                    let cfg = base.with_loss(loss, 31 + r as u64);
+                    let cfg = base.with_loss_spec(LossSpec::lossy(loss, 31 + r as u64));
                     got.push((
                         format!("{name} m={m} r={r} loss={loss}"),
-                        decision_digest(&h, cfg, 5 + m as u64),
+                        decision_digest(&h, cfg, 5 + m as u64, DistributedPtas::decide_into),
                     ));
                 }
                 got.push((
                     format!("{name} m={m} r={r} force_rescan"),
-                    decision_digest(&h, base.with_force_rescan(true), 5 + m as u64),
+                    decision_digest(&h, base, 5 + m as u64, DistributedPtas::decide_into_rescan),
                 ));
             }
         }
@@ -337,10 +348,10 @@ fn decide_parity_lossy_golden() {
                     .with_r(2)
                     .with_max_minirounds(cap)
                     .with_local_solver(solver)
-                    .with_loss(0.2, 90 + instance);
+                    .with_loss_spec(LossSpec::lossy(0.2, 90 + instance));
                 got.push((
                     format!("caps {instance} {cap:?} {solver_name}"),
-                    decision_digest(&h, cfg, 60 + instance),
+                    decision_digest(&h, cfg, 60 + instance, DistributedPtas::decide_into),
                 ));
             }
         }

@@ -7,6 +7,7 @@ use mhca::bandit::bounds;
 use mhca::core::{DecisionOutcome, DistributedPtas, DistributedPtasConfig, LocalSolver, Network};
 use mhca::graph::ExtendedConflictGraph;
 use mhca::mwis::{exact, robust_ptas};
+use mhca::sim::LossSpec;
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -154,7 +155,7 @@ fn message_loss_degrades_gracefully() {
             DistributedPtasConfig::default()
                 .with_r(1)
                 .with_max_minirounds(Some(30))
-                .with_loss(0.1, loss_seed),
+                .with_loss_spec(LossSpec::lossy(0.1, loss_seed)),
         );
         let out = ptas.decide(&w);
         assert!(!out.winners.is_empty(), "lossy run produced no winners");

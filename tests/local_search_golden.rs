@@ -11,6 +11,7 @@
 use mhca::core::{DecisionOutcome, DistributedPtas, DistributedPtasConfig, LocalSolver};
 use mhca::graph::{BallScan, ExtendedConflictGraph};
 use mhca::mwis::local_search;
+use mhca::sim::LossSpec;
 use mhca_specgen::support::{random_weights, topology_zoo};
 use rand::{rngs::StdRng, SeedableRng};
 
@@ -311,7 +312,10 @@ fn local_search_decide_golden() {
                     .with_r(r)
                     .with_max_minirounds(None)
                     .with_local_solver(LocalSolver::LocalSearch { max_passes: passes });
-                for (mode, cfg) in [("lossless", base), ("loss=0.2", base.with_loss(0.2, 3))] {
+                for (mode, cfg) in [
+                    ("lossless", base),
+                    ("loss=0.2", base.with_loss_spec(LossSpec::lossy(0.2, 3))),
+                ] {
                     got.push((
                         format!("{name} r={r} passes={passes} {mode}"),
                         decide_digest(&h, cfg, 9 + r as u64),
