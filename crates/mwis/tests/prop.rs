@@ -1,7 +1,7 @@
 //! Property-based tests for the MWIS solvers against subset-enumeration
 //! brute force.
 
-use mhca_graph::Graph;
+use mhca_graph::{ExtendedConflictGraph, Graph};
 use mhca_mwis::{exact, greedy, robust_ptas, verify};
 use proptest::prelude::*;
 
@@ -34,6 +34,59 @@ fn brute_force(g: &Graph, w: &[f64]) -> f64 {
     best
 }
 
+/// `H` over a random graph of `nodes` master nodes and `m` channels,
+/// with weights that tie (quarter steps) and include zero, `-0.0` and
+/// negative values; at most 20 vertices.
+fn arb_grouped_h() -> impl Strategy<Value = (Graph, Vec<f64>, usize)> {
+    (1..=3usize).prop_flat_map(|m| {
+        (1..=20 / m).prop_flat_map(move |nodes| {
+            let n = nodes * m;
+            let edges = proptest::collection::vec((0..nodes, 0..nodes), 0..nodes * 2);
+            let weights = proptest::collection::vec(-2i32..=8, n..=n);
+            (edges, weights).prop_map(move |(es, w)| {
+                let mut g = Graph::builder(nodes);
+                for (u, v) in es {
+                    if u != v {
+                        g.add_edge(u, v);
+                    }
+                }
+                let h = ExtendedConflictGraph::new(&g.build(), m);
+                let w = w
+                    .into_iter()
+                    .map(|x| match x {
+                        -1 => -0.0,
+                        x => f64::from(x) * 0.25,
+                    })
+                    .collect();
+                (h.graph().clone(), w, m)
+            })
+        })
+    })
+}
+
+/// Brute force by recursive enumeration of independent sets over
+/// adjacency masks (n ≤ 20); fast enough for the 20-vertex inputs.
+fn brute_force_masks(g: &Graph, w: &[f64]) -> f64 {
+    fn go(v: usize, avail: u32, adj: &[u32], w: &[f64], acc: f64, best: &mut f64) {
+        if v == adj.len() {
+            *best = best.max(acc);
+            return;
+        }
+        if avail >> v & 1 == 1 && w[v] > 0.0 {
+            go(v + 1, avail & !adj[v], adj, w, acc + w[v], best);
+        }
+        go(v + 1, avail, adj, w, acc, best);
+    }
+    let n = g.n();
+    assert!(n <= 20);
+    let adj: Vec<u32> = (0..n)
+        .map(|v| g.neighbors(v).iter().fold(0, |a, &u| a | 1 << u))
+        .collect();
+    let mut best = 0.0;
+    go(0, (1 << n) - 1, &adj, w, 0.0, &mut best);
+    best
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -53,6 +106,19 @@ proptest! {
         let a = exact::solve(&g, &w);
         let b = exact::solve_grouped(&g, &w, &allowed, &identity);
         prop_assert!((a.weight - b.weight).abs() < 1e-9);
+    }
+
+    #[test]
+    fn grouped_on_h_equals_brute_force((g, w, m) in arb_grouped_h()) {
+        let groups: Vec<usize> = (0..g.n()).map(|v| v / m).collect();
+        let allowed: Vec<usize> = (0..g.n()).collect();
+        let s = exact::solve_grouped(&g, &w, &allowed, &groups);
+        let bf = brute_force_masks(&g, &w);
+        prop_assert!((s.weight - bf).abs() < 1e-9, "bb {} vs brute {}", s.weight, bf);
+        prop_assert!(g.is_independent(&s.vertices));
+        prop_assert!(s.vertices.iter().all(|&v| w[v] > 0.0));
+        let plain = exact::solve(&g, &w);
+        prop_assert!((plain.weight - bf).abs() < 1e-9);
     }
 
     #[test]
