@@ -375,8 +375,11 @@ pub struct DecideScanStats {
 /// only when [`DistributedPtas::set_profile_phases`] is on (the stamps
 /// cost two `Instant` reads per phase per mini-round, which is noise at
 /// large `n` but measurable in small-`n` hot loops, so they are gated).
-/// The dirty-ball path fills it; the rescan reference leaves it zeroed.
-/// This is what `decide_profile --pr6` reports per grid point.
+/// Both decide paths fill it: on the rescan path (lossy delivery, and
+/// [`DistributedPtas::decide_into_rescan`]) the broadcast phase also
+/// covers applying every received list to the receivers' views, and
+/// `sweep_ns` holds only the Fig. 6 summation. This is what
+/// `decide_profile --pr6` reports per grid point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DecidePhaseNs {
     /// Leader election: the mini-round 0 ball probe plus the pending-list
@@ -1444,6 +1447,7 @@ impl<'h> DistributedPtas<'h> {
 
     fn rescan_impl(&mut self, weights: &[f64], out: &mut DecisionOutcome) {
         let cap = self.begin_decision(out);
+        let profiling = self.profile_phases;
         let n = self.h.n_vertices();
         // The reverse slots are built on the rescan path's first use (the
         // dirty-ball path never reads them, so lossless runs never pay).
@@ -1472,6 +1476,7 @@ impl<'h> DistributedPtas<'h> {
             winners,
             scan_stats,
             tile_scratch,
+            phase_ns,
             ..
         } = self;
         let h: &ExtendedConflictGraph = h;
@@ -1487,6 +1492,15 @@ impl<'h> DistributedPtas<'h> {
         witness.clear();
         witness.extend_from_slice(&off[..n]);
         let mut remaining = n;
+        let mut phases = DecidePhaseNs::default();
+        let mut stamp = profiling.then(Instant::now);
+        let mut lap = |slot: &mut u64| {
+            if let Some(s) = stamp.as_mut() {
+                let now = Instant::now();
+                *slot += now.duration_since(*s).as_nanos() as u64;
+                *s = now;
+            }
+        };
 
         for _tau in 0..cap {
             // ---- 1. LocalLeader selection (Algorithm 3 lines 2–6).
@@ -1521,6 +1535,7 @@ impl<'h> DistributedPtas<'h> {
                     leaders.push(v);
                 }
             }
+            lap(&mut phases.election_ns);
             if leaders.is_empty() {
                 out.all_marked = remaining == 0;
                 break;
@@ -1528,6 +1543,7 @@ impl<'h> DistributedPtas<'h> {
 
             // ---- 2. Leader declaration floods.
             declare(engine, floods, leaders, config.declaration_ttl(), out);
+            lap(&mut phases.broadcast_ns);
 
             // ---- 3. Local MWIS per leader, reading only the leader's
             // own view row.
@@ -1542,6 +1558,7 @@ impl<'h> DistributedPtas<'h> {
             }
             let tile0: &TileScratch = tile_mut(&mut tile_scratch[0]);
             flood_batch(floods, leaders, config.determination_ttl());
+            lap(&mut phases.mwis_ns);
 
             // ---- 4. Determination floods (line 10; (3r+1) hops) and
             // local processing (lines 11–15). Each vertex applies, in
@@ -1609,15 +1626,18 @@ impl<'h> DistributedPtas<'h> {
                     received[w as usize] = false;
                 }
             }
+            lap(&mut phases.broadcast_ns);
 
             // ---- 5. Fig. 6 bookkeeping.
             winners.update(&mut out.winners, own);
             record_weight(weights, out);
+            lap(&mut phases.sweep_ns);
             if remaining == 0 {
                 out.all_marked = true;
                 break;
             }
         }
+        *phase_ns = phases;
 
         Self::finish_outcome(graph, own, engine, out);
     }
@@ -2157,6 +2177,23 @@ mod tests {
         tiled.set_profile_phases(true);
         assert_eq!(tiled.decide(&w), ptas.decide(&w));
         assert!(tiled.phase_ns().total_ns() > 0);
+        // The lossy (rescan) path is gated the same way, records the
+        // election, broadcast and MWIS phases, and is not perturbed.
+        let lossy = run_to_completion(2).with_loss_spec(LossSpec::lossy(0.1, 5));
+        let mut quiet = DistributedPtas::new(&h, lossy);
+        let expected = quiet.decide(&w);
+        assert_eq!(quiet.phase_ns(), DecidePhaseNs::default(), "off by default");
+        let mut profiled = DistributedPtas::new(&h, lossy);
+        profiled.set_profile_phases(true);
+        let started = Instant::now();
+        assert_eq!(profiled.decide(&w), expected);
+        let wall = started.elapsed().as_nanos() as u64;
+        let p = profiled.phase_ns();
+        assert!(
+            p.election_ns > 0 && p.broadcast_ns > 0 && p.mwis_ns > 0,
+            "{p:?}"
+        );
+        assert!(p.total_ns() <= wall, "{p:?} vs {wall} ns of wall time");
     }
 
     #[test]

@@ -13,8 +13,29 @@
 //! Complexity is exponential in the worst case (MWIS is NP-hard); the
 //! bound `current + Σ_remaining-groups max-available-weight` prunes
 //! aggressively on the geometric instances the paper simulates.
+//!
+//! # Group-ordered bit masks
+//!
+//! Each call relabels its `h` positive-weight allowed vertices into
+//! *group order*: groups sorted by their best member's weight, members
+//! of a group by weight, both descending, and position `k` is the `k`-th
+//! member in that order. A group is then a contiguous run of bit
+//! positions with its best member lowest. Taking position `k` leaves
+//! `avail & !adj[k]`, and the best available member of every remaining
+//! group — the bound's terms — comes out of one subtract per mask word
+//! (see [`Search::branch`]). Masks are `h.div_ceil(64)` words (one word
+//! for every LocalLeader solve of the simulated workloads); the search is
+//! compiled for a constant one and two words and for a runtime word
+//! count above that.
+//!
+//! The search runs over *segments*: a group's positions within one mask
+//! word (a group crossing a word boundary is two segments). Since a
+//! group is a clique, splitting it leaves the leaves and their DFS order
+//! unchanged and only adds terms to the bound, and a larger admissible
+//! bound prunes only subtrees that cannot strictly improve the
+//! incumbent, so the optimum returned is the same.
 
-use crate::{bitset::BitSet, set::WeightedSet};
+use crate::set::WeightedSet;
 use mhca_graph::Graph;
 
 /// Exact MWIS over the whole graph, each vertex its own group.
@@ -62,45 +83,60 @@ pub fn solve_grouped(
     Workspace::new().solve_grouped(graph, weights, allowed, group_of)
 }
 
+/// `pos` entry of a vertex the current call has not seen.
+const UNSEEN: usize = usize::MAX;
+/// `pos` entry of an allowed vertex with non-positive weight.
+const SKIPPED: usize = usize::MAX - 1;
+
 /// Reusable scratch for the grouped branch-and-bound.
 ///
 /// The LocalLeader path of Algorithm 3 calls the exact solver once per
 /// leader per mini-round per slot; with a fresh workspace each call that
-/// is a dozen allocations (local index maps, adjacency bitsets, the
-/// per-depth availability sets) on the hottest loop of the simulator. A
-/// `Workspace` owns all of that scratch and reuses it across calls — after
-/// warm-up, [`Workspace::solve_grouped_into`] performs no heap allocation.
+/// is a dozen allocations (the position map, the group-ordered adjacency
+/// masks, the availability stack) on the hottest loop of the simulator.
+/// A `Workspace` owns all of that scratch and reuses it across calls —
+/// after warm-up, [`Workspace::solve_grouped_into`] performs no heap
+/// allocation.
 ///
 /// The free functions [`solve`], [`solve_subset`], and [`solve_grouped`]
 /// remain as one-shot conveniences over a throwaway workspace.
 ///
-/// The two `n`-long maps (`seen`, `global_to_local`) are all-clear
-/// between calls: each call restores only the entries it wrote, listed in
-/// `touched`, so a call costs `O(|allowed| + local edges)` rather than
-/// `O(n)` — the per-leader cost stays local to the leader's ball.
+/// The `n`-long position map `pos` is all-clear between calls: each call
+/// restores only the entries it wrote, listed in `touched`, so a call
+/// costs `O(|allowed| + local edges)` rather than `O(n)` — the
+/// per-leader cost stays local to the leader's ball. Adjacency rows and
+/// availability masks are indexed by *group-ordered position* (see the
+/// module docs), one row of `words` `u64`s per position.
 #[derive(Debug, Default)]
 pub struct Workspace {
-    /// Graph size the `seen`/`global_to_local` buffers are sized for.
-    n: usize,
-    seen: Vec<bool>,
-    global_to_local: Vec<usize>,
-    /// Vertices whose `seen` (and possibly `global_to_local`) entry the
-    /// current call set; drained by [`Workspace::restore`].
+    /// Per vertex: [`UNSEEN`], [`SKIPPED`], or its group-ordered position.
+    pos: Vec<usize>,
+    /// Vertices whose `pos` entry the current call set; drained by
+    /// [`Workspace::restore`].
     touched: Vec<usize>,
+    /// Positive-weight allowed vertices and their weights, in allowed
+    /// order (the input of the grouping sort).
     local_to_global: Vec<usize>,
-    /// Local weights, parallel to `local_to_global`.
     w: Vec<f64>,
-    /// Local adjacency bitsets (pooled; only the first `h` are live).
-    adj: Vec<BitSet>,
-    /// Local indices concatenated per group; `group_starts` delimits.
-    group_members: Vec<usize>,
-    group_starts: Vec<usize>,
     /// Scratch for grouping: `(group id, local index)` pairs and run
     /// bounds `(start, len)`.
     keyed: Vec<(usize, usize)>,
     runs: Vec<(usize, usize)>,
-    /// Availability set per search depth.
-    avail_stack: Vec<BitSet>,
+    /// Vertex and weight at each group-ordered position.
+    pos_to_global: Vec<usize>,
+    pos_w: Vec<f64>,
+    /// Per segment: its mask word and its positions within that word.
+    segs: Vec<(usize, u64)>,
+    /// Segment of each position.
+    seg_of: Vec<usize>,
+    /// Per mask word: the lowest and the highest position of each
+    /// segment in it.
+    seg_lows: Vec<u64>,
+    seg_highs: Vec<u64>,
+    /// Adjacency masks, `words` per position.
+    adj: Vec<u64>,
+    /// Availability masks, `words` per search slot.
+    stack: Vec<u64>,
     best: Vec<usize>,
     current: Vec<usize>,
 }
@@ -146,29 +182,26 @@ impl Workspace {
         // A no-op unless the previous call panicked mid-way (duplicate or
         // out-of-range vertex) and left its marks behind.
         self.restore();
-        if self.n != graph.n() {
-            self.n = graph.n();
-            self.seen.clear();
-            self.seen.resize(self.n, false);
-            self.global_to_local.clear();
-            self.global_to_local.resize(self.n, usize::MAX);
+        if self.pos.len() != graph.n() {
+            self.pos.clear();
+            self.pos.resize(graph.n(), UNSEEN);
         }
         let weight = self.solve_marked(graph, weights, allowed, group_of, out);
         self.restore();
         weight
     }
 
-    /// Clears the `seen`/`global_to_local` entries listed in `touched`,
-    /// returning both maps to all-clear in `O(touched)`.
+    /// Clears the `pos` entries listed in `touched`, returning the map to
+    /// all-clear in `O(touched)`.
     fn restore(&mut self) {
         for v in self.touched.drain(..) {
-            self.seen[v] = false;
-            self.global_to_local[v] = usize::MAX;
+            self.pos[v] = UNSEEN;
         }
     }
 
-    /// Body of [`Workspace::solve_grouped_into`] on all-clear, correctly
-    /// sized maps; every map entry it writes is listed in `touched`.
+    /// Body of [`Workspace::solve_grouped_into`] on an all-clear,
+    /// correctly sized map; every map entry it writes is listed in
+    /// `touched`.
     fn solve_marked(
         &mut self,
         graph: &Graph,
@@ -177,15 +210,18 @@ impl Workspace {
         group_of: &[usize],
         out: &mut Vec<usize>,
     ) -> f64 {
-        // Local indexing of allowed vertices with positive weight.
+        // Local indexing of allowed vertices with positive weight, each
+        // keyed by its group for the grouping sort.
         self.local_to_global.clear();
         self.w.clear();
+        self.keyed.clear();
         for &v in allowed {
             assert!(v < graph.n(), "vertex out of range");
-            assert!(!self.seen[v], "duplicate vertex in allowed set");
-            self.seen[v] = true;
+            assert!(self.pos[v] == UNSEEN, "duplicate vertex in allowed set");
+            self.pos[v] = SKIPPED;
             self.touched.push(v);
             if weights[v] > 0.0 {
+                self.keyed.push((group_of[v], self.local_to_global.len()));
                 self.local_to_global.push(v);
                 self.w.push(weights[v]);
             }
@@ -194,33 +230,12 @@ impl Workspace {
         if h == 0 {
             return 0.0;
         }
-        for (i, &v) in self.local_to_global.iter().enumerate() {
-            self.global_to_local[v] = i;
-        }
-
-        // Local adjacency bitsets from the pool.
-        if self.adj.len() < h {
-            self.adj.resize_with(h, || BitSet::new(0));
-        }
-        for (i, &v) in self.local_to_global.iter().enumerate() {
-            let row = &mut self.adj[i];
-            row.reset(h);
-            for &u in graph.neighbors(v) {
-                let j = self.global_to_local[u];
-                if j != usize::MAX {
-                    row.insert(j);
-                }
-            }
-        }
 
         // Group local indices: sort (group, index) pairs so each group is
         // a contiguous run with members in weight-descending order, then
         // order the runs by their best member's weight descending (good
         // incumbents early). All on reused scratch — no maps.
         let w = &self.w;
-        self.keyed.clear();
-        self.keyed
-            .extend((0..h).map(|i| (group_of[self.local_to_global[i]], i)));
         self.keyed.sort_unstable_by(|&(ga, a), &(gb, b)| {
             ga.cmp(&gb)
                 .then_with(|| w[b].partial_cmp(&w[a]).expect("finite weights"))
@@ -237,127 +252,218 @@ impl Workspace {
             let (a, b) = (self.keyed[sa].1, self.keyed[sb].1);
             w[b].partial_cmp(&w[a]).expect("finite weights")
         });
-        self.group_members.clear();
-        self.group_starts.clear();
-        self.group_starts.push(0);
-        for &(start, len) in &self.runs {
-            self.group_members
-                .extend(self.keyed[start..start + len].iter().map(|&(_, i)| i));
-            self.group_starts.push(self.group_members.len());
-        }
-        let n_groups = self.group_starts.len() - 1;
 
-        #[cfg(debug_assertions)]
-        for g in 0..n_groups {
-            let members = &self.group_members[self.group_starts[g]..self.group_starts[g + 1]];
-            for (x, &a) in members.iter().enumerate() {
-                for &b in &members[x + 1..] {
-                    debug_assert!(
-                        self.adj[a].contains(b),
-                        "group members must form a clique: {} vs {}",
-                        self.local_to_global[a],
-                        self.local_to_global[b]
-                    );
+        // Relabel into group order: position k is the k-th member of the
+        // ordered runs; a run is cut into segments at word boundaries.
+        let words = h.div_ceil(64);
+        self.pos_to_global.clear();
+        self.pos_w.clear();
+        self.segs.clear();
+        self.seg_of.clear();
+        self.seg_lows.clear();
+        self.seg_lows.resize(words, 0);
+        self.seg_highs.clear();
+        self.seg_highs.resize(words, 0);
+        for &(start, len) in &self.runs {
+            for (j, &(_, i)) in self.keyed[start..start + len].iter().enumerate() {
+                let k = self.pos_to_global.len();
+                let v = self.local_to_global[i];
+                self.pos[v] = k;
+                self.pos_to_global.push(v);
+                self.pos_w.push(w[i]);
+                let bit = 1 << (k % 64);
+                if j == 0 || k.is_multiple_of(64) {
+                    self.segs.push((k / 64, 0));
+                    self.seg_lows[k / 64] |= bit;
                 }
+                if j + 1 == len || (k + 1).is_multiple_of(64) {
+                    self.seg_highs[k / 64] |= bit;
+                }
+                self.segs.last_mut().expect("segment pushed").1 |= bit;
+                self.seg_of.push(self.segs.len() - 1);
             }
         }
 
-        // Per-depth availability sets (depth d enters group d). Only the
-        // root needs initializing: every deeper slot is fully overwritten
-        // by `copy_from` before the search reads it.
-        if self.avail_stack.len() < n_groups + 1 {
-            self.avail_stack
-                .resize_with(n_groups + 1, || BitSet::new(0));
+        // Adjacency masks, built directly in positions.
+        self.adj.clear();
+        self.adj.resize(h * words, 0);
+        for (k, &v) in self.pos_to_global.iter().enumerate() {
+            let row = &mut self.adj[k * words..(k + 1) * words];
+            for &u in graph.neighbors(v) {
+                // Branch-free: a neighbor outside the call sets no bit.
+                let j = self.pos[u];
+                let inside = j < h;
+                let j = if inside { j } else { 0 };
+                row[j / 64] |= u64::from(inside) << (j % 64);
+            }
         }
-        self.avail_stack[0].reset(h);
-        self.avail_stack[0].fill();
+
+        #[cfg(debug_assertions)]
+        {
+            let mut lo = 0;
+            for &(_, len) in &self.runs {
+                for a in lo..lo + len {
+                    for b in a + 1..lo + len {
+                        debug_assert!(
+                            self.adj[a * words + b / 64] >> (b % 64) & 1 == 1,
+                            "group members must form a clique: {} vs {}",
+                            self.pos_to_global[a],
+                            self.pos_to_global[b]
+                        );
+                    }
+                }
+                lo += len;
+            }
+        }
+
+        // Availability slots: a member branch writes the next slot, the
+        // skip branch reuses its own, so one slot per segment plus the
+        // root suffices. Only the root needs initializing: every deeper
+        // slot is written before the search reads it.
+        self.stack.clear();
+        self.stack.resize((self.segs.len() + 1) * words, 0);
+        self.stack[..words].fill(u64::MAX);
+        self.stack[words - 1] = u64::MAX >> (words * 64 - h);
 
         self.best.clear();
         self.current.clear();
+        match words {
+            1 => self.search(Fixed::<1>),
+            2 => self.search(Fixed::<2>),
+            _ => self.search(words),
+        }
+
+        out.extend(self.best.iter().map(|&k| self.pos_to_global[k]));
+        out.sort_unstable();
+        out.iter().map(|&v| weights[v]).sum()
+    }
+
+    /// Runs the branch-and-bound from the root slot, leaving the optimum's
+    /// positions in `best`.
+    fn search<N: Words>(&mut self, words: N) {
         let mut search = Search {
-            adj: &self.adj[..h],
-            w: &self.w,
-            group_members: &self.group_members,
-            group_starts: &self.group_starts,
-            stack: &mut self.avail_stack[..n_groups + 1],
+            words,
+            adj: &self.adj,
+            w: &self.pos_w,
+            segs: &self.segs,
+            seg_of: &self.seg_of,
+            seg_lows: &self.seg_lows,
+            seg_highs: &self.seg_highs,
+            stack: &mut self.stack,
             best: &mut self.best,
             current: &mut self.current,
             best_weight: 0.0,
         };
-        search.branch(0, 0.0);
+        search.branch(0, 0, 0.0);
+    }
+}
 
-        out.extend(self.best.iter().map(|&i| self.local_to_global[i]));
-        out.sort_unstable();
-        out.iter().map(|&v| weights[v]).sum()
+/// The word count of every mask in one search: a compile-time constant
+/// ([`Fixed`]) the compiler unrolls, or a runtime count (`usize`).
+trait Words: Copy {
+    fn get(self) -> usize;
+}
+
+/// A word count known at compile time.
+#[derive(Debug, Clone, Copy)]
+struct Fixed<const W: usize>;
+
+impl<const W: usize> Words for Fixed<W> {
+    #[inline(always)]
+    fn get(self) -> usize {
+        W
+    }
+}
+
+impl Words for usize {
+    #[inline(always)]
+    fn get(self) -> usize {
+        self
     }
 }
 
 /// Borrowed view of the workspace during one branch-and-bound run.
-struct Search<'a> {
-    adj: &'a [BitSet],
+struct Search<'a, N> {
+    words: N,
+    adj: &'a [u64],
     w: &'a [f64],
-    group_members: &'a [usize],
-    group_starts: &'a [usize],
-    /// `stack[d]` is the availability set when entering group `d`.
-    stack: &'a mut [BitSet],
+    segs: &'a [(usize, u64)],
+    seg_of: &'a [usize],
+    seg_lows: &'a [u64],
+    seg_highs: &'a [u64],
+    /// Availability slots, `words` each.
+    stack: &'a mut [u64],
     best: &'a mut Vec<usize>,
     current: &'a mut Vec<usize>,
     best_weight: f64,
 }
 
-impl<'a> Search<'a> {
-    fn members(&self, g: usize) -> &'a [usize] {
-        &self.group_members[self.group_starts[g]..self.group_starts[g + 1]]
-    }
-
-    fn branch(&mut self, gi: usize, current_weight: f64) {
-        let n_groups = self.group_starts.len() - 1;
-        if gi == n_groups {
+impl<N: Words> Search<'_, N> {
+    /// Enters segment `si` with the availability mask in `slot`.
+    ///
+    /// The bound is current + the best available member of every
+    /// remaining segment (inter-segment conflicts ignored — admissible),
+    /// summed in position order. Per word, with `x` the available
+    /// positions, `y = x | highs` has a set bit in every segment, so
+    /// `y - lows` borrows only within a segment, up to its lowest set
+    /// bit: `x & !(y - lows)` is exactly each segment's lowest available
+    /// position, which is its best available member.
+    ///
+    /// Segments with no available member are passed over in one step:
+    /// skipping them one by one would recompute the same bound and reach
+    /// the same nodes.
+    fn branch(&mut self, si: usize, slot: usize, current_weight: f64) {
+        let words = self.words.get();
+        let at = slot * words;
+        let mut first = None;
+        let mut bound = current_weight;
+        if let Some(&(word, members)) = self.segs.get(si) {
+            let mut from = u64::MAX << members.trailing_zeros();
+            for i in word..words {
+                let x = self.stack[at + i] & from;
+                if first.is_none() && x != 0 {
+                    first = Some(i * 64 + x.trailing_zeros() as usize);
+                }
+                let mut best = x & !((x | self.seg_highs[i]).wrapping_sub(self.seg_lows[i]));
+                while best != 0 {
+                    bound += self.w[i * 64 + best.trailing_zeros() as usize];
+                    best &= best - 1;
+                }
+                from = u64::MAX;
+            }
+        }
+        let Some(first) = first else {
+            // A leaf: nothing left to select.
             if current_weight > self.best_weight {
                 self.best_weight = current_weight;
                 self.best.clear();
                 self.best.extend_from_slice(self.current);
             }
             return;
-        }
-        // Upper bound: current + best available member of every remaining
-        // group (inter-group conflicts ignored — admissible). Members are
-        // weight-sorted descending: first available is best.
-        let mut bound = current_weight;
-        for g in gi..n_groups {
-            if let Some(&m) = self
-                .members(g)
-                .iter()
-                .find(|&&m| self.stack[gi].contains(m))
-            {
-                bound += self.w[m];
-            }
-        }
+        };
         if bound <= self.best_weight {
             return;
         }
+        let si = self.seg_of[first];
+        let (word, members) = self.segs[si];
         // Branch: select each available member (descending weight)…
-        for &m in self.members(gi) {
-            if !self.stack[gi].contains(m) {
-                continue;
-            }
+        let mut avail = self.stack[at + word] & members;
+        while avail != 0 {
+            let k = word * 64 + avail.trailing_zeros() as usize;
+            avail &= avail - 1;
             {
-                let (head, tail) = self.stack.split_at_mut(gi + 1);
-                let next = &mut tail[0];
-                next.copy_from(&head[gi]);
-                next.subtract(&self.adj[m]);
-                next.remove(m);
+                let (head, tail) = self.stack.split_at_mut(at + words);
+                let row = &self.adj[k * words..(k + 1) * words];
+                for ((next, &a), &r) in tail[..words].iter_mut().zip(&head[at..]).zip(row) {
+                    *next = a & !r;
+                }
             }
-            self.current.push(m);
-            self.branch(gi + 1, current_weight + self.w[m]);
+            self.current.push(k);
+            self.branch(si + 1, slot + 1, current_weight + self.w[k]);
             self.current.pop();
         }
-        // …or skip the group entirely.
-        {
-            let (head, tail) = self.stack.split_at_mut(gi + 1);
-            tail[0].copy_from(&head[gi]);
-        }
-        self.branch(gi + 1, current_weight);
+        // …or skip the segment entirely.
+        self.branch(si + 1, slot, current_weight);
     }
 }
 
@@ -534,8 +640,7 @@ mod tests {
         // return), then the empty set.
         for allowed in [&[0, 2, 4, 5][..], &[1, 3], &[]] {
             ws.solve_grouped_into(&g, &w, allowed, &groups, &mut out);
-            assert!(ws.seen.iter().all(|&s| !s), "{allowed:?}");
-            assert!(ws.global_to_local.iter().all(|&l| l == usize::MAX));
+            assert!(ws.pos.iter().all(|&p| p == UNSEEN), "{allowed:?}");
             assert!(ws.touched.is_empty());
         }
     }

@@ -46,7 +46,6 @@ pub mod local_search;
 pub mod robust_ptas;
 pub mod verify;
 
-mod bitset;
 mod set;
 
 pub use set::WeightedSet;

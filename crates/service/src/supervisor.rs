@@ -10,7 +10,9 @@
 //!
 //! * **pause** marks the session paused and returns a
 //!   [`Directive::Checkpoint`] so the pause point is durable, then parks
-//!   the worker inside `poll` until resume/cancel/shutdown;
+//!   the worker inside `poll` until resume/cancel/shutdown; like
+//!   checkpoint, it answers once the pause checkpoint is on disk, or with
+//!   the error that kept it off;
 //! * **checkpoint** hands a reply channel to the worker, which answers
 //!   after `session.json` hits disk, or with the error that kept it off;
 //! * **shutdown** (command, SIGINT/SIGTERM, or a dropped control
@@ -21,7 +23,11 @@
 //! Every commit point rewrites the session record atomically, so a
 //! `kill -9` between commits only loses work since the last checkpoint;
 //! determinism of the experiment stack makes the re-run of that tail
-//! byte-identical.
+//! byte-identical. A record that cannot be written is never ignored: a
+//! command waiting on the commit (submit, pause, checkpoint, cancel of a
+//! recovered session) returns the error, and a transition nobody waits
+//! on (running, seed done, cancelled, stopped, done, failed, a shutdown
+//! checkpoint) publishes a `persist_failed` event carrying it.
 
 use crate::bus::{BusSink, EventBus};
 use crate::executor::{Directive, Executor, JobCtrl, JobProgress};
@@ -31,7 +37,7 @@ use crate::session::{Checkpoint, SeedRecord, SessionInfo, SessionRecord, Session
 use mhca_telemetry::{FanoutSink, JsonlSink, Telemetry, TraceSink};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, Receiver, Sender, SyncSender, TryRecvError};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, SyncSender, TryRecvError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -41,15 +47,18 @@ use std::time::Duration;
 /// flag).
 pub const DEFAULT_BUS_CAPACITY: usize = 4096;
 
-/// How long a `checkpoint` command waits for the worker to reach a
-/// checkpoint-safe boundary. Non-steppable kinds only poll between
+/// How long a `checkpoint` or `pause` command waits for the worker to
+/// reach a checkpoint-safe boundary. Non-steppable kinds only poll between
 /// seeds, so a long seed can exhaust this; the error says so.
 const CHECKPOINT_REPLY_TIMEOUT: Duration = Duration::from_secs(60);
 
+/// Reply channel of a command that waits for its checkpoint to be saved.
+type Reply = SyncSender<Result<String, String>>;
+
 enum Ctrl {
-    Pause,
+    Pause(Reply),
     Resume,
-    Checkpoint(SyncSender<Result<String, String>>),
+    Checkpoint(Reply),
     Cancel,
     Shutdown,
 }
@@ -71,11 +80,30 @@ struct SessionEntry {
 }
 
 impl SessionEntry {
-    fn persist(&self) {
+    /// Writes the record; the error names the file. The in-memory
+    /// record stays authoritative for this daemon's lifetime either way.
+    fn persist(&self) -> Result<(), String> {
         let rec = relock(&self.record);
-        // A failed write surfaces at the next load; the in-memory record
-        // stays authoritative for this daemon's lifetime.
-        let _ = rec.save(&self.path);
+        rec.save(&self.path)
+            .map_err(|e| format!("cannot write {}: {e}", self.path.display()))
+    }
+
+    /// [`persist`](SessionEntry::persist) for a transition no command
+    /// waits on: a failure is published as a `persist_failed` event.
+    fn persist_or_report(&self, transition: &str) {
+        if let Err(e) = self.persist() {
+            self.report_unsaved(transition, e);
+        }
+    }
+
+    fn report_unsaved(&self, transition: &str, error: String) {
+        self.publish_event(
+            "persist_failed",
+            vec![
+                ("transition", Json::Str(transition.to_string())),
+                ("error", Json::Str(error)),
+            ],
+        );
     }
 
     fn publish_event(&self, kind: &str, extra: Vec<(&str, Json)>) {
@@ -113,7 +141,8 @@ struct WorkerCtrl<'a> {
     seed: u64,
     paused: bool,
     stop: Option<StopReason>,
-    pending_reply: Option<SyncSender<Result<String, String>>>,
+    /// Commands waiting for the next checkpoint to be saved.
+    pending_replies: Vec<Reply>,
 }
 
 impl WorkerCtrl<'_> {
@@ -121,15 +150,18 @@ impl WorkerCtrl<'_> {
     /// default `Continue`.
     fn handle(&mut self, msg: Ctrl) -> Option<Directive> {
         match msg {
-            Ctrl::Pause => {
+            Ctrl::Pause(reply) => {
                 if self.paused {
+                    let _ = reply.send(Ok("already paused".to_string()));
                     return None;
                 }
                 self.paused = true;
                 self.entry.set_status(SessionStatus::Paused);
-                self.entry.persist();
                 self.entry.publish_event("paused", vec![]);
-                // Make the pause point durable before parking.
+                // Make the pause point durable before parking: the
+                // checkpoint writes the whole record, paused status
+                // included, and answers the command.
+                self.pending_replies.push(reply);
                 Some(Directive::Checkpoint)
             }
             Ctrl::Resume => {
@@ -138,7 +170,7 @@ impl WorkerCtrl<'_> {
                 }
                 self.paused = false;
                 self.entry.set_status(SessionStatus::Running);
-                self.entry.persist();
+                self.entry.persist_or_report("resumed");
                 self.entry.publish_event("resumed", vec![]);
                 Some(Directive::Continue)
             }
@@ -149,7 +181,7 @@ impl WorkerCtrl<'_> {
                     let _ = reply.send(Ok("paused; pause checkpoint retained".to_string()));
                     return None;
                 }
-                self.pending_reply = Some(reply);
+                self.pending_replies.push(reply);
                 Some(Directive::Checkpoint)
             }
             Ctrl::Cancel => {
@@ -231,8 +263,13 @@ impl JobCtrl for WorkerCtrl<'_> {
             }
             Err(e) => Err(format!("checkpoint not saved: cannot write {path}: {e}")),
         };
-        if let Some(pending) = self.pending_reply.take() {
-            let _ = pending.send(reply);
+        if let Err(e) = &reply {
+            if self.pending_replies.is_empty() {
+                self.entry.report_unsaved("checkpoint", e.clone());
+            }
+        }
+        for pending in self.pending_replies.drain(..) {
+            let _ = pending.send(reply.clone());
         }
     }
 }
@@ -291,7 +328,7 @@ impl Supervisor {
                 ctrl: Mutex::new(None),
                 worker: Mutex::new(None),
             });
-            entry.persist();
+            entry.persist()?;
             sessions.push(entry);
         }
         Ok(Supervisor {
@@ -366,7 +403,7 @@ impl Supervisor {
             ctrl: Mutex::new(None),
             worker: Mutex::new(None),
         });
-        entry.persist();
+        entry.persist()?;
         entry.publish_event("submitted", vec![("session", Json::Str(id.clone()))]);
         self.spawn_worker(entry.clone());
         sessions.push(entry);
@@ -410,10 +447,14 @@ impl Supervisor {
             .map_err(|_| format!("session {id:?} is not running"))
     }
 
-    /// Parks the session at its next decision-period boundary (persisting
-    /// a checkpoint of the pause point).
+    /// Parks the session at its next decision-period boundary and
+    /// persists a checkpoint of the pause point; resolves once that
+    /// checkpoint is on disk, or with the error that kept it off disk
+    /// (the session stays parked either way).
     pub fn pause(&self, id: &str) -> Result<(), String> {
-        self.send_ctrl(id, Ctrl::Pause)
+        let (tx, rx) = mpsc::sync_channel(1);
+        self.send_ctrl(id, Ctrl::Pause(tx))?;
+        await_reply(id, "pause", &rx).map(|_| ())
     }
 
     /// Wakes a paused session — either one parked in its worker, or one
@@ -438,14 +479,7 @@ impl Supervisor {
     pub fn checkpoint(&self, id: &str) -> Result<String, String> {
         let (tx, rx) = mpsc::sync_channel(1);
         self.send_ctrl(id, Ctrl::Checkpoint(tx))?;
-        match rx.recv_timeout(CHECKPOINT_REPLY_TIMEOUT) {
-            Ok(result) => result,
-            Err(_) => Err(format!(
-                "checkpoint of session {id:?} timed out (job not at a checkpoint-safe boundary \
-                 within {}s)",
-                CHECKPOINT_REPLY_TIMEOUT.as_secs()
-            )),
-        }
+        await_reply(id, "checkpoint", &rx)
     }
 
     /// Stops the session without checkpointing. Completed seeds keep
@@ -461,10 +495,10 @@ impl Supervisor {
             return Err(format!("session {id:?} is already {}", status.as_str()));
         }
         entry.set_status(SessionStatus::Cancelled);
-        entry.persist();
+        let persisted = entry.persist();
         entry.publish_event("cancelled", vec![]);
         entry.bus.close();
-        Ok(())
+        persisted
     }
 
     /// Checkpoint-and-stop every running session and join all workers.
@@ -494,6 +528,26 @@ impl Supervisor {
     }
 }
 
+/// Waits for the worker's answer to a `command` that needs a saved
+/// checkpoint.
+fn await_reply(
+    id: &str,
+    command: &str,
+    rx: &Receiver<Result<String, String>>,
+) -> Result<String, String> {
+    match rx.recv_timeout(CHECKPOINT_REPLY_TIMEOUT) {
+        Ok(result) => result,
+        Err(RecvTimeoutError::Timeout) => Err(format!(
+            "{command} of session {id:?} timed out (job not at a checkpoint-safe boundary \
+             within {}s)",
+            CHECKPOINT_REPLY_TIMEOUT.as_secs()
+        )),
+        Err(RecvTimeoutError::Disconnected) => Err(format!(
+            "session {id:?} stopped before its {command} took effect"
+        )),
+    }
+}
+
 fn worker_loop(
     executor: Arc<dyn Executor>,
     entry: Arc<SessionEntry>,
@@ -509,7 +563,7 @@ fn worker_loop(
         )
     };
     entry.set_status(SessionStatus::Running);
-    entry.persist();
+    entry.persist_or_report("running");
     entry.publish_event("running", vec![]);
     let out_dir = PathBuf::from(out_dir);
 
@@ -541,7 +595,7 @@ fn worker_loop(
             seed,
             paused: false,
             stop: None,
-            pending_reply: None,
+            pending_replies: Vec::new(),
         };
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             executor.run_seed(&scenario, seed, resume_from.as_ref(), &telemetry, &mut ctrl)
@@ -568,21 +622,21 @@ fn worker_loop(
                     rec.checkpoint = None;
                 }
                 *relock(&entry.progress) = JobProgress::default();
-                entry.persist();
+                entry.persist_or_report("seed_done");
                 entry.publish_event("seed_done", vec![("seed", Json::Num(seed as f64))]);
             }
             Ok(None) => {
                 match ctrl.stop {
                     Some(StopReason::Cancelled) => {
                         entry.set_status(SessionStatus::Cancelled);
-                        entry.persist();
+                        entry.persist_or_report("cancelled");
                         entry.publish_event("cancelled", vec![]);
                     }
                     // Shutdown (or a vanished control channel): the
                     // checkpoint is already persisted; stay resumable.
                     _ => {
                         entry.set_status(SessionStatus::Paused);
-                        entry.persist();
+                        entry.persist_or_report("stopped");
                         entry.publish_event("stopped", vec![]);
                     }
                 }
@@ -597,7 +651,7 @@ fn worker_loop(
     }
 
     entry.set_status(SessionStatus::Done);
-    entry.persist();
+    entry.persist_or_report("done");
     entry.publish_event("done", vec![]);
     entry.bus.close();
 }
@@ -608,7 +662,7 @@ fn fail(entry: &SessionEntry, message: String) {
         rec.status = SessionStatus::Failed;
         rec.error = Some(message.clone());
     }
-    entry.persist();
+    entry.persist_or_report("failed");
     entry.publish_event("failed", vec![("error", Json::Str(message))]);
     entry.bus.close();
 }
@@ -900,6 +954,95 @@ mod tests {
         let info = &sup.status(Some(&id)).unwrap()[0];
         assert_eq!(info.status, SessionStatus::Running, "the session runs on");
         sup.cancel(&id).unwrap();
+        sup.shutdown();
+    }
+
+    #[test]
+    fn pause_reports_a_checkpoint_that_did_not_reach_disk() {
+        let (state, out) = temp_dirs("pause_lost");
+        let sup = Supervisor::new(
+            Arc::new(MockExec {
+                steps: 100_000,
+                step_sleep: Duration::from_micros(100),
+            }),
+            state.clone(),
+        )
+        .unwrap();
+        let id = sup
+            .submit(scenario(&[9]), out.display().to_string(), None)
+            .unwrap();
+        assert!(wait_until(Duration::from_secs(10), || {
+            sup.status(Some(&id)).unwrap()[0].slots_done > 10
+        }));
+        std::fs::remove_dir_all(&state).unwrap();
+        let err = sup.pause(&id).unwrap_err();
+        assert!(err.contains("checkpoint not saved"), "{err}");
+        let info = &sup.status(Some(&id)).unwrap()[0];
+        assert_eq!(info.status, SessionStatus::Paused, "parked all the same");
+        assert!(!state.join(format!("{id}.json")).exists());
+        sup.cancel(&id).unwrap();
+        sup.shutdown();
+    }
+
+    #[test]
+    fn cancel_of_a_recovered_session_reports_an_unwritable_record() {
+        let (state, out) = temp_dirs("cancel_lost");
+        let exec = || {
+            Arc::new(MockExec {
+                steps: 100_000,
+                step_sleep: Duration::from_micros(100),
+            })
+        };
+        let sup = Supervisor::new(exec(), state.clone()).unwrap();
+        let id = sup
+            .submit(scenario(&[3]), out.display().to_string(), None)
+            .unwrap();
+        assert!(wait_until(Duration::from_secs(10), || {
+            sup.status(Some(&id)).unwrap()[0].slots_done > 10
+        }));
+        sup.shutdown();
+        let recovered = Supervisor::new(exec(), state.clone()).unwrap();
+        std::fs::remove_dir_all(&state).unwrap();
+        let err = recovered.cancel(&id).unwrap_err();
+        assert!(err.contains("cannot write"), "{err}");
+        let info = &recovered.status(Some(&id)).unwrap()[0];
+        assert_eq!(info.status, SessionStatus::Cancelled);
+        recovered.shutdown();
+    }
+
+    #[test]
+    fn unsaved_seed_completion_is_published() {
+        let (state, out) = temp_dirs("done_lost");
+        let sup = Supervisor::new(
+            Arc::new(MockExec {
+                steps: 3000,
+                step_sleep: Duration::from_micros(100),
+            }),
+            state.clone(),
+        )
+        .unwrap();
+        let id = sup
+            .submit(scenario(&[4]), out.display().to_string(), None)
+            .unwrap();
+        assert!(wait_until(Duration::from_secs(10), || {
+            sup.status(Some(&id)).unwrap()[0].slots_done > 10
+        }));
+        std::fs::remove_dir_all(&state).unwrap();
+        wait_done(&sup, &id);
+        let (events, _) = sup.bus(&id).unwrap().read_from(0, Duration::ZERO);
+        let failed: Vec<&str> = events
+            .iter()
+            .map(|(_, l)| l.as_str())
+            .filter(|l| l.contains("\"persist_failed\""))
+            .collect();
+        for transition in ["seed_done", "done"] {
+            assert!(
+                failed
+                    .iter()
+                    .any(|l| l.contains(&format!("\"transition\":\"{transition}\""))),
+                "{transition}: {failed:?}"
+            );
+        }
         sup.shutdown();
     }
 
