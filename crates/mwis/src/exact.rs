@@ -23,10 +23,9 @@
 //! positions with its best member lowest. Taking position `k` leaves
 //! `avail & !adj[k]`, and the best available member of every remaining
 //! group — the bound's terms — comes out of one subtract per mask word
-//! (see [`Search::branch`]). Masks are `h.div_ceil(64)` words (one word
-//! for every LocalLeader solve of the simulated workloads); the search is
-//! compiled for a constant one and two words and for a runtime word
-//! count above that.
+//! (see `Search::branch`). Masks are `h.div_ceil(64)` words; the search
+//! is compiled for a constant single word, which every LocalLeader solve
+//! of the simulated workloads fits, and for a runtime word count.
 //!
 //! The search runs over *segments*: a group's positions within one mask
 //! word (a group crossing a word boundary is two segments). Since a
@@ -328,8 +327,7 @@ impl Workspace {
         self.best.clear();
         self.current.clear();
         match words {
-            1 => self.search(Fixed::<1>),
-            2 => self.search(Fixed::<2>),
+            1 => self.search(OneWord),
             _ => self.search(words),
         }
 
@@ -358,20 +356,20 @@ impl Workspace {
     }
 }
 
-/// The word count of every mask in one search: a compile-time constant
-/// ([`Fixed`]) the compiler unrolls, or a runtime count (`usize`).
+/// The word count of every mask in one search: [`OneWord`], a constant
+/// the compiler folds into the search, or a runtime count (`usize`).
 trait Words: Copy {
     fn get(self) -> usize;
 }
 
-/// A word count known at compile time.
+/// Masks of a single word.
 #[derive(Debug, Clone, Copy)]
-struct Fixed<const W: usize>;
+struct OneWord;
 
-impl<const W: usize> Words for Fixed<W> {
+impl Words for OneWord {
     #[inline(always)]
     fn get(self) -> usize {
-        W
+        1
     }
 }
 
