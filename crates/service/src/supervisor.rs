@@ -24,10 +24,11 @@
 //! `kill -9` between commits only loses work since the last checkpoint;
 //! determinism of the experiment stack makes the re-run of that tail
 //! byte-identical. A record that cannot be written is never ignored: a
-//! command waiting on the commit (submit, pause, checkpoint, cancel of a
-//! recovered session) returns the error, and a transition nobody waits
-//! on (running, seed done, cancelled, stopped, done, failed, a shutdown
-//! checkpoint) publishes a `persist_failed` event carrying it.
+//! call waiting on the commit (opening the state directory, submit,
+//! pause, checkpoint, cancel of a recovered session) returns the error,
+//! and a transition nobody waits on (running, resumed, seed done,
+//! cancelled, stopped, done, failed, a shutdown checkpoint) publishes a
+//! `persist_failed` event carrying it.
 
 use crate::bus::{BusSink, EventBus};
 use crate::executor::{Directive, Executor, JobCtrl, JobProgress};
