@@ -82,13 +82,13 @@ fn deterministic_observers() -> Vec<ObserverKind> {
 const GOLDEN: &[(&str, u64)] = &[
     ("fig5", 0xfb5580df2a77cbbe),
     ("fig6", 0x2ca7a299eabcb591),
-    ("fig7", 0xe1bc1607a9528fb7),
-    ("fig8", 0x434cb14b84b406e8),
+    ("fig7", 0xd4d49d3348b3ce27),
+    ("fig8", 0x7e7fb97b42965858),
     ("table2", 0x97855a29c34da0c9),
-    ("complexity", 0xe68b4a56589544ee),
+    ("complexity", 0x0a684b98429af338),
     ("theorem3", 0xfbef276e4b7e0dfa),
-    ("policy-run", 0x3c36702cf61c5d02),
-    ("policy-duel", 0xdde868a144856f0a),
+    ("policy-run", 0xd0e0de38fcece35a),
+    ("policy-duel", 0x708a787b55658910),
     ("policy-run lossy traffic p2", 0xd11a6c86649ed970),
 ];
 

@@ -36,8 +36,8 @@
 //!
 //! Leader election is the dominant cost of a mini-round when done naively:
 //! every undetermined Candidate rescans its whole `(2r+1)`-ball. The
-//! engine instead maintains an **incremental dirty set** on the lossless
-//! path (`LocalMaxCache`), justified by two invariants:
+//! engine instead keeps a **witness** per vertex (`LocalMaxCache`), on
+//! both paths, justified by two invariants:
 //!
 //! 1. **Dirty-ball invariant.** A Candidate's local-max verdict is a
 //!    function of the statuses of the Candidates in its `(2r+1)`-ball and
@@ -46,21 +46,29 @@
 //!    status in mini-round `τ` is *provably unchanged* in `τ+1` and is
 //!    carried forward. Only vertices within `(2r+1)` hops of a status
 //!    change (a Winner or Loser determination) can flip to leader.
-//! 2. **Blocked-count witness.** For each vertex the cache stores how
-//!    many *undetermined higher-priority* members — `(weight, id)` above
-//!    its own, the strict total order of the election — its closed ball
-//!    still holds. The count is seeded by one full ball sweep in
-//!    mini-round 0 and thereafter maintained purely incrementally: each
-//!    determination of `u` walks `u`'s `(2r+1)`-ball (exactly the dirty
-//!    region it invalidates) and decrements the counts of the
-//!    lower-priority Candidates in it. A Candidate leads **iff** its
-//!    count is zero, so the vertices whose count just hit zero are
-//!    precisely the next mini-round's leaders — an `O(1)` verdict per
-//!    leader, no rescans ever. Every vertex is determined at most once,
-//!    so the whole election costs two ball sweeps per decision (seed +
-//!    decrements) *independent of how many mini-rounds run*, versus one
-//!    sweep of every surviving Candidate per mini-round for the naive
-//!    rescan.
+//! 2. **Witness cursor.** A probe scans the vertex's ball row from its
+//!    cursor and stops at the first *undetermined higher-priority*
+//!    member — `(weight, id)` above its own, the strict total order of
+//!    the election — its witness; a Candidate with none leads. An entry
+//!    the scan passed is lower-priority or already determined, and stays
+//!    so for the rest of the decision, so it can never block the vertex
+//!    again: the next probe resumes at the cursor, and while the witness
+//!    is undetermined the verdict ("blocked") costs `O(1)`. A vertex's
+//!    cursor only moves forward, so all its scans together read its row
+//!    at most once per decision.
+//!
+//! On the lossless path the high half of each packed state word holds
+//! the witness's id, and each mini-round past the first picks the
+//! cheaper of two wake rules, which elect the same leaders: probe every
+//! remaining Candidate (most stop at their witness at once), or walk each
+//! just-determined vertex `u`'s ball and wake only the Candidates whose
+//! witness is `u`, the only ones whose verdict can have changed. The
+//! walk costs `Σ |ball(u)|` over the changed `u`, so the path probes
+//! every Candidate when `remaining ≤ Σ |ball(u)|` and wakes otherwise.
+//! Every vertex is determined once, so the wake walks of a decision cost
+//! at most one sweep of all balls, and on the Fig. 5 line, where each of
+//! `Θ(n)` mini-rounds determines two vertices, the election stays linear
+//! in `n`.
 //!
 //! Both invariants need every status change to be *visible* wherever it
 //! matters, which lossless `(3r+1)`-hop determination floods guarantee
@@ -77,9 +85,8 @@
 //! any config through [`DistributedPtas::decide_into_rescan`]; it is the
 //! oracle of the differential test battery (`tests/decide_parity.rs`),
 //! and its lossy and lossless outcomes are pinned to recorded digests
-//! there. The dirty expansion
-//! walks the per-vertex `(2r+1)`-ball tables precomputed at construction,
-//! so it needs no flood-engine relay table.
+//! there. The election walks the per-vertex `(2r+1)`-ball tables
+//! precomputed at construction, so it needs no flood-engine relay table.
 //!
 //! ## Local views on the rescan path
 //!
@@ -99,20 +106,23 @@
 //! vertex draining its own inbox, so interleaving receivers changes
 //! nothing.
 //!
-//! The election keeps one witness cursor per vertex: a view entry that
-//! did not block a vertex never blocks it later in the same decision (a
-//! view status never returns to `Candidate`), so each mini-round's scan
-//! resumes at the entry that blocked it last.
+//! The election runs the same witness-cursor probe ([`scan_row`]) on
+//! each vertex's view: a view entry that did not block a vertex never
+//! blocks it later in the same decision (a view status never returns to
+//! `Candidate`), so each mini-round's scan resumes at the entry that
+//! blocked it last. It probes every remaining Candidate every
+//! mini-round; a view-reading path has no global changed list to wake
+//! from.
 //!
 //! ## Tiles
 //!
-//! The per-vertex phases — the election probe, the per-leader MWIS, the
-//! blocked-count seeding and the dirty decrement expansion — run
-//! tile-local over the core+halo stripes of a [`mhca_graph::Partition`],
-//! merging per-tile results at phase boundaries.
+//! The per-vertex phases — the election probes and wake walk, and the
+//! per-leader MWIS — run tile-local over the core+halo stripes of a
+//! [`mhca_graph::Partition`], merging per-tile results at phase
+//! boundaries.
 //! [`DistributedPtasConfig::partitions`] sets the tile count; the default
 //! single tile *is* the serial sweep, and at `n = 10⁴–5×10⁴` more tiles
-//! split the memory-bound sweeps over threads. The threads are the
+//! split the memory-bound probes over threads. The threads are the
 //! decider's own parked [`TilePool`]: created on the first threaded
 //! decide, joined when the decider is dropped, asleep in between. The
 //! caller runs tile 0 and worker `t` always runs tile `t`, so a stripe
@@ -124,26 +134,36 @@
 //! phase is engineered so the merged result is *byte-identical* for every
 //! tile count (and hence to the rescan oracle), pinned by
 //! `tests/partition_parity.rs`. The key device is that a tile writes only
-//! its own stripe of the packed election state yet reads its neighbours'
-//! stripes live, while they write. That is legal because a sweep never
-//! changes a rank, never changes the word of a vertex determined before
-//! it, and never raises a blocked count to the `DETERMINED` sentinel: the
-//! rank comparisons and `< DETERMINED` tests of the seeding probe, and
-//! the changed vertices' ranks the decrement sweep reads, come out the
-//! same as from a copy taken before the sweep, whenever a neighbour's
-//! write lands. Status application and flood accounting stay serial —
-//! they are `O(determinations)` per round, not
-//! `O(n · ball)` — and so does the Fig. 6 summation, which runs over the
-//! ascending list of winners so far (each mini-round's new winners are
+//! its own stripe of the election state (its vertices' words and
+//! cursors) yet reads its neighbours' stripes live, while they write.
+//! That is legal because a probe reads two things of a neighbour's word:
+//! its rank, which nothing changes during a decision, and the
+//! `DETERMINED` flag, which only the serial status application sets. A
+//! probe rewrites only the witness half of its own vertex's word, and a
+//! witness id is always `< u32::MAX`, so a neighbour's `s < DETERMINED`
+//! test reads the same however the writes interleave. The wake walk
+//! matches witness halves only inside the walking tile's own stripe,
+//! and a probe never names a changed vertex as its new witness (its
+//! witness must be undetermined), so no vertex is woken twice. Every
+//! probe therefore reaches the verdict it would reach on a copy taken
+//! before the phase, whenever a neighbour's write lands. Status
+//! application and flood accounting stay serial — they are
+//! `O(determinations)` per round, not `O(n · ball)` — and so does the
+//! Fig. 6 summation, which runs over the ascending list of winners so far (each mini-round's new winners are
 //! merged into it) rather than over all `n` statuses. The priority ranks
 //! come from one sort of packed `(weight key, id)` words per decision
-//! (`LocalMaxCache::begin`).
+//! (`LocalMaxCache::begin`). The wake rule's choice reads two global
+//! counts, `remaining` and `Σ |ball(u)|`, so it, and with it the scan
+//! stats, is the same for every tile count.
 //!
 //! # Shared steps
 //!
-//! Only the elections and the status application differ between the
-//! two paths. The rest of the mini-round is written once: the outcome
-//! prologue (`begin_decision`), the payload-free flood batches
+//! Only the status application, and how the election reads a ball entry
+//! and picks whom to probe, differ between the two paths. The rest of
+//! the mini-round is written once: the election probe (`scan_row`,
+//! generic over how a vertex reads an entry: a global state word or a
+//! view slot), the outcome prologue (`begin_decision`), the payload-free
+//! flood batches
 //! (`flood_batch`; `declare` also records the leaders), the LocalLeader
 //! step (`LeaderStep`, generic over how a leader reads a status; the
 //! rescan path runs it on tile 0's scratch), the winners list and the
@@ -156,7 +176,7 @@ use mhca_graph::{BallScan, ExtendedConflictGraph, Partition};
 use mhca_mwis::{exact, greedy, local_search};
 use mhca_pool::TilePool;
 use mhca_sim::{Counters, Flood, FloodEngine, FloodReceivers, LossSpec};
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering::Relaxed};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
@@ -350,24 +370,25 @@ impl DecisionOutcome {
 /// Instrumentation counters of the last strategy decision's leader
 /// election — how much candidate-scanning work the decide phase actually
 /// performed ([`DistributedPtas::scan_stats`]). Streamed per round to the
-/// observer pipeline as `decide_scanned`; the dirty-ball path's whole
-/// point is that `candidates_scanned` stays near one full sweep per
-/// decision instead of one per mini-round.
+/// observer pipeline as `decide_scanned`. The three together are the
+/// lossless election's whole work, which stays linear in `n` even when a
+/// decision runs `Θ(n)` mini-rounds (`tests/election_work.rs`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DecideScanStats {
-    /// `(2r+1)`-ball candidate evaluations performed. The dirty-ball
-    /// path charges one per vertex for the mini-round 0 election probe
-    /// (early-exiting, so usually a partial scan) plus one per round-0
-    /// survivor for the count-seeding sweep — at most two per vertex per
-    /// decision, however many mini-rounds run. The rescan reference pays
-    /// one evaluation per surviving Candidate *per mini-round* (each
-    /// resuming where the vertex's previous one stopped).
+    /// Election probes that scanned the ball row, each resuming at the
+    /// vertex's witness cursor. The lossless path counts every mini-round
+    /// 0 probe and every later probe that read past its stored witness
+    /// (the witness was determined); the rescan reference counts one per
+    /// surviving Candidate *per mini-round*.
     pub candidates_scanned: u64,
-    /// `O(1)` leader verdicts served from the pending zero-blocked list
-    /// without any ball scan (always 0 on the full-rescan path).
+    /// Lossless probes that stopped at a stored witness that is still
+    /// undetermined: an `O(1)` "blocked" verdict (always 0 on the
+    /// full-rescan path).
     pub fast_skips: u64,
-    /// Blocked-count decrements applied while expanding status changes
-    /// into their dirty balls (always 0 on the full-rescan path).
+    /// Ball entries the lossless wake rule walked to find the Candidates
+    /// whose witness was just determined (always 0 on the full-rescan
+    /// path). The name is kept from the blocked-count election this
+    /// replaced, so the struct's `Debug` text is unchanged.
     pub dirty_decrements: u64,
 }
 
@@ -377,21 +398,19 @@ pub struct DecideScanStats {
 /// large `n` but measurable in small-`n` hot loops, so they are gated).
 /// Both decide paths fill it: on the rescan path (lossy delivery, and
 /// [`DistributedPtas::decide_into_rescan`]) the broadcast phase also
-/// covers applying every received list to the receivers' views, and
-/// `sweep_ns` holds only the Fig. 6 summation. This is what
-/// `decide_profile --pr6` reports per grid point.
+/// covers applying every received list to the receivers' views. This is
+/// what `decide_profile --pr6` reports per grid point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DecidePhaseNs {
-    /// Leader election: the mini-round 0 ball probe plus the pending-list
-    /// drain of later mini-rounds.
+    /// Leader election: every probe, and on the lossless path the wake
+    /// walks over the changed vertices' balls.
     pub election_ns: u64,
     /// Flood accounting: declaration and determination `broadcast_only`
     /// calls plus serial status application.
     pub broadcast_ns: u64,
     /// Per-leader local MWIS solves and determination-list fills.
     pub mwis_ns: u64,
-    /// Dirty expansion: the blocked-count seeding sweep (mini-round 0)
-    /// and the per-change decrement sweeps, plus the Fig. 6 summation.
+    /// The Fig. 6 summation and the winners-list update, on both paths.
     pub sweep_ns: u64,
 }
 
@@ -419,9 +438,9 @@ pub struct DistributedPtas<'h> {
     balls_r: Vec<Vec<usize>>,
     /// Flat `u32` CSR of the sorted `(2r+1)`-balls (`ball_offsets[v] ..
     /// ball_offsets[v + 1]` into `ball_entries` is `v`'s *row*), self
-    /// included. The dirty-ball election's seed and decrement sweeps
-    /// stream it (memory-bound, so the 4-byte entries halve their
-    /// traffic), and the rescan path's local views are aligned with it.
+    /// included. The election's probes and wake walks stream it
+    /// (memory-bound, so the 4-byte entries halve their traffic), and the
+    /// rescan path's local views are aligned with it.
     ball_offsets: Vec<usize>,
     ball_entries: Vec<u32>,
     /// The rescan path's local views, one status per ball entry:
@@ -446,9 +465,6 @@ pub struct DistributedPtas<'h> {
     /// Marks the receivers of the flood being applied (rescan path; all
     /// `false` between floods).
     received: Vec<bool>,
-    /// Per-vertex resume position of the rescan election: the first
-    /// entry of the vertex's row not yet known to be non-blocking.
-    witness: Vec<usize>,
     winners: WinnerList,
     cache: LocalMaxCache,
     scan_stats: DecideScanStats,
@@ -456,7 +472,7 @@ pub struct DistributedPtas<'h> {
     /// Core+halo tiling of the vertex range (one tile when
     /// `config.partitions <= 1`).
     partition: Partition,
-    /// One scratch set per tile (leaders, pending, solver, …). Tile `t`
+    /// One scratch set per tile (leaders, solver, …). Tile `t`
     /// locks its own set (uncontended); serial code reaches it through
     /// [`tile_mut`].
     tile_scratch: Vec<Mutex<TileScratch>>,
@@ -471,11 +487,10 @@ pub struct DistributedPtas<'h> {
 /// boundaries. The rescan path runs its leader steps on tile 0's set.
 #[derive(Debug, Default)]
 struct TileScratch {
-    /// Leaders found by this tile's mini-round 0 probe (core order, i.e.
-    /// ascending — tile-order concatenation reproduces the serial scan).
+    /// Leaders this tile's probes found this mini-round (ascending when
+    /// every Candidate is probed, so tile-order concatenation reproduces
+    /// the serial scan; in wake order otherwise).
     leaders: Vec<usize>,
-    /// Zero-blocked vertices this tile's sweeps produced.
-    pending: Vec<usize>,
     /// Determination lists of this tile's chunk of leader slots
     /// ([`LeaderStep::run_all`]), stored flat: list `i` ends at
     /// `det_ends[i]` and starts where list `i − 1` ends. Two buffers per
@@ -489,8 +504,10 @@ struct TileScratch {
     det: Vec<(usize, bool)>,
     det_ends: Vec<usize>,
     step: StepScratch,
+    /// This tile's share of [`DecideScanStats::candidates_scanned`] and
+    /// [`DecideScanStats::fast_skips`] in the current mini-round.
     scanned: u64,
-    decrements: u64,
+    skips: u64,
 }
 
 /// Scratch of one LocalLeader step.
@@ -540,59 +557,114 @@ fn run_tiles(pool: Option<&mut TilePool>, tiles: usize, f: impl Fn(usize) + Sync
     }
 }
 
-/// Reusable state of the dirty-ball leader election (see the
-/// module docs): per-vertex blocked counts plus the pending zero-count
-/// list. Only ever consulted on the lossless fast path; the rescan path
-/// ignores it entirely.
+/// Reusable state of the leader election (module docs): the witness
+/// cursors of both decide paths, and the lossless path's packed
+/// per-vertex words and changed list.
 #[derive(Debug, Default)]
 struct LocalMaxCache {
-    /// Packed per-vertex election state, one word per vertex so the
-    /// memory-bound ball sweeps touch a single cache line per probe:
+    /// Packed per-vertex election state of the lossless path, one word
+    /// per vertex so a probe reads one word per ball entry:
     ///
     /// * low 32 bits — the vertex's priority *rank*
     ///   (`rank_u < rank_v ⟺ (weight_u, u) > (weight_v, v)`, the
     ///   election's strict total order, materialized once per decision);
-    /// * high 32 bits — its *blocked count*: undetermined members of its
-    ///   closed `(2r+1)`-ball ranked above it ([`DETERMINED`] once the
-    ///   vertex itself is determined). A Candidate leads iff zero.
+    /// * high 32 bits — the id of its *witness*, the ball member its last
+    ///   probe stopped at: undetermined and ranked above it when the probe
+    ///   ran ([`DETERMINED`] once the vertex itself is determined; unset
+    ///   before its mini-round 0 probe, and left stale by the probe that
+    ///   makes it a leader).
     ///
     /// Atomic only so that tile jobs can write their own stripe through a
     /// shared reference: every access is `Relaxed` (a plain load or
     /// store), each word has one writer per phase, and the pool's
     /// hand-off orders the phases. Serial code uses `get_mut`.
     state: Vec<AtomicU64>,
-    /// Vertices whose blocked count hit zero during the current
-    /// mini-round's dirty expansion — the next mini-round's leaders
-    /// (those still Candidate by then). A count hits zero at most once,
-    /// so the list is duplicate-free by construction.
-    pending: Vec<usize>,
+    /// Per-vertex witness cursor of both paths: the position, within the
+    /// vertex's ball row, where its last scan stopped. The entries before
+    /// it never block the vertex again in this decision. Atomic for the
+    /// same reason as `state`.
+    cursor: Vec<AtomicU32>,
     /// Vertices whose status changed in the current mini-round.
     changed: Vec<usize>,
+    /// `Σ |ball(u)|` over `changed`: the cost of the wake walk.
+    changed_balls: usize,
     /// Sort scratch for the rank build ([`rank_order`]).
     order: Vec<u128>,
 }
 
 /// High-half sentinel of [`LocalMaxCache::state`] marking a determined
-/// vertex. Real blocked counts are bounded by the ball size (< `n` ≤
-/// `u32::MAX`), so the sentinel is unreachable by decrements.
+/// vertex. A witness id is a vertex id, `< n ≤ u32::MAX`, so a word
+/// holding one is always below the sentinel: `s < DETERMINED` reads
+/// "undetermined" whichever witness the word holds.
 const DETERMINED: u64 = (u32::MAX as u64) << 32;
 
 impl LocalMaxCache {
-    /// Prepares the cache for a fresh decision over `n` vertices: sizes
-    /// the state table (allocating only when `n` changes) and seeds it
-    /// with this decision's priority ranks (blocked counts zeroed; the
-    /// mini-round 0 sweep fills them).
+    /// Prepares the witness cursors for a decision over `n` vertices:
+    /// sizes them (allocating only when `n` changes) and rewinds each to
+    /// the start of its row. The rescan path needs nothing more.
+    fn rewind(&mut self, n: usize) {
+        if self.cursor.len() != n {
+            self.cursor = (0..n).map(|_| AtomicU32::new(0)).collect();
+        }
+        for c in &mut self.cursor {
+            *c.get_mut() = 0;
+        }
+    }
+
+    /// Prepares the lossless election for a decision over `n` vertices:
+    /// rewinds the cursors, sizes the state table (allocating only when
+    /// `n` changes) and seeds it with this decision's priority ranks.
     fn begin(&mut self, n: usize, weights: &[f64]) {
+        self.rewind(n);
         if self.state.len() != n {
             self.state = (0..n).map(|_| AtomicU64::new(0)).collect();
         }
-        self.pending.clear();
         self.changed.clear();
+        self.changed_balls = 0;
         rank_order(weights, &mut self.order);
         for (i, &key) in self.order.iter().enumerate() {
             *self.state[rank_sort_id(key)].get_mut() = i as u64;
         }
     }
+}
+
+/// The election probe of both decide paths (Algorithm 3 lines 2–6):
+/// scans a vertex's `(2r+1)`-ball row from `start`, its witness cursor,
+/// and returns the position of the first entry that blocks it, or
+/// `row.len()` when none does and the vertex leads. `blocks(p, u)` says
+/// whether the entry `u` at row position `p` is an undetermined Candidate
+/// that outranks the vertex, as the vertex reads it: the lossless path
+/// reads `u`'s global state word, the rescan path the vertex's view slot.
+fn scan_row(row: &[u32], start: usize, blocks: impl Fn(usize, u32) -> bool) -> usize {
+    (start..row.len())
+        .find(|&p| blocks(p, row[p]))
+        .unwrap_or(row.len())
+}
+
+/// One lossless probe of `v` ([`scan_row`] over the global state words):
+/// resumes at `v`'s cursor and returns whether `v` leads. A blocked `v`
+/// records where it stopped, in its cursor and witness half. It writes
+/// only `v`'s own words and reads only ranks and `< DETERMINED` tests of
+/// the others, which no probe changes (module docs, *Tiles*).
+fn probe(
+    v: usize,
+    state: &[AtomicU64],
+    cursor: &[AtomicU32],
+    ball_offsets: &[usize],
+    ball_entries: &[u32],
+) -> bool {
+    let row = &ball_entries[ball_offsets[v]..ball_offsets[v + 1]];
+    let rv = state[v].load(Relaxed) as u32;
+    let p = scan_row(row, cursor[v].load(Relaxed) as usize, |_, u| {
+        let s = state[u as usize].load(Relaxed);
+        (s as u32) < rv && s < DETERMINED
+    });
+    if p == row.len() {
+        return true;
+    }
+    cursor[v].store(p as u32, Relaxed);
+    state[v].store(u64::from(rv) | u64::from(row[p]) << 32, Relaxed);
+    false
 }
 
 /// Order-preserving `u64` key of a finite weight: `weight_key(a) <
@@ -986,7 +1058,6 @@ impl<'h> DistributedPtas<'h> {
             floods: Vec::new(),
             receivers: FloodReceivers::default(),
             received: Vec::new(),
-            witness: Vec::new(),
             winners: WinnerList::default(),
             cache: LocalMaxCache::default(),
             scan_stats: DecideScanStats::default(),
@@ -1220,48 +1291,72 @@ impl<'h> DistributedPtas<'h> {
         let mut remaining = n;
 
         for tau in 0..cap {
-            // ---- 1. LocalLeader selection. Mini-round 0 probes each
-            // ball with early exit at the first higher-priority member;
-            // per-tile leader lists concatenate in tile order, which *is*
-            // the reference path's ascending scan order. Later rounds read
-            // the leaders off the pending zero-count list — no ball is
-            // scanned again — and sort it, normalizing the tiles' push
-            // order.
+            // ---- 1. LocalLeader selection (Algorithm 3 lines 2–6). After
+            // mini-round 0 every Candidate holds a witness that blocked
+            // it, so only the Candidates whose witness was just
+            // determined can lead. Either probe every remaining
+            // Candidate (one that stops at its undetermined witness costs
+            // `O(1)`), or walk the changed vertices' balls and wake the
+            // Candidates whose witness half names one: both elect the
+            // same leaders, so the cheaper runs. Both sides of the test
+            // are global counts, so the choice, the scan stats and the
+            // outcome are the same for every tile count. Each tile probes
+            // only its own stripe; the wake walk splits by *target*
+            // stripe, touching the (binary-searched) sub-range of each
+            // sorted ball in it. Each woken vertex has one witness, so it
+            // is woken once.
             leaders.clear();
-            if tau == 0 {
-                let state: &[AtomicU64] = &cache.state;
+            let wake = tau > 0 && remaining > cache.changed_balls;
+            {
+                let (state, cursor): (&[AtomicU64], &[AtomicU32]) = (&cache.state, &cache.cursor);
+                let changed: &[usize] = &cache.changed;
                 let scratch: &[Mutex<TileScratch>] = tile_scratch;
                 run_tiles(pool.as_deref_mut(), tiles, |t| {
                     let ts = &mut *lock_tile(&scratch[t]);
                     ts.leaders.clear();
                     ts.scanned = 0;
-                    for v in cuts[t]..cuts[t + 1] {
+                    ts.skips = 0;
+                    let mut run_probe = |v: usize| {
                         ts.scanned += 1;
-                        let rv = state[v].load(Relaxed) as u32;
-                        let leads = ball_entries[ball_offsets[v]..ball_offsets[v + 1]]
-                            .iter()
-                            .all(|&u| (state[u as usize].load(Relaxed) as u32) >= rv);
-                        if leads {
+                        if probe(v, state, cursor, ball_offsets, ball_entries) {
                             ts.leaders.push(v);
+                        }
+                    };
+                    let (lo, hi) = (cuts[t], cuts[t + 1]);
+                    if wake {
+                        for &u in changed {
+                            let ball = &ball_entries[ball_offsets[u]..ball_offsets[u + 1]];
+                            let a = ball.partition_point(|&x| (x as usize) < lo);
+                            let b = ball.partition_point(|&x| (x as usize) < hi);
+                            for &x in &ball[a..b] {
+                                if state[x as usize].load(Relaxed) >> 32 == u as u64 {
+                                    run_probe(x as usize);
+                                }
+                            }
+                        }
+                    } else {
+                        for v in lo..hi {
+                            let s = state[v].load(Relaxed);
+                            if s >= DETERMINED {
+                                continue;
+                            }
+                            if tau > 0 && state[(s >> 32) as usize].load(Relaxed) < DETERMINED {
+                                ts.skips += 1;
+                                continue;
+                            }
+                            run_probe(v);
                         }
                     }
                 });
-                for ts in tile_scratch.iter_mut() {
-                    let ts = tile_mut(ts);
-                    scan_stats.candidates_scanned += ts.scanned;
-                    leaders.extend_from_slice(&ts.leaders);
-                }
-            } else {
-                for idx in 0..cache.pending.len() {
-                    let v = cache.pending[idx];
-                    // A zero-count vertex leads unless it was itself
-                    // determined in the round that unblocked it.
-                    if own[v] == Status::Candidate {
-                        scan_stats.fast_skips += 1;
-                        leaders.push(v);
-                    }
-                }
-                cache.pending.clear();
+            }
+            for ts in tile_scratch.iter_mut() {
+                let ts = tile_mut(ts);
+                scan_stats.candidates_scanned += ts.scanned;
+                scan_stats.fast_skips += ts.skips;
+                leaders.extend_from_slice(&ts.leaders);
+            }
+            if wake {
+                scan_stats.dirty_decrements += cache.changed_balls as u64;
                 leaders.sort_unstable();
             }
             lap(&mut phases.election_ns);
@@ -1293,6 +1388,7 @@ impl<'h> DistributedPtas<'h> {
             // (leaders are ≥ 2r+2 apart), so order is immaterial.
             engine.broadcast_only(floods);
             cache.changed.clear();
+            cache.changed_balls = 0;
             for list in det_lists(tile_scratch) {
                 for &(u, is_winner) in list {
                     debug_assert_eq!(own[u], Status::Candidate);
@@ -1300,6 +1396,7 @@ impl<'h> DistributedPtas<'h> {
                     *cache.state[u].get_mut() |= DETERMINED;
                     remaining -= 1;
                     cache.changed.push(u);
+                    cache.changed_balls += ball_offsets[u + 1] - ball_offsets[u];
                     if is_winner {
                         winners.touched.push(u);
                     }
@@ -1310,107 +1407,11 @@ impl<'h> DistributedPtas<'h> {
             // ---- 5. Fig. 6 bookkeeping.
             winners.update(&mut out.winners, own);
             record_weight(weights, out);
+            lap(&mut phases.sweep_ns);
             if remaining == 0 {
                 out.all_marked = true;
-                lap(&mut phases.sweep_ns);
                 break;
             }
-
-            // ---- 6. Dirty expansion over the state stripes, feeding the
-            // *next* mini-round's election (skipped on the budget's last
-            // round — nothing would read it).
-            if tau + 1 == cap {
-                lap(&mut phases.sweep_ns);
-                continue;
-            }
-            if tau == 0 {
-                // Seed the blocked counts over the survivors only, which
-                // folds mini-round 0's (largest) determination wave into
-                // the seeding sweep. Workers read the live state and write
-                // only their stripe. The probe reads a rank, which no
-                // sweep changes, and the `< DETERMINED` test, which no
-                // in-sweep write flips: a Candidate's word stays below the
-                // sentinel, and a determined word is skipped. So every
-                // probe reaches the same verdict whenever a neighbour
-                // tile's write lands. Pending lists concatenate in tile
-                // order = ascending.
-                let own_ref: &[Status] = own;
-                let state: &[AtomicU64] = &cache.state;
-                let scratch: &[Mutex<TileScratch>] = tile_scratch;
-                run_tiles(pool.as_deref_mut(), tiles, |t| {
-                    let ts = &mut *lock_tile(&scratch[t]);
-                    ts.pending.clear();
-                    ts.scanned = 0;
-                    for v in cuts[t]..cuts[t + 1] {
-                        if own_ref[v] != Status::Candidate {
-                            continue;
-                        }
-                        ts.scanned += 1;
-                        let sv = state[v].load(Relaxed);
-                        let rv = sv as u32;
-                        let mut blocked = 0u64;
-                        for &u in &ball_entries[ball_offsets[v]..ball_offsets[v + 1]] {
-                            let s = state[u as usize].load(Relaxed);
-                            blocked += u64::from((s as u32) < rv) & u64::from(s < DETERMINED);
-                        }
-                        state[v].store(sv | blocked << 32, Relaxed);
-                        if blocked == 0 {
-                            ts.pending.push(v);
-                        }
-                    }
-                });
-                for ts in tile_scratch.iter_mut() {
-                    let ts = tile_mut(ts);
-                    scan_stats.candidates_scanned += ts.scanned;
-                    cache.pending.extend_from_slice(&ts.pending);
-                }
-            } else {
-                // Retire each changed `u` from the blocked counts of the
-                // lower-priority Candidates in its (2r+1)-ball; whoever
-                // drops to zero leads next mini-round. The sweep splits by
-                // *target* stripe: every worker walks all changed vertices
-                // but touches only the (binary-searched) sub-range of each
-                // sorted ball in its stripe. A changed vertex's rank is
-                // read live, since no sweep changes a rank. Hit-zero
-                // moments are the same for every tile count; the next
-                // election's sort normalizes the order.
-                let changed: &[usize] = &cache.changed;
-                let state: &[AtomicU64] = &cache.state;
-                let scratch: &[Mutex<TileScratch>] = tile_scratch;
-                run_tiles(pool.as_deref_mut(), tiles, |t| {
-                    let ts = &mut *lock_tile(&scratch[t]);
-                    ts.pending.clear();
-                    ts.decrements = 0;
-                    let lo = cuts[t] as u32;
-                    let hi = cuts[t + 1] as u32;
-                    for &u in changed {
-                        let ru = state[u].load(Relaxed) as u32;
-                        let ball = &ball_entries[ball_offsets[u]..ball_offsets[u + 1]];
-                        let a = ball.partition_point(|&x| x < lo);
-                        let b = ball.partition_point(|&x| x < hi);
-                        for &x in &ball[a..b] {
-                            // The rank test is unpredictable, so the
-                            // decrement is branchless; only the rare
-                            // hit-zero push branches.
-                            let slot = &state[x as usize];
-                            let s = slot.load(Relaxed);
-                            let dec = u64::from((s as u32) > ru) & u64::from(s < DETERMINED);
-                            ts.decrements += dec;
-                            let s = s - (dec << 32);
-                            slot.store(s, Relaxed);
-                            if dec != 0 && s >> 32 == 0 {
-                                ts.pending.push(x as usize);
-                            }
-                        }
-                    }
-                });
-                for ts in tile_scratch.iter_mut() {
-                    let ts = tile_mut(ts);
-                    scan_stats.dirty_decrements += ts.decrements;
-                    cache.pending.extend_from_slice(&ts.pending);
-                }
-            }
-            lap(&mut phases.sweep_ns);
         }
         *phase_ns = phases;
 
@@ -1472,8 +1473,8 @@ impl<'h> DistributedPtas<'h> {
             floods,
             receivers,
             received,
-            witness,
             winners,
+            cache,
             scan_stats,
             tile_scratch,
             phase_ns,
@@ -1489,8 +1490,7 @@ impl<'h> DistributedPtas<'h> {
         };
         view_status.clear();
         view_status.resize(ent.len(), Status::Candidate);
-        witness.clear();
-        witness.extend_from_slice(&off[..n]);
+        cache.rewind(n);
         let mut remaining = n;
         let mut phases = DecidePhaseNs::default();
         let mut stamp = profiling.then(Instant::now);
@@ -1518,20 +1518,14 @@ impl<'h> DistributedPtas<'h> {
                     continue;
                 }
                 scan_stats.candidates_scanned += 1;
-                let end = off[v + 1];
-                let mut p = witness[v];
-                while p < end {
-                    let u = ent[p] as usize;
-                    if u != v
-                        && view_status[p] == Status::Candidate
-                        && (weights[u], u) > (weights[v], v)
-                    {
-                        break;
-                    }
-                    p += 1;
-                }
-                witness[v] = p;
-                if p == end {
+                let row = off[v]..off[v + 1];
+                let (ball, view) = (&ent[row.clone()], &view_status[row]);
+                let cursor = cache.cursor[v].get_mut();
+                *cursor = scan_row(ball, *cursor as usize, |p, u| {
+                    let u = u as usize;
+                    u != v && view[p] == Status::Candidate && (weights[u], u) > (weights[v], v)
+                }) as u32;
+                if *cursor as usize == ball.len() {
                     leaders.push(v);
                 }
             }
@@ -2037,8 +2031,8 @@ mod tests {
         let w: Vec<f64> = (0..h.n_vertices())
             .map(|_| rng.gen_range(0.1..1.0))
             .collect();
-        // A lossy config runs the rescan path, which never writes the
-        // dirty-set instrumentation, and equals the explicit rescan call
+        // A lossy config runs the rescan path, which never skips a probe
+        // or walks a ball to wake one, and equals the explicit rescan call
         // on a twin engine (same loss stream).
         let lossy = run_to_completion(2).with_loss_spec(LossSpec::lossy(0.2, 7));
         let mut ptas = DistributedPtas::new(&h, lossy);
@@ -2050,16 +2044,27 @@ mod tests {
         twin.decide_into_rescan(&w, &mut reference);
         assert_eq!(out, reference);
         assert_eq!(ptas.scan_stats(), twin.scan_stats());
-        // A lossless config, whatever its loss seed, runs the dirty-ball
-        // election: past mini-round 0 its leaders come off the pending
-        // list.
+        // A lossless config, whatever its loss seed, runs the witness
+        // election. On this instance each mini-round determines whole
+        // balls, so probing every remaining Candidate is the cheaper rule,
+        // and a probe stopping at its undetermined witness is a fast skip.
         for loss in [LossSpec::lossless(), LossSpec::lossy(0.0, 7)] {
             let mut ptas = DistributedPtas::new(&h, run_to_completion(2).with_loss_spec(loss));
             let out = ptas.decide(&w);
             assert!(out.minirounds_used > 1, "{loss:?}: one mini-round");
             assert!(ptas.scan_stats().fast_skips > 0, "{loss:?}");
-            assert!(ptas.scan_stats().dirty_decrements > 0, "{loss:?}");
         }
+        // On the Fig. 5 line each mini-round determines two vertices, so
+        // until few Candidates remain the path wakes only the Candidates
+        // whose witness fell, walking the changed vertices' balls.
+        let n = 40;
+        let line = ExtendedConflictGraph::new(&topology::line(n), 1);
+        let w: Vec<f64> = (0..n).map(|i| 1.0 - i as f64 / n as f64).collect();
+        let mut ptas = DistributedPtas::new(&line, run_to_completion(1));
+        let out = ptas.decide(&w);
+        assert!(out.minirounds_used > 1);
+        let stats = ptas.scan_stats();
+        assert!(stats.dirty_decrements > 0, "{stats:?}");
     }
 
     #[test]
@@ -2076,10 +2081,11 @@ mod tests {
         let out = inc.decide(&w);
         assert!(out.all_marked);
         let stats = inc.scan_stats();
-        // Mini-round 0 scans everyone once; later rounds only rescan
-        // candidates whose blocker fell — a vertex is rescanned at most
-        // once per mini-round, and in practice far less.
+        // Mini-round 0 scans everyone once; later rounds scan only the
+        // Candidates whose witness fell, each at most once per mini-round,
+        // and in practice far less. Every other probe is a fast skip.
         assert!(stats.candidates_scanned >= n);
+        assert!(stats.fast_skips > 0, "{stats:?}");
         assert!(
             stats.candidates_scanned <= n * out.minirounds_used as u64,
             "scanned {} with n {} over {} mini-rounds",
