@@ -57,8 +57,9 @@
 //!    cursor only moves forward, so all its scans together read its row
 //!    at most once per decision.
 //!
-//! On the lossless path the high half of each packed state word holds
-//! the witness's id, and each mini-round past the first picks the
+//! On the lossless path a vertex's priority is one key word, compared
+//! directly as `(weight_key, id)` (no rank sort), and its witness's id
+//! is stored beside its cursor. Each mini-round past the first picks the
 //! cheaper of two wake rules, which elect the same leaders: probe every
 //! remaining Candidate (most stop at their witness at once), or walk each
 //! just-determined vertex `u`'s ball and wake only the Candidates whose
@@ -128,31 +129,25 @@
 //! caller runs tile 0 and worker `t` always runs tile `t`, so a stripe
 //! stays warm in one core's cache, and no thread is created per phase
 //! or per decision. A tile job reaches its scratch set and its stripe of
-//! the packed election state by tile index (a per-tile `Mutex` and
-//! `Relaxed` atomic words), so a warm hand-off allocates nothing.
+//! the election state by tile index (a per-tile `Mutex` and `Relaxed`
+//! atomic witnesses and cursors), so a warm hand-off allocates nothing.
 //! Tiling is an **execution strategy, not a semantics knob**: every
 //! phase is engineered so the merged result is *byte-identical* for every
 //! tile count (and hence to the rescan oracle), pinned by
 //! `tests/partition_parity.rs`. The key device is that a tile writes only
-//! its own stripe of the election state (its vertices' words and
-//! cursors) yet reads its neighbours' stripes live, while they write.
-//! That is legal because a probe reads two things of a neighbour's word:
-//! its rank, which nothing changes during a decision, and the
-//! `DETERMINED` flag, which only the serial status application sets. A
-//! probe rewrites only the witness half of its own vertex's word, and a
-//! witness id is always `< u32::MAX`, so a neighbour's `s < DETERMINED`
-//! test reads the same however the writes interleave. The wake walk
-//! matches witness halves only inside the walking tile's own stripe,
-//! and a probe never names a changed vertex as its new witness (its
-//! witness must be undetermined), so no vertex is woken twice. Every
-//! probe therefore reaches the verdict it would reach on a copy taken
-//! before the phase, whenever a neighbour's write lands. Status
-//! application and flood accounting stay serial — they are
+//! its own stripe of the election state (its vertices' witnesses and
+//! cursors), while every tile reads the other tiles' vertices only
+//! through their priority keys. Only the serial status application
+//! writes a key (to `DETERMINED`), so no key changes while the tiles
+//! probe, and every probe reaches the verdict it would reach serially.
+//! The wake walk reads witnesses only inside the walking tile's own
+//! stripe, and a probe never names a changed vertex as its new witness
+//! (its witness must be undetermined), so no vertex is woken twice.
+//! Status application and flood accounting stay serial — they are
 //! `O(determinations)` per round, not `O(n · ball)` — and so does the
-//! Fig. 6 summation, which runs over the ascending list of winners so far (each mini-round's new winners are
-//! merged into it) rather than over all `n` statuses. The priority ranks
-//! come from one sort of packed `(weight key, id)` words per decision
-//! (`LocalMaxCache::begin`). The wake rule's choice reads two global
+//! Fig. 6 summation, which runs over the ascending list of winners so
+//! far (each mini-round's new winners are merged into it) rather than
+//! over all `n` statuses. The wake rule's choice reads two global
 //! counts, `remaining` and `Σ |ball(u)|`, so it, and with it the scan
 //! stats, is the same for every tile count.
 //!
@@ -161,7 +156,7 @@
 //! Only the status application, and how the election reads a ball entry
 //! and picks whom to probe, differ between the two paths. The rest of
 //! the mini-round is written once: the election probe (`scan_row`,
-//! generic over how a vertex reads an entry: a global state word or a
+//! generic over how a vertex reads an entry: a global priority key or a
 //! view slot), the outcome prologue (`begin_decision`), the payload-free
 //! flood batches
 //! (`flood_batch`; `declare` also records the leaders), the LocalLeader
@@ -176,7 +171,7 @@ use mhca_graph::{BallScan, ExtendedConflictGraph, Partition};
 use mhca_mwis::{exact, greedy, local_search};
 use mhca_pool::TilePool;
 use mhca_sim::{Counters, Flood, FloodEngine, FloodReceivers, LossSpec};
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::{AtomicU32, Ordering::Relaxed};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
@@ -483,7 +478,7 @@ pub struct DistributedPtas<'h> {
 }
 
 /// Per-tile worker scratch: everything a tile-local phase writes besides
-/// its own stripe of the packed election state, merged serially at phase
+/// its own stripe of the election state, merged serially at phase
 /// boundaries. The rescan path runs its leader steps on tile 0's set.
 #[derive(Debug, Default)]
 struct TileScratch {
@@ -558,45 +553,47 @@ fn run_tiles(pool: Option<&mut TilePool>, tiles: usize, f: impl Fn(usize) + Sync
 }
 
 /// Reusable state of the leader election (module docs): the witness
-/// cursors of both decide paths, and the lossless path's packed
-/// per-vertex words and changed list.
+/// cursors of both decide paths, and the lossless path's priority keys,
+/// witnesses and changed list.
 #[derive(Debug, Default)]
 struct LocalMaxCache {
-    /// Packed per-vertex election state of the lossless path, one word
-    /// per vertex so a probe reads one word per ball entry:
+    /// Per-vertex priority key of the lossless path: [`weight_key`] of the
+    /// vertex's weight, or [`DETERMINED`] once it is determined. With the
+    /// id as tie-break, `(key_u, u) > (key_v, v) ⟺ (weight_u, u) >
+    /// (weight_v, v)` while both are undetermined, the election's strict
+    /// total order, compared directly, so a probe reads one word per ball
+    /// entry. Only serial code writes it (`begin` and the status
+    /// application), so tile jobs read it as a plain slice.
+    key: Vec<u64>,
+    /// Per-vertex witness of the lossless path: the id of the ball member
+    /// the vertex's last probe stopped at, undetermined and outranking it
+    /// when the probe ran ([`NO_WITNESS`] once the vertex is determined;
+    /// stale before its mini-round 0 probe and after the probe that makes
+    /// it a leader).
     ///
-    /// * low 32 bits — the vertex's priority *rank*
-    ///   (`rank_u < rank_v ⟺ (weight_u, u) > (weight_v, v)`, the
-    ///   election's strict total order, materialized once per decision);
-    /// * high 32 bits — the id of its *witness*, the ball member its last
-    ///   probe stopped at: undetermined and ranked above it when the probe
-    ///   ran ([`DETERMINED`] once the vertex itself is determined; unset
-    ///   before its mini-round 0 probe, and left stale by the probe that
-    ///   makes it a leader).
-    ///
-    /// Atomic only so that tile jobs can write their own stripe through a
-    /// shared reference: every access is `Relaxed` (a plain load or
-    /// store), each word has one writer per phase, and the pool's
-    /// hand-off orders the phases. Serial code uses `get_mut`.
-    state: Vec<AtomicU64>,
+    /// Atomic, like `cursor`, only so that tile jobs can write their own
+    /// stripe through a shared reference: every access is `Relaxed` (a
+    /// plain load or store), each entry has one writer per phase, and the
+    /// pool's hand-off orders the phases. Serial code uses `get_mut`.
+    witness: Vec<AtomicU32>,
     /// Per-vertex witness cursor of both paths: the position, within the
     /// vertex's ball row, where its last scan stopped. The entries before
-    /// it never block the vertex again in this decision. Atomic for the
-    /// same reason as `state`.
+    /// it never block the vertex again in this decision.
     cursor: Vec<AtomicU32>,
     /// Vertices whose status changed in the current mini-round.
     changed: Vec<usize>,
     /// `Σ |ball(u)|` over `changed`: the cost of the wake walk.
     changed_balls: usize,
-    /// Sort scratch for the rank build ([`rank_order`]).
-    order: Vec<u128>,
 }
 
-/// High-half sentinel of [`LocalMaxCache::state`] marking a determined
-/// vertex. A witness id is a vertex id, `< n ≤ u32::MAX`, so a word
-/// holding one is always below the sentinel: `s < DETERMINED` reads
-/// "undetermined" whichever witness the word holds.
-const DETERMINED: u64 = (u32::MAX as u64) << 32;
+/// Priority key of a determined vertex. Every finite weight's
+/// [`weight_key`] is above it, so a determined vertex outranks, and so
+/// blocks, no one.
+const DETERMINED: u64 = 0;
+
+/// Witness of a determined vertex. It is no vertex id (ids are `< n ≤
+/// u32::MAX`), so the wake walk never wakes a determined vertex.
+const NO_WITNESS: u32 = u32::MAX;
 
 impl LocalMaxCache {
     /// Prepares the witness cursors for a decision over `n` vertices:
@@ -612,19 +609,17 @@ impl LocalMaxCache {
     }
 
     /// Prepares the lossless election for a decision over `n` vertices:
-    /// rewinds the cursors, sizes the state table (allocating only when
-    /// `n` changes) and seeds it with this decision's priority ranks.
+    /// rewinds the cursors, sizes the witness table (allocating only when
+    /// `n` changes) and keys every vertex by its weight.
     fn begin(&mut self, n: usize, weights: &[f64]) {
         self.rewind(n);
-        if self.state.len() != n {
-            self.state = (0..n).map(|_| AtomicU64::new(0)).collect();
+        if self.witness.len() != n {
+            self.witness = (0..n).map(|_| AtomicU32::new(NO_WITNESS)).collect();
         }
+        self.key.clear();
+        self.key.extend(weights.iter().map(|&w| weight_key(w)));
         self.changed.clear();
         self.changed_balls = 0;
-        rank_order(weights, &mut self.order);
-        for (i, &key) in self.order.iter().enumerate() {
-            *self.state[rank_sort_id(key)].get_mut() = i as u64;
-        }
     }
 }
 
@@ -634,42 +629,45 @@ impl LocalMaxCache {
 /// `row.len()` when none does and the vertex leads. `blocks(p, u)` says
 /// whether the entry `u` at row position `p` is an undetermined Candidate
 /// that outranks the vertex, as the vertex reads it: the lossless path
-/// reads `u`'s global state word, the rescan path the vertex's view slot.
+/// reads `u`'s global priority key, the rescan path the vertex's view
+/// slot.
 fn scan_row(row: &[u32], start: usize, blocks: impl Fn(usize, u32) -> bool) -> usize {
     (start..row.len())
         .find(|&p| blocks(p, row[p]))
         .unwrap_or(row.len())
 }
 
-/// One lossless probe of `v` ([`scan_row`] over the global state words):
-/// resumes at `v`'s cursor and returns whether `v` leads. A blocked `v`
-/// records where it stopped, in its cursor and witness half. It writes
-/// only `v`'s own words and reads only ranks and `< DETERMINED` tests of
-/// the others, which no probe changes (module docs, *Tiles*).
+/// One lossless probe of `v` ([`scan_row`] over the global priority
+/// keys): resumes at `v`'s cursor and returns whether `v` leads. A
+/// blocked `v` records where it stopped, in its cursor and witness. It
+/// writes only `v`'s own entries and reads only keys, which no probe
+/// changes (module docs, *Tiles*).
 fn probe(
     v: usize,
-    state: &[AtomicU64],
+    key: &[u64],
+    witness: &[AtomicU32],
     cursor: &[AtomicU32],
     ball_offsets: &[usize],
     ball_entries: &[u32],
 ) -> bool {
     let row = &ball_entries[ball_offsets[v]..ball_offsets[v + 1]];
-    let rv = state[v].load(Relaxed) as u32;
+    let kv = (key[v], v as u32);
     let p = scan_row(row, cursor[v].load(Relaxed) as usize, |_, u| {
-        let s = state[u as usize].load(Relaxed);
-        (s as u32) < rv && s < DETERMINED
+        (key[u as usize], u) > kv
     });
     if p == row.len() {
         return true;
     }
     cursor[v].store(p as u32, Relaxed);
-    state[v].store(u64::from(rv) | u64::from(row[p]) << 32, Relaxed);
+    witness[v].store(row[p], Relaxed);
     false
 }
 
 /// Order-preserving `u64` key of a finite weight: `weight_key(a) <
 /// weight_key(b) ⟺ a < b`. `-0.0` is keyed as `+0.0`, because the two
-/// zeros compare equal and the id must break their tie.
+/// zeros compare equal and the id must break their tie. A finite weight's
+/// exponent bits are not all ones, so its key is never 0
+/// ([`DETERMINED`]).
 fn weight_key(w: f64) -> u64 {
     let bits = if w == 0.0 { 0 } else { w.to_bits() };
     if bits >> 63 == 1 {
@@ -677,27 +675,6 @@ fn weight_key(w: f64) -> u64 {
     } else {
         bits | 1 << 63
     }
-}
-
-/// Fills `order` with one packed `(!weight_key(w), !id)` word per vertex,
-/// sorted ascending, which is descending `(weight, id)`, the election's
-/// priority order: position `i` holds the vertex of rank `i`
-/// ([`rank_sort_id`]). One direct sort, with no comparator reaching back
-/// into `weights`.
-fn rank_order(weights: &[f64], order: &mut Vec<u128>) {
-    order.clear();
-    order.extend(
-        weights
-            .iter()
-            .enumerate()
-            .map(|(v, &w)| u128::from(!weight_key(w)) << 32 | u128::from(!(v as u32))),
-    );
-    order.sort_unstable();
-}
-
-/// The vertex of a [`rank_order`] word.
-fn rank_sort_id(key: u128) -> usize {
-    !(key as u32) as usize
 }
 
 /// Pooled scratch for the LocalLeader MWIS, grouped so the solver can be
@@ -1297,7 +1274,7 @@ impl<'h> DistributedPtas<'h> {
             // determined can lead. Either probe every remaining
             // Candidate (one that stops at its undetermined witness costs
             // `O(1)`), or walk the changed vertices' balls and wake the
-            // Candidates whose witness half names one: both elect the
+            // Candidates whose witness is one of them: both elect the
             // same leaders, so the cheaper runs. Both sides of the test
             // are global counts, so the choice, the scan stats and the
             // outcome are the same for every tile count. Each tile probes
@@ -1308,7 +1285,9 @@ impl<'h> DistributedPtas<'h> {
             leaders.clear();
             let wake = tau > 0 && remaining > cache.changed_balls;
             {
-                let (state, cursor): (&[AtomicU64], &[AtomicU32]) = (&cache.state, &cache.cursor);
+                let key: &[u64] = &cache.key;
+                let (witness, cursor): (&[AtomicU32], &[AtomicU32]) =
+                    (&cache.witness, &cache.cursor);
                 let changed: &[usize] = &cache.changed;
                 let scratch: &[Mutex<TileScratch>] = tile_scratch;
                 run_tiles(pool.as_deref_mut(), tiles, |t| {
@@ -1318,7 +1297,7 @@ impl<'h> DistributedPtas<'h> {
                     ts.skips = 0;
                     let mut run_probe = |v: usize| {
                         ts.scanned += 1;
-                        if probe(v, state, cursor, ball_offsets, ball_entries) {
+                        if probe(v, key, witness, cursor, ball_offsets, ball_entries) {
                             ts.leaders.push(v);
                         }
                     };
@@ -1329,18 +1308,17 @@ impl<'h> DistributedPtas<'h> {
                             let a = ball.partition_point(|&x| (x as usize) < lo);
                             let b = ball.partition_point(|&x| (x as usize) < hi);
                             for &x in &ball[a..b] {
-                                if state[x as usize].load(Relaxed) >> 32 == u as u64 {
+                                if witness[x as usize].load(Relaxed) == u as u32 {
                                     run_probe(x as usize);
                                 }
                             }
                         }
                     } else {
                         for v in lo..hi {
-                            let s = state[v].load(Relaxed);
-                            if s >= DETERMINED {
+                            if key[v] == DETERMINED {
                                 continue;
                             }
-                            if tau > 0 && state[(s >> 32) as usize].load(Relaxed) < DETERMINED {
+                            if tau > 0 && key[witness[v].load(Relaxed) as usize] != DETERMINED {
                                 ts.skips += 1;
                                 continue;
                             }
@@ -1393,7 +1371,8 @@ impl<'h> DistributedPtas<'h> {
                 for &(u, is_winner) in list {
                     debug_assert_eq!(own[u], Status::Candidate);
                     own[u] = determined(is_winner);
-                    *cache.state[u].get_mut() |= DETERMINED;
+                    cache.key[u] = DETERMINED;
+                    *cache.witness[u].get_mut() = NO_WITNESS;
                     remaining -= 1;
                     cache.changed.push(u);
                     cache.changed_balls += ball_offsets[u + 1] - ball_offsets[u];
@@ -2244,10 +2223,10 @@ mod tests {
     }
 
     #[test]
-    fn rank_sort_matches_the_indirect_comparator() {
-        // The comparator the rank build used before the direct key sort:
-        // descending `(weight, id)` under `partial_cmp`, where the two
-        // zeros tie and the id breaks the tie.
+    fn priority_keys_match_the_indirect_comparator() {
+        // The election's order on `(weight_key, id)` against descending
+        // `(weight, id)` under `partial_cmp`, where the two zeros tie and
+        // the id breaks the tie.
         fn indirect(weights: &[f64]) -> Vec<usize> {
             let mut order: Vec<usize> = (0..weights.len()).collect();
             order.sort_unstable_by(|&a, &b| {
@@ -2258,10 +2237,13 @@ mod tests {
             order
         }
         fn check(weights: &[f64], label: &str) {
-            let mut keys = Vec::new();
-            rank_order(weights, &mut keys);
-            let got: Vec<usize> = keys.iter().map(|&k| rank_sort_id(k)).collect();
+            let mut got: Vec<usize> = (0..weights.len()).collect();
+            got.sort_unstable_by_key(|&v| std::cmp::Reverse((weight_key(weights[v]), v)));
             assert_eq!(got, indirect(weights), "{label}: {weights:?}");
+            assert!(
+                weights.iter().all(|&w| weight_key(w) != DETERMINED),
+                "{label}"
+            );
         }
         use rand::{rngs::StdRng, Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(83);
