@@ -7,8 +7,8 @@
 //! the speedup column is a true paired comparison (same machine, same
 //! cache state, same inputs). Alongside wall time the profile records the
 //! per-phase work counters that explain it: leader-election ball scans
-//! (`*_scanned` — the term the dirty set shrinks), the `O(1)` pending
-//! verdicts and blocked-count decrements unique to the incremental path,
+//! (`*_scanned` — the term the witness cursor shrinks), the `O(1)`
+//! witness verdicts and wake-walk entries unique to the incremental path,
 //! and the flood-phase communication totals (identical across paths by
 //! construction — the differential test battery pins this).
 //!
@@ -427,16 +427,18 @@ fn main() {
     json.push_str(
         "  \"description\": \"PR 4 regression numbers: incremental dirty-ball leader \
          election in the decide phase. Each grid point runs DistributedPtas::decide_into \
-         (incremental blocked-count election, counters-only floods) and \
+         (incremental witness-cursor election, counters-only floods) and \
          DistributedPtas::decide_into_rescan (the full-rescan reference, bit-identical \
          outcomes pinned by tests/decide_parity.rs) on the same network and weights; \
          *_ns are p50 wall-clock per decision from a log-bucketed latency histogram \
          (<=6.25% relative error; *_p99_ns is the same histogram's p99), speedup = \
          rescan_ns / incremental_ns; incremental_phase_ns carries per-phase p50/p99. \
-         Scanned counters are (2r+1)-ball candidate evaluations per decision (at most \
-         two per vertex on the incremental path, one per survivor per mini-round on the \
-         reference); fast_skips and dirty_decrements are the incremental path's O(1) \
-         bookkeeping.\",\n",
+         Scanned counters are election probes that scanned a (2r+1)-ball row, per \
+         decision (on the incremental path every mini-round 0 probe and every later probe \
+         whose stored witness was determined; one per survivor per mini-round on the \
+         reference); fast_skips are incremental probes that stopped at a still \
+         undetermined witness in O(1), and dirty_decrements the ball entries its wake \
+         rule walked.\",\n",
     );
     json.push_str(
         "  \"workload\": \"Network::random(n, 5, 5.0, 0.1, 300 + n): unit-disk, 5 channels, \

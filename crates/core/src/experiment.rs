@@ -147,9 +147,9 @@ pub struct RoundRecord<'a> {
     pub decide_delivered: u64,
     /// Pipelined mini-timeslots of this decision.
     pub decide_timeslots: u64,
-    /// Candidate `(2r+1)`-ball evaluations the decision's leader election
-    /// performed ([`crate::DecideScanStats::candidates_scanned`]) — the
-    /// work metric the incremental dirty-ball decide path shrinks.
+    /// Election probes of the decision that scanned a `(2r+1)`-ball row
+    /// ([`crate::DecideScanStats::candidates_scanned`]) — the work metric
+    /// the incremental dirty-ball decide path shrinks.
     pub decide_scanned: u64,
     /// Always 0 ([`crate::DecisionOutcome::fallback_floods`]): the flood
     /// engine's relay tables have no cap, so no decide flood falls back

@@ -387,9 +387,11 @@ pub struct ComplexityPoint {
     pub timeslots: u64,
     /// Mean `(2r+1)`-ball size — the per-vertex storage `O(m)` claim.
     pub mean_ball_size: f64,
-    /// Candidate ball evaluations the decide phase performed — near one
-    /// full sweep on the incremental dirty-ball path, one sweep per
-    /// mini-round on the full-rescan reference.
+    /// Election probes that scanned a ball row
+    /// ([`crate::DecideScanStats::candidates_scanned`]): on the
+    /// incremental dirty-ball path every mini-round 0 probe and every
+    /// later probe whose witness was determined, one per surviving
+    /// Candidate per mini-round on the full-rescan reference.
     pub candidates_scanned: u64,
 }
 

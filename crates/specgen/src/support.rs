@@ -166,10 +166,11 @@ pub fn assert_tiled_parity_sequence(
         // the batteries that call this.
         assert_eq!(got.leaders_flat, expect.leaders_flat, "{label} step {step}");
         assert_eq!(got.counters, expect.counters, "{label} step {step}");
-        assert_eq!(
-            got.fallback_floods, expect.fallback_floods,
-            "{label} step {step}"
-        );
+        // Bit for bit: `==` on f64 would accept a `-0.0`/`0.0` swap.
+        let bits = |o: &DecisionOutcome| -> Vec<u64> {
+            o.per_miniround_weight.iter().map(|w| w.to_bits()).collect()
+        };
+        assert_eq!(bits(&got), bits(&expect), "{label} step {step}");
     }
 }
 
