@@ -107,7 +107,7 @@
 //! vertex draining its own inbox, so interleaving receivers changes
 //! nothing.
 //!
-//! The election runs the same witness-cursor probe ([`scan_row`]) on
+//! The election runs the same witness-cursor probe (`scan_row`) on
 //! each vertex's view: a view entry that did not block a vertex never
 //! blocks it later in the same decision (a view status never returns to
 //! `Candidate`), so each mini-round's scan resumes at the entry that
