@@ -54,8 +54,8 @@
 //!    so for the rest of the decision, so it can never block the vertex
 //!    again: the next probe resumes at the cursor, and while the witness
 //!    is undetermined the verdict ("blocked") costs `O(1)`. A vertex's
-//!    cursor only moves forward, so all its scans together read its row
-//!    at most once per decision.
+//!    cursor only moves forward, so in one decision its scans read each
+//!    entry of its row once, plus the witness again per probe.
 //!
 //! On the lossless path a vertex's priority is one key word, compared
 //! directly as `(weight_key, id)` (no rank sort), and its witness's id
