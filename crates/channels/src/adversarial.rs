@@ -4,12 +4,9 @@
 //! generated by an adversary that may obliviously … learn to play against
 //! our strategies" as future work. These processes implement an *oblivious*
 //! adversary: the rate sequence is a fixed function of the slot index `t`,
-//! decided before the learner runs. They plug into the same
-//! [`crate::ChannelProcess`] interface, so every policy and experiment in
-//! the workspace can be rerun against them unchanged.
-
-use crate::process::ChannelProcess;
-use rand::RngCore;
+//! decided before the learner runs. Each is a variant of
+//! [`crate::ChannelProcess`], like the stochastic families, so every policy
+//! and experiment in the workspace can be rerun against them unchanged.
 
 /// Sinusoidal rate: `base + amp·sin(2π·(t + phase)/period)`, clamped at 0.
 ///
@@ -43,29 +40,12 @@ impl Sinusoidal {
             phase,
         }
     }
-}
 
-impl Sinusoidal {
     /// The (deterministic) rate at slot `t`.
-    fn value_at(&self, t: u64) -> f64 {
+    pub(crate) fn value_at(&self, t: u64) -> f64 {
         let angle = 2.0 * std::f64::consts::PI * ((t + self.phase) % self.period) as f64
             / self.period as f64;
         (self.base + self.amp * angle.sin()).max(0.0)
-    }
-}
-
-impl ChannelProcess for Sinusoidal {
-    fn sample(&self, t: u64, _rng: &mut dyn RngCore) -> f64 {
-        self.value_at(t)
-    }
-    fn mean(&self) -> f64 {
-        self.base
-    }
-    fn mean_at(&self, t: u64) -> f64 {
-        self.value_at(t)
-    }
-    fn clone_box(&self) -> Box<dyn ChannelProcess> {
-        Box::new(*self)
     }
 }
 
@@ -92,31 +72,14 @@ impl Switching {
         assert!(high >= 0.0 && low >= 0.0, "negative rates");
         Switching { high, low, dwell }
     }
-}
 
-impl Switching {
     /// The (deterministic) rate at slot `t`.
-    fn value_at(&self, t: u64) -> f64 {
+    pub(crate) fn value_at(&self, t: u64) -> f64 {
         if (t / self.dwell).is_multiple_of(2) {
             self.high
         } else {
             self.low
         }
-    }
-}
-
-impl ChannelProcess for Switching {
-    fn sample(&self, t: u64, _rng: &mut dyn RngCore) -> f64 {
-        self.value_at(t)
-    }
-    fn mean(&self) -> f64 {
-        0.5 * (self.high + self.low)
-    }
-    fn mean_at(&self, t: u64) -> f64 {
-        self.value_at(t)
-    }
-    fn clone_box(&self) -> Box<dyn ChannelProcess> {
-        Box::new(*self)
     }
 }
 
@@ -149,32 +112,10 @@ impl Ramp {
             horizon,
         }
     }
-}
 
-impl Ramp {
     /// The (deterministic) rate at slot `t`.
-    fn value_at(&self, t: u64) -> f64 {
+    pub(crate) fn value_at(&self, t: u64) -> f64 {
         (self.start + self.slope * t as f64).max(0.0)
-    }
-}
-
-impl ChannelProcess for Ramp {
-    fn sample(&self, t: u64, _rng: &mut dyn RngCore) -> f64 {
-        self.value_at(t)
-    }
-    fn mean_at(&self, t: u64) -> f64 {
-        self.value_at(t)
-    }
-    fn mean(&self) -> f64 {
-        // Average of the clamped line over [0, horizon).
-        let n = self.horizon;
-        let sum: f64 = (0..n)
-            .map(|t| (self.start + self.slope * t as f64).max(0.0))
-            .sum();
-        sum / n as f64
-    }
-    fn clone_box(&self) -> Box<dyn ChannelProcess> {
-        Box::new(*self)
     }
 }
 
@@ -187,9 +128,10 @@ impl ChannelProcess for Ramp {
 /// within a segment the channel looks i.i.d.-constant, but the best
 /// strategy changes at every breakpoint, so a stationary index policy
 /// (CS-UCB, LLR) accumulates fresh regret after each shift — exactly
-/// what the `windowed-regret` observer measures. [`ChannelProcess::mean`]
-/// reports the design mean `base` (the time average when the high/low
-/// segments balance); [`ChannelProcess::mean_at`] reports the
+/// what the `windowed-regret` observer measures.
+/// [`ChannelProcess::mean`](crate::ChannelProcess::mean) reports the design
+/// mean `base` (the time average when the high/low segments balance);
+/// [`ChannelProcess::mean_at`](crate::ChannelProcess::mean_at) reports the
 /// instantaneous level, which the runner's drift oracle prices against.
 ///
 /// # Example
@@ -198,7 +140,7 @@ impl ChannelProcess for Ramp {
 /// use mhca_channels::{adversarial::Drift, ChannelProcess};
 ///
 /// // 600 ± 300 kbps, stepping down at slot 100 and back up at 200.
-/// let p = Drift::new(600.0, 300.0, vec![100, 200], 0, true);
+/// let p = ChannelProcess::from(Drift::new(600.0, 300.0, vec![100, 200], 0, true));
 /// assert_eq!(p.mean_at(0), 900.0);
 /// assert_eq!(p.mean_at(150), 300.0);
 /// assert_eq!(p.mean_at(250), 900.0);
@@ -263,7 +205,7 @@ impl Drift {
     }
 
     /// The (deterministic) rate at slot `t`.
-    fn value_at(&self, t: u64) -> f64 {
+    pub(crate) fn value_at(&self, t: u64) -> f64 {
         let seg = self.breakpoints.partition_point(|&b| b <= t);
         let cur = self.level(seg);
         if seg > 0 && self.ramp > 0 {
@@ -278,29 +220,15 @@ impl Drift {
     }
 }
 
-impl ChannelProcess for Drift {
-    fn sample(&self, t: u64, _rng: &mut dyn RngCore) -> f64 {
-        self.value_at(t)
-    }
-    fn mean(&self) -> f64 {
-        self.base
-    }
-    fn mean_at(&self, t: u64) -> f64 {
-        self.value_at(t)
-    }
-    fn clone_box(&self) -> Box<dyn ChannelProcess> {
-        Box::new(self.clone())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ChannelProcess;
     use rand::{rngs::StdRng, SeedableRng};
 
     #[test]
     fn sinusoidal_is_deterministic_in_t() {
-        let p = Sinusoidal::new(10.0, 5.0, 20, 0);
+        let p = ChannelProcess::from(Sinusoidal::new(10.0, 5.0, 20, 0));
         let mut rng = StdRng::seed_from_u64(0);
         assert_eq!(p.sample(3, &mut rng), p.sample(3, &mut rng));
         assert_eq!(p.sample(3, &mut rng), p.sample(23, &mut rng)); // periodic
@@ -308,7 +236,7 @@ mod tests {
 
     #[test]
     fn sinusoidal_average_over_period_is_base() {
-        let p = Sinusoidal::new(10.0, 5.0, 100, 7);
+        let p = ChannelProcess::from(Sinusoidal::new(10.0, 5.0, 100, 7));
         let mut rng = StdRng::seed_from_u64(0);
         let avg: f64 = (0..100).map(|t| p.sample(t, &mut rng)).sum::<f64>() / 100.0;
         assert!((avg - 10.0).abs() < 0.01, "avg {avg}");
@@ -316,7 +244,7 @@ mod tests {
 
     #[test]
     fn switching_square_wave() {
-        let p = Switching::new(8.0, 2.0, 3);
+        let p = ChannelProcess::from(Switching::new(8.0, 2.0, 3));
         let mut rng = StdRng::seed_from_u64(0);
         let seq: Vec<f64> = (0..8).map(|t| p.sample(t, &mut rng)).collect();
         assert_eq!(seq, vec![8.0, 8.0, 8.0, 2.0, 2.0, 2.0, 8.0, 8.0]);
@@ -325,7 +253,7 @@ mod tests {
 
     #[test]
     fn ramp_clamps_at_zero() {
-        let p = Ramp::new(10.0, -1.0, 20);
+        let p = ChannelProcess::from(Ramp::new(10.0, -1.0, 20));
         let mut rng = StdRng::seed_from_u64(0);
         assert_eq!(p.sample(15, &mut rng), 0.0);
         assert_eq!(p.sample(0, &mut rng), 10.0);
@@ -336,9 +264,9 @@ mod tests {
     #[test]
     fn deterministic_processes_report_instantaneous_means() {
         let mut rng = StdRng::seed_from_u64(0);
-        let sin = Sinusoidal::new(10.0, 5.0, 20, 3);
-        let sw = Switching::new(8.0, 2.0, 3);
-        let ramp = Ramp::new(10.0, -1.0, 20);
+        let sin = ChannelProcess::from(Sinusoidal::new(10.0, 5.0, 20, 3));
+        let sw = ChannelProcess::from(Switching::new(8.0, 2.0, 3));
+        let ramp = ChannelProcess::from(Ramp::new(10.0, -1.0, 20));
         for t in 0..40 {
             assert_eq!(sin.mean_at(t), sin.sample(t, &mut rng));
             assert_eq!(sw.mean_at(t), sw.sample(t, &mut rng));
@@ -348,7 +276,7 @@ mod tests {
 
     #[test]
     fn drift_steps_at_declared_breakpoints() {
-        let p = Drift::new(100.0, 50.0, vec![10, 25, 40], 0, true);
+        let p = ChannelProcess::from(Drift::new(100.0, 50.0, vec![10, 25, 40], 0, true));
         let mut rng = StdRng::seed_from_u64(0);
         let at = |t| p.sample(t, &mut StdRng::seed_from_u64(0));
         assert_eq!(at(0), 150.0);
@@ -359,14 +287,14 @@ mod tests {
         assert_eq!(at(40), 50.0); // third flip
         assert_eq!(p.mean(), 100.0);
         // The opposite-parity process mirrors the schedule.
-        let q = Drift::new(100.0, 50.0, vec![10, 25, 40], 0, false);
+        let q = ChannelProcess::from(Drift::new(100.0, 50.0, vec![10, 25, 40], 0, false));
         assert_eq!(q.sample(0, &mut rng), 50.0);
         assert_eq!(q.sample(10, &mut rng), 150.0);
     }
 
     #[test]
     fn drift_ramp_variant_interpolates_the_shift() {
-        let p = Drift::new(100.0, 50.0, vec![10], 5, true);
+        let p = ChannelProcess::from(Drift::new(100.0, 50.0, vec![10], 5, true));
         // Before the breakpoint: the high level.
         assert_eq!(p.mean_at(9), 150.0);
         // During the ramp: strictly decreasing toward the low level.
@@ -384,7 +312,7 @@ mod tests {
     fn drift_sign_balanced_schedule_time_averages_to_base() {
         // Equal-length segments: the long-run average equals the design
         // mean exactly.
-        let p = Drift::new(100.0, 60.0, vec![50, 100, 150], 0, true);
+        let p = ChannelProcess::from(Drift::new(100.0, 60.0, vec![50, 100, 150], 0, true));
         let avg: f64 = (0..200).map(|t| p.mean_at(t)).sum::<f64>() / 200.0;
         assert!((avg - 100.0).abs() < 1e-9, "avg {avg}");
     }
@@ -408,7 +336,7 @@ mod tests {
         // ramp == gap is the boundary case: the ramp completes exactly
         // when the next flip begins, so consecutive samples never jump
         // by more than one ramp step.
-        let p = Drift::new(100.0, 50.0, vec![10, 15], 5, true);
+        let p = ChannelProcess::from(Drift::new(100.0, 50.0, vec![10, 15], 5, true));
         let max_step = 2.0 * 50.0 / 5.0; // full swing spread over 5 slots
         for t in 0..30 {
             let a = p.mean_at(t);

@@ -1,8 +1,7 @@
 //! In-crate samplers for the distributions the channel models need.
 //!
-//! Only `rand`'s uniform primitives are assumed; Gaussian, Gamma, and Beta
-//! variates are generated with classic textbook methods (Box–Muller and
-//! Marsaglia–Tsang) so no extra dependency is required.
+//! Only `rand`'s uniform primitives are assumed; Gaussian variates come
+//! from the Box–Muller transform, so no extra dependency is required.
 
 use rand::Rng;
 
@@ -23,45 +22,6 @@ pub fn normal<R: Rng + ?Sized>(mean: f64, std_dev: f64, rng: &mut R) -> f64 {
     assert!(mean.is_finite() && std_dev.is_finite(), "non-finite params");
     assert!(std_dev >= 0.0, "negative standard deviation");
     mean + std_dev * standard_normal(rng)
-}
-
-/// Gamma(shape `k`, scale 1) variate via Marsaglia–Tsang (2000), with the
-/// standard boosting trick for `k < 1`.
-///
-/// # Panics
-///
-/// Panics if `k <= 0` or non-finite.
-pub fn gamma<R: Rng + ?Sized>(k: f64, rng: &mut R) -> f64 {
-    assert!(k.is_finite() && k > 0.0, "shape must be positive");
-    if k < 1.0 {
-        // Boost: Gamma(k) = Gamma(k+1) · U^(1/k).
-        let u: f64 = 1.0 - rng.gen::<f64>();
-        return gamma(k + 1.0, rng) * u.powf(1.0 / k);
-    }
-    let d = k - 1.0 / 3.0;
-    let c = 1.0 / (9.0 * d).sqrt();
-    loop {
-        let x = standard_normal(rng);
-        let v = (1.0 + c * x).powi(3);
-        if v <= 0.0 {
-            continue;
-        }
-        let u: f64 = 1.0 - rng.gen::<f64>();
-        if u.ln() < 0.5 * x * x + d - d * v + d * v.ln() {
-            return d * v;
-        }
-    }
-}
-
-/// Beta(α, β) variate via the Gamma ratio.
-///
-/// # Panics
-///
-/// Panics if either parameter is non-positive or non-finite.
-pub fn beta<R: Rng + ?Sized>(alpha: f64, b: f64, rng: &mut R) -> f64 {
-    let x = gamma(alpha, rng);
-    let y = gamma(b, rng);
-    x / (x + y)
 }
 
 #[cfg(test)]
@@ -92,45 +52,5 @@ mod tests {
         let (mean, var) = moments(&samples);
         assert!((mean - 5.0).abs() < 0.05, "mean {mean}");
         assert!((var - 4.0).abs() < 0.15, "var {var}");
-    }
-
-    #[test]
-    fn gamma_moments_shape_above_one() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let k = 2.5;
-        let samples: Vec<f64> = (0..200_000).map(|_| gamma(k, &mut rng)).collect();
-        let (mean, var) = moments(&samples);
-        assert!((mean - k).abs() < 0.05, "mean {mean}");
-        assert!((var - k).abs() < 0.15, "var {var}");
-    }
-
-    #[test]
-    fn gamma_moments_shape_below_one() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let k = 0.5;
-        let samples: Vec<f64> = (0..200_000).map(|_| gamma(k, &mut rng)).collect();
-        let (mean, var) = moments(&samples);
-        assert!((mean - k).abs() < 0.05, "mean {mean}");
-        assert!((var - k).abs() < 0.2, "var {var}");
-    }
-
-    #[test]
-    fn beta_moments() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let (a, b) = (2.0, 5.0);
-        let samples: Vec<f64> = (0..200_000).map(|_| beta(a, b, &mut rng)).collect();
-        let (mean, var) = moments(&samples);
-        let expect_mean = a / (a + b);
-        let expect_var = a * b / ((a + b) * (a + b) * (a + b + 1.0));
-        assert!((mean - expect_mean).abs() < 0.01, "mean {mean}");
-        assert!((var - expect_var).abs() < 0.01, "var {var}");
-        assert!(samples.iter().all(|&x| (0.0..=1.0).contains(&x)));
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn gamma_rejects_zero_shape() {
-        let mut rng = StdRng::seed_from_u64(6);
-        let _ = gamma(0.0, &mut rng);
     }
 }

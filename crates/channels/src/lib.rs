@@ -8,10 +8,10 @@
 //!
 //! This crate provides:
 //!
-//! * [`ChannelProcess`] — an object-safe distribution trait with
-//!   implementations: [`process::Constant`], [`process::Bernoulli`],
-//!   [`process::TruncatedGaussian`] (the paper's choice),
-//!   [`process::Uniform`], [`process::Beta`].
+//! * [`ChannelProcess`] — a closed enum over the eight rate families: the
+//!   stochastic [`process::Constant`], [`process::Bernoulli`],
+//!   [`process::TruncatedGaussian`] (the paper's choice) and
+//!   [`process::Uniform`], and the four of [`adversarial`].
 //! * [`adversarial`] — non-stochastic processes (sinusoidal, switching,
 //!   ramp, piecewise-stationary drift) for the paper's future-work
 //!   extension (Section VII); the drifting family backs the campaign's

@@ -39,7 +39,7 @@ fn splitmix64(mut z: u64) -> u64 {
 /// ```
 #[derive(Debug, Clone)]
 pub struct ChannelMatrix {
-    processes: Vec<Box<dyn ChannelProcess>>,
+    processes: Vec<ChannelProcess>,
     n_nodes: usize,
     n_channels: usize,
     seed: u64,
@@ -52,12 +52,7 @@ impl ChannelMatrix {
     /// # Panics
     ///
     /// Panics if `processes.len() != n·m` or `n·m == 0`.
-    pub fn from_processes(
-        n: usize,
-        m: usize,
-        processes: Vec<Box<dyn ChannelProcess>>,
-        seed: u64,
-    ) -> Self {
+    pub fn from_processes(n: usize, m: usize, processes: Vec<ChannelProcess>, seed: u64) -> Self {
         assert!(n * m > 0, "empty matrix");
         assert_eq!(processes.len(), n * m, "need one process per vertex");
         ChannelMatrix {
@@ -78,7 +73,7 @@ impl ChannelMatrix {
     pub fn gaussian_from_rate_classes(n: usize, m: usize, sigma_frac: f64, seed: u64) -> Self {
         assert!(sigma_frac >= 0.0, "negative sigma fraction");
         ChannelMatrix::from_rate_class_draws(n, m, seed, |mu, _vertex| {
-            Box::new(TruncatedGaussian::symmetric(mu, sigma_frac * mu))
+            TruncatedGaussian::symmetric(mu, sigma_frac * mu).into()
         })
     }
 
@@ -95,10 +90,10 @@ impl ChannelMatrix {
         n: usize,
         m: usize,
         seed: u64,
-        mut make: impl FnMut(f64, usize) -> Box<dyn ChannelProcess>,
+        mut make: impl FnMut(f64, usize) -> ChannelProcess,
     ) -> Self {
         let mut rng = StdRng::seed_from_u64(splitmix64(seed ^ 0xC0FF_EE00));
-        let processes: Vec<Box<dyn ChannelProcess>> = (0..n * m)
+        let processes: Vec<ChannelProcess> = (0..n * m)
             .map(|vertex| {
                 let mu =
                     rates::PAPER_RATE_CLASSES[rng.gen_range(0..rates::PAPER_RATE_CLASSES.len())];
@@ -121,15 +116,6 @@ impl ChannelMatrix {
     /// Number of vertices `N·M` (the arm count `K`).
     pub fn n_vertices(&self) -> usize {
         self.processes.len()
-    }
-
-    /// The process attached to `vertex`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `vertex` is out of range.
-    pub fn process(&self, vertex: usize) -> &dyn ChannelProcess {
-        self.processes[vertex].as_ref()
     }
 
     /// Mean rate `µ_k` of `vertex`.
@@ -160,12 +146,6 @@ impl ChannelMatrix {
         out.extend(self.processes.iter().map(|p| p.mean_at(t)));
     }
 
-    /// Largest mean in the matrix (useful as a normalization constant and
-    /// as the exploration bonus for unplayed arms).
-    pub fn max_mean(&self) -> f64 {
-        self.means().into_iter().fold(0.0, f64::max)
-    }
-
     /// The rate observed on `vertex` at slot `t` — deterministic in
     /// `(seed, t, vertex)`.
     ///
@@ -182,24 +162,12 @@ impl ChannelMatrix {
         self.processes[vertex].sample(t, &mut rng)
     }
 
-    /// Observes all vertices of a selected set at slot `t`, returning
-    /// `(vertex, rate)` pairs.
-    pub fn observe(&self, t: u64, vertices: &[usize]) -> Vec<(usize, f64)> {
-        let mut out = Vec::with_capacity(vertices.len());
-        self.observe_into(t, vertices, &mut out);
-        out
-    }
-
-    /// As [`ChannelMatrix::observe`], writing into a caller-owned buffer
-    /// (cleared first) — the per-slot hot path of the Algorithm 2 runner.
+    /// Observes all vertices of a selected set at slot `t`, writing
+    /// `(vertex, rate)` pairs into a caller-owned buffer (cleared first) —
+    /// the per-slot hot path of the Algorithm 2 runner.
     pub fn observe_into(&self, t: u64, vertices: &[usize], out: &mut Vec<(usize, f64)>) {
         out.clear();
         out.extend(vertices.iter().map(|&v| (v, self.value(t, v))));
-    }
-
-    /// Seed this matrix was built with (recorded in experiment outputs).
-    pub fn seed(&self) -> u64 {
-        self.seed
     }
 }
 
@@ -265,29 +233,17 @@ mod tests {
 
     #[test]
     fn observe_returns_pairs_in_order() {
-        let procs: Vec<Box<dyn ChannelProcess>> = vec![
-            Box::new(Constant::new(1.0)),
-            Box::new(Constant::new(2.0)),
-            Box::new(Constant::new(3.0)),
-            Box::new(Constant::new(4.0)),
-        ];
-        let m = ChannelMatrix::from_processes(2, 2, procs, 0);
-        let obs = m.observe(5, &[3, 0]);
+        let procs = [1.0, 2.0, 3.0, 4.0].map(|r| Constant::new(r).into());
+        let m = ChannelMatrix::from_processes(2, 2, procs.to_vec(), 0);
+        let mut obs = vec![(7, 7.0)];
+        m.observe_into(5, &[3, 0], &mut obs);
         assert_eq!(obs, vec![(3, 4.0), (0, 1.0)]);
-    }
-
-    #[test]
-    fn max_mean_over_constants() {
-        let procs: Vec<Box<dyn ChannelProcess>> =
-            vec![Box::new(Constant::new(1.0)), Box::new(Constant::new(9.0))];
-        let m = ChannelMatrix::from_processes(1, 2, procs, 0);
-        assert_eq!(m.max_mean(), 9.0);
     }
 
     #[test]
     #[should_panic(expected = "one process per vertex")]
     fn from_processes_checks_length() {
-        let procs: Vec<Box<dyn ChannelProcess>> = vec![Box::new(Constant::new(1.0))];
+        let procs = vec![Constant::new(1.0).into()];
         let _ = ChannelMatrix::from_processes(2, 2, procs, 0);
     }
 }

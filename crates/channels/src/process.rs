@@ -1,46 +1,120 @@
-//! The [`ChannelProcess`] trait and its stochastic implementations.
+//! [`ChannelProcess`], the closed set of channel-rate families, and the
+//! parameters of its stochastic families.
 
+use crate::adversarial::{Drift, Ramp, Sinusoidal, Switching};
 use crate::dists;
-use rand::RngCore;
-use std::fmt::Debug;
+use rand::{rngs::StdRng, Rng};
 
 /// A channel-quality process: the data rate `ξ(t)` observed when a vertex
 /// transmits at slot `t`.
 ///
-/// Implementations must be **stateless**: the sample may depend on the slot
-/// index `t` (adversarial processes do) and on the provided RNG, but not on
-/// interior mutability. This makes realizations reproducible and lets the
-/// [`crate::ChannelMatrix`] derive the per-`(vertex, t)` randomness from a
-/// counter-based PRF.
-pub trait ChannelProcess: Debug + Send + Sync {
+/// The first four families are i.i.d. in `t`; the last four are the
+/// oblivious adversaries of [`crate::adversarial`], deterministic in `t`.
+/// Every family is **stateless**: a sample depends only on `t` and on the
+/// RNG passed in, so realizations are reproducible and the
+/// [`crate::ChannelMatrix`] can derive the per-`(vertex, t)` randomness
+/// from a counter-based PRF.
+#[derive(Debug, Clone)]
+pub enum ChannelProcess {
+    /// Always exactly one rate.
+    Constant(Constant),
+    /// On/off: a peak rate or nothing.
+    Bernoulli(Bernoulli),
+    /// The paper's clamped Gaussian.
+    TruncatedGaussian(TruncatedGaussian),
+    /// Uniform on an interval.
+    Uniform(Uniform),
+    /// A sine wave around a base rate.
+    Sinusoidal(Sinusoidal),
+    /// A square wave between two rates.
+    Switching(Switching),
+    /// A clamped straight line.
+    Ramp(Ramp),
+    /// A level that flips at declared breakpoints.
+    Drift(Drift),
+}
+
+macro_rules! from_family {
+    ($($family:ident),*) => {$(
+        impl From<$family> for ChannelProcess {
+            fn from(p: $family) -> Self {
+                ChannelProcess::$family(p)
+            }
+        }
+    )*};
+}
+
+from_family!(
+    Constant,
+    Bernoulli,
+    TruncatedGaussian,
+    Uniform,
+    Sinusoidal,
+    Switching,
+    Ramp,
+    Drift
+);
+
+impl ChannelProcess {
     /// Draws the rate observed at slot `t`.
     ///
-    /// For i.i.d. processes the result ignores `t`; for adversarial ones it
-    /// is a deterministic (or randomized) function of `t`.
-    fn sample(&self, t: u64, rng: &mut dyn RngCore) -> f64;
+    /// The i.i.d. families ignore `t`; the adversarial ones ignore `rng`
+    /// and return [`ChannelProcess::mean_at`].
+    pub fn sample(&self, t: u64, rng: &mut StdRng) -> f64 {
+        match self {
+            ChannelProcess::Constant(p) => p.rate,
+            ChannelProcess::Bernoulli(p) => {
+                if rng.gen::<f64>() < p.p {
+                    p.peak
+                } else {
+                    0.0
+                }
+            }
+            ChannelProcess::TruncatedGaussian(p) => {
+                dists::normal(p.mu, p.sigma, rng).clamp(p.lo, p.hi)
+            }
+            ChannelProcess::Uniform(p) => p.lo + rng.gen::<f64>() * (p.hi - p.lo),
+            _ => self.mean_at(t),
+        }
+    }
 
     /// The process mean `µ` — for adversarial processes, the long-run
     /// average rate.
-    fn mean(&self) -> f64;
+    pub fn mean(&self) -> f64 {
+        match self {
+            ChannelProcess::Constant(p) => p.rate,
+            ChannelProcess::Bernoulli(p) => p.p * p.peak,
+            // Symmetric clamping about µ keeps the mean; the tiny
+            // asymmetric case (µ outside [lo,hi] midpoint) is ignored by
+            // design — tests verify the error is negligible for the σ used
+            // in experiments.
+            ChannelProcess::TruncatedGaussian(p) => p.mu.clamp(p.lo, p.hi),
+            ChannelProcess::Uniform(p) => 0.5 * (p.lo + p.hi),
+            ChannelProcess::Sinusoidal(p) => p.base,
+            ChannelProcess::Switching(p) => 0.5 * (p.high + p.low),
+            // Average of the clamped line over [0, horizon).
+            ChannelProcess::Ramp(p) => {
+                (0..p.horizon).map(|t| p.value_at(t)).sum::<f64>() / p.horizon as f64
+            }
+            ChannelProcess::Drift(p) => p.base,
+        }
+    }
 
     /// The *instantaneous* design mean at slot `t`.
     ///
-    /// For i.i.d. processes this equals [`ChannelProcess::mean`] (the
-    /// default); deterministic adversarial processes (sinusoidal,
-    /// switching, ramp, drifting) override it with the value the schedule
-    /// takes at `t`. The Algorithm 2 runner uses it to price the
-    /// windowed-regret oracle under non-stationary channels.
-    fn mean_at(&self, _t: u64) -> f64 {
-        self.mean()
-    }
-
-    /// Clones into a boxed trait object (object-safe `Clone` substitute).
-    fn clone_box(&self) -> Box<dyn ChannelProcess>;
-}
-
-impl Clone for Box<dyn ChannelProcess> {
-    fn clone(&self) -> Self {
-        self.clone_box()
+    /// For i.i.d. processes this equals [`ChannelProcess::mean`]; for the
+    /// deterministic adversarial processes (sinusoidal, switching, ramp,
+    /// drifting) it is the value the schedule takes at `t`. The Algorithm 2
+    /// runner uses it to price the windowed-regret oracle under
+    /// non-stationary channels.
+    pub fn mean_at(&self, t: u64) -> f64 {
+        match self {
+            ChannelProcess::Sinusoidal(p) => p.value_at(t),
+            ChannelProcess::Switching(p) => p.value_at(t),
+            ChannelProcess::Ramp(p) => p.value_at(t),
+            ChannelProcess::Drift(p) => p.value_at(t),
+            _ => self.mean(),
+        }
     }
 }
 
@@ -55,18 +129,6 @@ impl Constant {
     /// Creates a constant-rate process.
     pub fn new(rate: f64) -> Self {
         Constant { rate }
-    }
-}
-
-impl ChannelProcess for Constant {
-    fn sample(&self, _t: u64, _rng: &mut dyn RngCore) -> f64 {
-        self.rate
-    }
-    fn mean(&self) -> f64 {
-        self.rate
-    }
-    fn clone_box(&self) -> Box<dyn ChannelProcess> {
-        Box::new(*self)
     }
 }
 
@@ -95,29 +157,12 @@ impl Bernoulli {
     }
 }
 
-impl ChannelProcess for Bernoulli {
-    fn sample(&self, _t: u64, rng: &mut dyn RngCore) -> f64 {
-        let u = rand::Rng::gen::<f64>(rng);
-        if u < self.p {
-            self.peak
-        } else {
-            0.0
-        }
-    }
-    fn mean(&self) -> f64 {
-        self.p * self.peak
-    }
-    fn clone_box(&self) -> Box<dyn ChannelProcess> {
-        Box::new(*self)
-    }
-}
-
 /// Gaussian process truncated (by clamping) to `[lo, hi]`.
 ///
 /// The paper's simulations use i.i.d. Gaussian rates; clamping keeps rates
 /// physical (non-negative, bounded) while leaving the mean essentially
-/// unchanged for moderate σ because the default bounds are symmetric about
-/// the mean.
+/// unchanged for moderate σ because the bounds are symmetric about the
+/// mean.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TruncatedGaussian {
     /// Mean of the underlying Gaussian.
@@ -146,32 +191,6 @@ impl TruncatedGaussian {
             hi: 2.0 * mu,
         }
     }
-
-    /// Gaussian with explicit clamp bounds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo > hi` or `sigma < 0`.
-    pub fn new(mu: f64, sigma: f64, lo: f64, hi: f64) -> Self {
-        assert!(lo <= hi, "invalid clamp bounds");
-        assert!(sigma >= 0.0, "sigma must be non-negative");
-        TruncatedGaussian { mu, sigma, lo, hi }
-    }
-}
-
-impl ChannelProcess for TruncatedGaussian {
-    fn sample(&self, _t: u64, rng: &mut dyn RngCore) -> f64 {
-        dists::normal(self.mu, self.sigma, rng).clamp(self.lo, self.hi)
-    }
-    fn mean(&self) -> f64 {
-        // Symmetric clamping about µ keeps the mean; the tiny asymmetric
-        // case (µ outside [lo,hi] midpoint) is ignored by design — tests
-        // verify the error is negligible for the σ used in experiments.
-        self.mu.clamp(self.lo, self.hi)
-    }
-    fn clone_box(&self) -> Box<dyn ChannelProcess> {
-        Box::new(*self)
-    }
 }
 
 /// Uniform process on `[lo, hi]`.
@@ -195,69 +214,19 @@ impl Uniform {
     }
 }
 
-impl ChannelProcess for Uniform {
-    fn sample(&self, _t: u64, rng: &mut dyn RngCore) -> f64 {
-        let u = rand::Rng::gen::<f64>(rng);
-        self.lo + u * (self.hi - self.lo)
-    }
-    fn mean(&self) -> f64 {
-        0.5 * (self.lo + self.hi)
-    }
-    fn clone_box(&self) -> Box<dyn ChannelProcess> {
-        Box::new(*self)
-    }
-}
-
-/// Beta(α, β) process scaled by `scale` — a bounded, skewed rate model on
-/// `[0, scale]`, handy for heterogeneous channel-quality scenarios.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Beta {
-    /// Alpha shape parameter.
-    pub alpha: f64,
-    /// Beta shape parameter.
-    pub beta: f64,
-    /// Output scale: samples lie in `[0, scale]`.
-    pub scale: f64,
-}
-
-impl Beta {
-    /// Creates a scaled Beta process.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes are non-positive or `scale < 0`.
-    pub fn new(alpha: f64, beta: f64, scale: f64) -> Self {
-        assert!(alpha > 0.0 && beta > 0.0, "shapes must be positive");
-        assert!(scale >= 0.0, "scale must be non-negative");
-        Beta { alpha, beta, scale }
-    }
-}
-
-impl ChannelProcess for Beta {
-    fn sample(&self, _t: u64, rng: &mut dyn RngCore) -> f64 {
-        dists::beta(self.alpha, self.beta, rng) * self.scale
-    }
-    fn mean(&self) -> f64 {
-        self.alpha / (self.alpha + self.beta) * self.scale
-    }
-    fn clone_box(&self) -> Box<dyn ChannelProcess> {
-        Box::new(*self)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::{rngs::StdRng, SeedableRng};
+    use rand::SeedableRng;
 
-    fn empirical_mean(p: &dyn ChannelProcess, n: usize, seed: u64) -> f64 {
+    fn empirical_mean(p: &ChannelProcess, n: usize, seed: u64) -> f64 {
         let mut rng = StdRng::seed_from_u64(seed);
         (0..n).map(|t| p.sample(t as u64, &mut rng)).sum::<f64>() / n as f64
     }
 
     #[test]
     fn constant_is_constant() {
-        let p = Constant::new(3.5);
+        let p = ChannelProcess::from(Constant::new(3.5));
         let mut rng = StdRng::seed_from_u64(0);
         for t in 0..10 {
             assert_eq!(p.sample(t, &mut rng), 3.5);
@@ -267,7 +236,7 @@ mod tests {
 
     #[test]
     fn bernoulli_mean_matches() {
-        let p = Bernoulli::new(0.3, 10.0);
+        let p = ChannelProcess::from(Bernoulli::new(0.3, 10.0));
         assert_eq!(p.mean(), 3.0);
         let m = empirical_mean(&p, 100_000, 1);
         assert!((m - 3.0).abs() < 0.1, "empirical {m}");
@@ -275,7 +244,7 @@ mod tests {
 
     #[test]
     fn truncated_gaussian_mean_preserved_for_moderate_sigma() {
-        let p = TruncatedGaussian::symmetric(600.0, 60.0);
+        let p = ChannelProcess::from(TruncatedGaussian::symmetric(600.0, 60.0));
         let m = empirical_mean(&p, 100_000, 2);
         assert!((m - 600.0).abs() < 2.0, "empirical {m}");
         assert_eq!(p.mean(), 600.0);
@@ -283,7 +252,7 @@ mod tests {
 
     #[test]
     fn truncated_gaussian_respects_bounds() {
-        let p = TruncatedGaussian::new(1.0, 5.0, 0.0, 2.0);
+        let p = ChannelProcess::from(TruncatedGaussian::symmetric(1.0, 5.0));
         let mut rng = StdRng::seed_from_u64(3);
         for t in 0..10_000 {
             let x = p.sample(t, &mut rng);
@@ -293,23 +262,15 @@ mod tests {
 
     #[test]
     fn uniform_mean() {
-        let p = Uniform::new(2.0, 6.0);
+        let p = ChannelProcess::from(Uniform::new(2.0, 6.0));
         assert_eq!(p.mean(), 4.0);
         let m = empirical_mean(&p, 100_000, 4);
         assert!((m - 4.0).abs() < 0.05, "empirical {m}");
     }
 
     #[test]
-    fn beta_mean_scaled() {
-        let p = Beta::new(2.0, 2.0, 100.0);
-        assert_eq!(p.mean(), 50.0);
-        let m = empirical_mean(&p, 100_000, 5);
-        assert!((m - 50.0).abs() < 1.0, "empirical {m}");
-    }
-
-    #[test]
-    fn boxed_clone_preserves_behavior() {
-        let p: Box<dyn ChannelProcess> = Box::new(Bernoulli::new(0.5, 2.0));
+    fn cloned_process_keeps_its_mean() {
+        let p = ChannelProcess::from(Bernoulli::new(0.5, 2.0));
         let q = p.clone();
         assert_eq!(q.mean(), 1.0);
     }

@@ -132,27 +132,26 @@ impl ChannelModelSpec {
                 ChannelMatrix::from_rate_class_draws(n, m, seed, |mu, vertex| {
                     // Even vertices start high, odd low: capacity stays
                     // level while the best strategy flips per breakpoint.
-                    Box::new(Drift::new(
+                    Drift::new(
                         mu,
                         shift_frac * mu,
                         breakpoints.clone(),
                         ramp,
                         vertex % 2 == 0,
-                    ))
+                    )
+                    .into()
                 })
             }
             ChannelModelSpec::GaussianRateClasses { sigma_frac } => {
                 ChannelMatrix::gaussian_from_rate_classes(n, m, sigma_frac, seed)
             }
             ChannelModelSpec::ConstantRateClasses => {
-                ChannelMatrix::from_rate_class_draws(n, m, seed, |mu, _| {
-                    Box::new(Constant::new(mu))
-                })
+                ChannelMatrix::from_rate_class_draws(n, m, seed, |mu, _| Constant::new(mu).into())
             }
             ChannelModelSpec::BernoulliRateClasses { p } => {
                 assert!(p > 0.0 && p <= 1.0, "bernoulli p must be in (0, 1]");
                 ChannelMatrix::from_rate_class_draws(n, m, seed, |mu, _| {
-                    Box::new(Bernoulli::new(p, mu / p))
+                    Bernoulli::new(p, mu / p).into()
                 })
             }
             ChannelModelSpec::UniformRateClasses { spread_frac } => {
@@ -161,10 +160,7 @@ impl ChannelModelSpec {
                     "spread fraction must be in [0, 1]"
                 );
                 ChannelMatrix::from_rate_class_draws(n, m, seed, |mu, _| {
-                    Box::new(Uniform::new(
-                        mu * (1.0 - spread_frac),
-                        mu * (1.0 + spread_frac),
-                    ))
+                    Uniform::new(mu * (1.0 - spread_frac), mu * (1.0 + spread_frac)).into()
                 })
             }
             ChannelModelSpec::AdversarialSinusoidal { amp_frac, period } => {
@@ -176,7 +172,7 @@ impl ChannelModelSpec {
                     // Stagger phases so co-located vertices don't peak in
                     // lockstep (vertex index is stable and seed-free).
                     let phase = (vertex as u64).wrapping_mul(7) % period.max(1);
-                    Box::new(Sinusoidal::new(mu, amp_frac * mu, period, phase))
+                    Sinusoidal::new(mu, amp_frac * mu, period, phase).into()
                 })
             }
             ChannelModelSpec::AdversarialSwitching { swing_frac, dwell } => {
@@ -185,16 +181,12 @@ impl ChannelModelSpec {
                     "swing fraction must be in [0, 1]"
                 );
                 ChannelMatrix::from_rate_class_draws(n, m, seed, |mu, _| {
-                    Box::new(Switching::new(
-                        mu * (1.0 + swing_frac),
-                        mu * (1.0 - swing_frac),
-                        dwell,
-                    ))
+                    Switching::new(mu * (1.0 + swing_frac), mu * (1.0 - swing_frac), dwell).into()
                 })
             }
             ChannelModelSpec::AdversarialRamp { horizon } => {
                 ChannelMatrix::from_rate_class_draws(n, m, seed, |mu, _| {
-                    Box::new(Ramp::new(2.0 * mu, -2.0 * mu / horizon as f64, horizon))
+                    Ramp::new(2.0 * mu, -2.0 * mu / horizon as f64, horizon).into()
                 })
             }
         }

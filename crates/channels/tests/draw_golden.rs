@@ -75,12 +75,12 @@ fn families() -> Vec<ChannelModelSpec> {
 /// The mixed matrix of `tests/adversarial.rs`: even vertices carry square
 /// waves, odd ones stationary truncated Gaussians.
 fn mixed(n: usize, m: usize, dwell: u64, seed: u64) -> ChannelMatrix {
-    let processes: Vec<Box<dyn ChannelProcess>> = (0..n * m)
+    let processes: Vec<ChannelProcess> = (0..n * m)
         .map(|v| {
             if v % 2 == 0 {
-                Box::new(Switching::new(1200.0, 150.0, dwell)) as Box<dyn ChannelProcess>
+                Switching::new(1200.0, 150.0, dwell).into()
             } else {
-                Box::new(TruncatedGaussian::symmetric(700.0, 70.0))
+                TruncatedGaussian::symmetric(700.0, 70.0).into()
             }
         })
         .collect();

@@ -1,6 +1,6 @@
 //! Property-based tests for the channel substrate.
 
-use mhca_channels::{adversarial, dists, process, rates, ChannelMatrix, ChannelProcess};
+use mhca_channels::{adversarial, process, rates, ChannelMatrix, ChannelProcess};
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
 
@@ -22,12 +22,11 @@ proptest! {
         for mu in a.means() {
             prop_assert!(rates::PAPER_RATE_CLASSES.contains(&mu));
         }
-        prop_assert!(a.max_mean() <= rates::MAX_RATE);
     }
 
     #[test]
     fn truncated_gaussian_stays_in_bounds(mu in 0.0f64..1000.0, frac in 0.0f64..1.0, t in 0u64..100, seed in any::<u64>()) {
-        let p = process::TruncatedGaussian::symmetric(mu, frac * mu);
+        let p = ChannelProcess::from(process::TruncatedGaussian::symmetric(mu, frac * mu));
         let mut rng = StdRng::seed_from_u64(seed);
         let x = p.sample(t, &mut rng);
         prop_assert!(x >= 0.0 && x <= 2.0 * mu + 1e-9);
@@ -35,7 +34,7 @@ proptest! {
 
     #[test]
     fn bernoulli_samples_are_two_valued(p in 0.0f64..=1.0, peak in 0.0f64..100.0, seed in any::<u64>()) {
-        let ch = process::Bernoulli::new(p, peak);
+        let ch = ChannelProcess::from(process::Bernoulli::new(p, peak));
         let mut rng = StdRng::seed_from_u64(seed);
         for t in 0..50 {
             let x = ch.sample(t, &mut rng);
@@ -44,33 +43,15 @@ proptest! {
     }
 
     #[test]
-    fn beta_samples_scaled_range(a in 0.5f64..5.0, b in 0.5f64..5.0, scale in 0.0f64..100.0, seed in any::<u64>()) {
-        let ch = process::Beta::new(a, b, scale);
-        let mut rng = StdRng::seed_from_u64(seed);
-        for t in 0..20 {
-            let x = ch.sample(t, &mut rng);
-            prop_assert!((0.0..=scale.max(1e-12)).contains(&x) || scale == 0.0);
-        }
-    }
-
-    #[test]
     fn adversarial_processes_are_deterministic_in_t(base in 1.0f64..50.0, t in 0u64..10_000) {
         let mut rng1 = StdRng::seed_from_u64(1);
         let mut rng2 = StdRng::seed_from_u64(2);
-        let sin = adversarial::Sinusoidal::new(base, base / 2.0, 37, 5);
+        let sin = ChannelProcess::from(adversarial::Sinusoidal::new(base, base / 2.0, 37, 5));
         prop_assert_eq!(sin.sample(t, &mut rng1), sin.sample(t, &mut rng2));
-        let sw = adversarial::Switching::new(base, base / 3.0, 7);
+        let sw = ChannelProcess::from(adversarial::Switching::new(base, base / 3.0, 7));
         prop_assert_eq!(sw.sample(t, &mut rng1), sw.sample(t, &mut rng2));
-        let ramp = adversarial::Ramp::new(base, -0.01, 1000);
+        let ramp = ChannelProcess::from(adversarial::Ramp::new(base, -0.01, 1000));
         prop_assert_eq!(ramp.sample(t, &mut rng1), ramp.sample(t, &mut rng2));
-    }
-
-    #[test]
-    fn gamma_sampler_is_positive(k in 0.1f64..10.0, seed in any::<u64>()) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        for _ in 0..20 {
-            prop_assert!(dists::gamma(k, &mut rng) > 0.0);
-        }
     }
 
     #[test]

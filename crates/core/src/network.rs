@@ -164,14 +164,10 @@ impl Network {
 mod tests {
     use super::*;
     use mhca_channels::process::Constant;
-    use mhca_channels::ChannelProcess;
     use mhca_graph::topology;
 
     fn constant_net(g: Graph, m: usize, rates: &[f64]) -> Network {
-        let procs: Vec<Box<dyn ChannelProcess>> = rates
-            .iter()
-            .map(|&r| Box::new(Constant::new(r)) as Box<dyn ChannelProcess>)
-            .collect();
+        let procs = rates.iter().map(|&r| Constant::new(r).into()).collect();
         let channels = ChannelMatrix::from_processes(g.n(), m, procs, 0);
         Network::from_parts(g, channels, None)
     }

@@ -503,16 +503,16 @@ impl<'n> PolicyRunner<'n> {
             self.chan_attempts.fill(0);
             self.chan_captures.fill(0);
         }
-        let mut period_expected = 0.0;
+        // The winners and their means are fixed for the period, so every
+        // slot expects the same sum.
+        let expected: f64 = winners.iter().map(|&v| self.means[v]).sum();
         let learn_start = self.phase_timing.then(Instant::now);
         for s in t..t + period_len {
             self.net.channels().observe_into(s, winners, &mut self.obs);
             let raw: f64 = self.obs.iter().map(|&(_, x)| x).sum();
             self.period_obs.push(raw);
             self.observed_total += raw;
-            let expected: f64 = winners.iter().map(|&v| self.means[v]).sum();
             self.expected_total += expected;
-            period_expected = expected;
             for &(v, x) in &self.obs {
                 self.stats.update(v, x / self.scale);
                 policy.observe(v, x / self.scale);
@@ -588,7 +588,7 @@ impl<'n> PolicyRunner<'n> {
                 period_len,
                 decision: self.comm.decisions,
                 winners,
-                expected_kbps: period_expected,
+                expected_kbps: expected,
                 observed_kbps: self.period_obs.iter().sum(),
                 estimated_kbps,
                 decide_ns,

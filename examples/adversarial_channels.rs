@@ -22,14 +22,14 @@ use rand::{rngs::StdRng, SeedableRng};
 fn adversarial_network(n: usize, m: usize, seed: u64) -> Network {
     let mut rng = StdRng::seed_from_u64(seed);
     let (g, layout) = unit_disk::random_with_average_degree(n, 3.5, &mut rng);
-    let processes: Vec<Box<dyn ChannelProcess>> = (0..n * m)
+    let processes: Vec<ChannelProcess> = (0..n * m)
         .map(|v| {
             if v % 2 == 0 {
                 // Square wave: looks great for 400 slots, then collapses.
-                Box::new(Switching::new(1200.0, 150.0, 400)) as Box<dyn ChannelProcess>
+                Switching::new(1200.0, 150.0, 400).into()
             } else {
                 // Honest stationary channel of middling quality.
-                Box::new(TruncatedGaussian::symmetric(700.0, 70.0))
+                TruncatedGaussian::symmetric(700.0, 70.0).into()
             }
         })
         .collect();

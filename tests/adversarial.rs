@@ -17,12 +17,12 @@ use rand::{rngs::StdRng, SeedableRng};
 fn switching_network(n: usize, m: usize, dwell: u64, seed: u64) -> Network {
     let mut rng = StdRng::seed_from_u64(seed);
     let (g, layout) = unit_disk::random_with_average_degree(n, 3.0, &mut rng);
-    let processes: Vec<Box<dyn ChannelProcess>> = (0..n * m)
+    let processes: Vec<ChannelProcess> = (0..n * m)
         .map(|v| {
             if v % 2 == 0 {
-                Box::new(Switching::new(1200.0, 150.0, dwell)) as Box<dyn ChannelProcess>
+                Switching::new(1200.0, 150.0, dwell).into()
             } else {
-                Box::new(TruncatedGaussian::symmetric(700.0, 70.0))
+                TruncatedGaussian::symmetric(700.0, 70.0).into()
             }
         })
         .collect();

@@ -169,10 +169,11 @@ fn tiled_decide_into_is_allocation_free_with_varying_weights() {
     // configuration (`threads: 1` — the inline tile loop; the threaded
     // spelling on the decider's parked tile pool is pinned separately
     // below).
-    // Per-tile scratch (leader/pending/candidate pools, solver
-    // workspaces) and the packed election state must reach steady state
-    // during warm-up and be reused verbatim after, across weight changes
-    // that reshape every tile's leader sets and pending lists.
+    // Per-tile scratch (leader and determination lists, solver
+    // workspaces) and the election state (witnesses, witness cursors,
+    // the changed list) must reach steady state during warm-up and be
+    // reused verbatim after, across weight changes that reshape every
+    // tile's leader sets and wake walks.
     use rand::{rngs::StdRng, Rng, SeedableRng};
     let net = Network::random(50, 3, 4.5, 0.1, 13);
     let mut rng = StdRng::seed_from_u64(29);

@@ -11,8 +11,9 @@
 //! different threads.
 //!
 //! Sequences run on persistent engines so cross-decision cache reuse
-//! (stale blockers, epoch wraparound, pending-list reuse) is exercised
-//! under tiling, not just the first call.
+//! (rewound witness cursors, witnesses left over from the previous
+//! decision, the reused changed list) is exercised under tiling, not
+//! just the first call.
 //!
 //! The topology zoo and the tiled-parity assertion live in
 //! `mhca_specgen::support`, shared with `tests/decide_parity.rs` and the
@@ -68,10 +69,11 @@ fn partition_parity_grid() {
 
 #[test]
 fn partition_parity_capped_minirounds() {
-    // A capped run leaves Candidates undetermined, so the next decision's
-    // seeding sweep (snapshot device) starts from a partially-determined
-    // cache — the seam where a tile reading a neighbor's fresh write
-    // instead of the snapshot would diverge.
+    // A capped run leaves Candidates undetermined, holding witnesses and
+    // mid-row cursors, so the next decision starts from a cache the last
+    // one left half-way: its cursors are rewound and mini-round 0 probes
+    // every vertex afresh before any skip or wake walk trusts a witness —
+    // the seam where a tile reading a stale witness would diverge.
     let mut rng = StdRng::seed_from_u64(31);
     for instance in 0..4u64 {
         let (g, _) = mhca::graph::unit_disk::random_with_average_degree(30, 4.5, &mut rng);
