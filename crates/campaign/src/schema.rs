@@ -786,8 +786,8 @@ impl Schema for PolicySpec {
     const LABEL: fn(&Self) -> &'static str = PolicySpec::label;
 
     variants! { PolicySpec:
-        CsUcb { l "l" = 2.0 => field; },
-        Llr { l "l" = 2.0 => field; },
+        CsUcb { l "l" = 2.0 => checked(positive_finite); },
+        Llr { l "l" = 2.0 => checked(positive_finite); },
         Thompson { sigma "sigma" = 0.1 => checked(positive); },
         DiscountedCsUcb { gamma "gamma" = 0.99 => checked(unit_open_low); },
         EpsilonGreedy { eps "eps" = 0.05 => checked(unit); },
@@ -841,6 +841,19 @@ impl Schema for ArrivalProcess {
             rate "rate" = 0.5 => checked(positive_finite);
             burst "burst" = 8 => checked(positive);
         },
+    }
+
+    /// A bursty source draws at most one burst a slot, so a mean rate
+    /// above `burst` cannot be reached (the sampler would clamp it).
+    fn validate(&mut self, _: &Json) -> Checked {
+        match *self {
+            ArrivalProcess::Bursty { rate, burst } => ensure(
+                rate <= burst as f64,
+                ".rate",
+                format!("must not exceed burst ({burst}): at most one burst arrives per slot"),
+            ),
+            _ => Ok(()),
+        }
     }
 }
 

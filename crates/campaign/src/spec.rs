@@ -334,7 +334,7 @@ mod tests {
     #[test]
     fn spec_hash_sees_policy_parameters() {
         // Parameter-only policy edits must invalidate resume: same label,
-        // different exploration weight ⇒ different hash.
+        // different exploration bonus ⇒ different hash.
         let duel = |l: f64| {
             vec![ScenarioSpec::new(
                 "duel",

@@ -258,6 +258,10 @@ const DIAGNOSTICS_GOLDEN: &[(&str, &str, &str)] = &[
     (r#"{"name":"x","spec":{"kind":"policy-run","policy":{"name":"cs-ucb","gamma":0.5}}}"#, "scenario.spec.policy", "unknown field 'gamma' (expected one of name, l); did you mean 'name'?"),
     (r#"{"name":"x","spec":{"kind":"policy-run","policy":{"name":"random","l":2}}}"#, "scenario.spec.policy", "unknown field 'l' (expected one of name)"),
     (r#"{"name":"x","spec":{"kind":"policy-run","policy":{"name":"llr","l":"two"}}}"#, "scenario.spec.policy.l", "must be a number"),
+    (r#"{"name":"x","spec":{"kind":"policy-run","policy":{"name":"cs-ucb","l":0}}}"#, "scenario.spec.policy.l", "must be positive and finite"),
+    (r#"{"name":"x","spec":{"kind":"policy-run","policy":{"name":"cs-ucb","l":-1}}}"#, "scenario.spec.policy.l", "must be positive and finite"),
+    (r#"{"name":"x","spec":{"kind":"policy-run","policy":{"name":"llr","l":-3}}}"#, "scenario.spec.policy.l", "must be positive and finite"),
+    (r#"{"name":"x","spec":{"kind":"policy-duel","challenger":{"name":"llr","l":0}}}"#, "scenario.spec.challenger.l", "must be positive and finite"),
     (r#"{"name":"x","spec":{"kind":"policy-run","policy":{"name":"thompson","sigma":0}}}"#, "scenario.spec.policy.sigma", "must be positive"),
     (r#"{"name":"x","spec":{"kind":"policy-run","policy":{"name":"discounted-cs-ucb","gamma":0}}}"#, "scenario.spec.policy.gamma", "must be in (0, 1]"),
     (r#"{"name":"x","spec":{"kind":"policy-run","policy":{"name":"discounted-cs-ucb","gamma":1.01}}}"#, "scenario.spec.policy.gamma", "must be in (0, 1]"),
@@ -281,6 +285,7 @@ const DIAGNOSTICS_GOLDEN: &[(&str, &str, &str)] = &[
     (r#"{"name":"x","spec":{"kind":"policy-run","n":8,"traffic":{"arrivals":{"process":"bursty","rate":0},"flows":[{"src":0,"dst":1}]}}}"#, "scenario.spec.traffic.arrivals.rate", "must be positive and finite"),
     (r#"{"name":"x","spec":{"kind":"policy-run","n":8,"traffic":{"arrivals":{"process":"bursty","burst":0},"flows":[{"src":0,"dst":1}]}}}"#, "scenario.spec.traffic.arrivals.burst", "must be positive"),
     (r#"{"name":"x","spec":{"kind":"policy-run","n":8,"traffic":{"arrivals":{"process":"deterministic","period":0},"flows":[{"src":0,"dst":1}]}}}"#, "scenario.spec.traffic.arrivals.period", "must be positive"),
+    (r#"{"name":"x","spec":{"kind":"policy-run","n":8,"traffic":{"arrivals":{"process":"bursty","rate":5,"burst":1},"flows":[{"src":0,"dst":1}]}}}"#, "scenario.spec.traffic.arrivals.rate", "must not exceed burst (1): at most one burst arrives per slot"),
     (r#"{"name":"x","spec":{"kind":"policy-run","n":8,"traffic":{"arrivals":{"process":"deterministic","rate":1},"flows":[{"src":0,"dst":1}]}}}"#, "scenario.spec.traffic.arrivals", "unknown field 'rate' (expected one of process, period)"),
     (r#"{"name":"x","spec":{"kind":"policy-run","n":8,"traffic":{"arrivals":{"process":"poisson"},"flows":[1]}}}"#, "scenario.spec.traffic.flows[0]", "expected a flow object {src, dst[, deadline]}"),
     (r#"{"name":"x","spec":{"kind":"policy-run","n":8,"traffic":{"arrivals":{"process":"poisson"},"flows":[{"dst":1}]}}}"#, "scenario.spec.traffic.flows[0]", "missing required field 'src'"),

@@ -32,14 +32,17 @@ use mhca_sim::LossSpec;
 /// `(spec, network)` pair fully determines the policy instance.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PolicySpec {
-    /// The paper's CS-UCB index (Algorithm 2) with exploration weight `l`.
+    /// The paper's CS-UCB index (Algorithm 2).
     CsUcb {
-        /// Exploration weight `l` of Eq. (3).
+        /// Exploration bonus: the index of an arm never played yet
+        /// (positive and finite).
         l: f64,
     },
-    /// The LLR baseline the paper compares against.
+    /// The LLR baseline the paper compares against (its strategy-size
+    /// bound `L` is the network's node count).
     Llr {
-        /// Exploration weight.
+        /// Exploration bonus: the index of an arm never played yet
+        /// (positive and finite).
         l: f64,
     },
     /// Gaussian Thompson sampling.
