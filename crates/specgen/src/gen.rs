@@ -636,6 +636,90 @@ mod tests {
     }
 
     #[test]
+    fn every_variant_of_every_tagged_type_is_generated() {
+        let strat = (
+            ExperimentKind::arb_spec(&knobs()),
+            arb_observers(&knobs(), true),
+        );
+        let mut rng = TestRng::for_case("coverage", 0);
+        let mut seen = String::new();
+        for _ in 0..3000 {
+            let (kind, observers) = strat.generate(&mut rng);
+            let spec =
+                ScenarioSpec::new("g", "g", kind, SeedRange::new(0, 1)).with_observers(observers);
+            seen.push_str(&spec.to_json().to_string_pretty());
+        }
+        let tagged: &[(&str, &[&str])] = &[
+            (
+                "family",
+                &[
+                    "unit-disk",
+                    "unit-disk-connected",
+                    "line",
+                    "ring",
+                    "grid",
+                    "star",
+                ],
+            ),
+            (
+                "family",
+                &[
+                    "complete",
+                    "independent",
+                    "gaussian",
+                    "constant",
+                    "bernoulli",
+                ],
+            ),
+            (
+                "family",
+                &[
+                    "uniform",
+                    "adv-sinusoidal",
+                    "adv-switching",
+                    "adv-ramp",
+                    "drifting",
+                ],
+            ),
+            ("name", &["cs-ucb", "llr", "thompson", "discounted-cs-ucb"]),
+            ("name", &["epsilon-greedy", "random", "oracle"]),
+            ("process", &["poisson", "deterministic", "bursty"]),
+            (
+                "kind",
+                &["fig5", "fig6", "fig7", "fig8", "table2", "complexity"],
+            ),
+            (
+                "kind",
+                &["theorem3", "policy-run", "policy-duel", "sensing-cost"],
+            ),
+            ("kind", &["windowed-regret", "queue-tail"]),
+        ];
+        for (key, labels) in tagged {
+            for label in *labels {
+                let text = format!("\"{key}\": \"{label}\"");
+                assert!(seen.contains(&text), "never generated {text}");
+            }
+        }
+        for bare in [
+            "decide-timing",
+            "comm-totals",
+            "per-vertex-tx",
+            "throughput",
+        ] {
+            assert!(
+                seen.contains(&format!("\"{bare}\"")),
+                "never generated {bare}"
+            );
+        }
+        for bare in ["capture-stats", "flow-delay"] {
+            assert!(
+                seen.contains(&format!("\"{bare}\"")),
+                "never generated {bare}"
+            );
+        }
+    }
+
+    #[test]
     fn zero_choices_yield_the_minimal_scenario() {
         let strat = ScenarioSpec::arb_spec(&knobs());
         let mut rng = TestRng::from_choices(Vec::new());
